@@ -3,9 +3,13 @@
 // one-pass key hashing (the Batch key-hash lane vs recomputing per
 // consumer), and the wire codecs (v1 row-major vs v2 columnar compressed —
 // encode/decode time, bytes, and compression ratio — plus the cross-batch
-// dictionary stream encoding vs per-batch dictionaries).
+// dictionary stream encoding vs per-batch dictionaries), and the scale-out
+// reshard (PartitionCatalog's typed gathers + typed statistics vs the
+// per-cell row-at-a-time copy and per-cell statistics it replaced).
 //
 // Flags: the shared harness flags (--reps=, --seed=, --json <path>) plus
+//   --sf=X      TPC-H scale factor of the partition_catalog cell's lineitem
+//               (default 0.02)
 //   --rows=N    rows per batch            (default 1024)
 //   --batches=N batches per measurement   (default 256)
 //   --check     exit non-zero unless the vectorized filter pipeline is
@@ -15,14 +19,18 @@
 //               by default so noisy CI smoke runs stay advisory).
 #include <cstring>
 #include <memory>
+#include <unordered_set>
 
 #include "bench/figure_harness.h"
+#include "dist/scale_out.h"
 #include "exec/operator.h"
 #include "exec/sink.h"
 #include "net/wire_format.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sip/aip_set.h"
+#include "storage/catalog.h"
+#include "storage/tpch_generator.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 
@@ -275,6 +283,67 @@ WireResult RunWireStream(const std::vector<Batch>& stream, bool stream_dicts,
   return out;
 }
 
+/// The reshard PartitionCatalog did before its typed kernels, kept as the
+/// reference: every row copied cell by cell (Table::AppendRowFrom), then
+/// per-shard statistics with a hash-set insert and a Value compare per
+/// cell. Returns the summed NDV so the work stays observable.
+int64_t RowAtATimeReshard(const Table& table, int sites) {
+  std::vector<TablePtr> shards;
+  for (int s = 0; s < sites; ++s) {
+    shards.push_back(std::make_shared<Table>(table.name(), table.schema()));
+    shards.back()->Reserve(table.num_rows() / static_cast<size_t>(sites) + 1);
+  }
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    shards[r % static_cast<size_t>(sites)]->AppendRowFrom(table, r);
+  }
+  int64_t ndv = 0;
+  for (const TablePtr& shard : shards) {
+    for (size_t c = 0; c < shard->num_cols(); ++c) {
+      const Column& column = shard->col(c);
+      std::unordered_set<uint64_t> distinct;
+      ColumnStats st;
+      bool first = true;
+      for (size_t r = 0; r < shard->num_rows(); ++r) {
+        if (column.IsNull(r)) continue;
+        distinct.insert(column.HashAt(r));
+        const Value v = column.GetValue(r);
+        if (first || v.Compare(st.min_value) < 0) st.min_value = v;
+        if (first || v.Compare(st.max_value) > 0) st.max_value = v;
+        first = false;
+      }
+      ndv += static_cast<int64_t>(distinct.size());
+    }
+  }
+  return ndv;
+}
+
+/// Partition-catalog cell: lineitem resharded over `sites` shards with
+/// statistics, either through PartitionCatalog (one typed gather per shard
+/// and column, typed ComputeStats) or the row-at-a-time reference.
+/// Throughput counts lineitem rows resharded per second; one untimed
+/// warm-up pass first, so the first timed pass does not pay for the
+/// allocator's first touch of shard-sized blocks.
+Throughput RunPartitionCatalog(const Catalog& full, bool gather, int sites,
+                               int reps) {
+  const TablePtr lineitem = *full.GetTable("lineitem");
+  double total_sec = 0;
+  int64_t sink = 0;
+  for (int rep = -1; rep < reps; ++rep) {
+    Stopwatch sw;
+    if (gather) {
+      const auto parts = PartitionCatalog(full, {"lineitem"}, sites);
+      const TablePtr shard = *parts.back()->GetTable("lineitem");
+      sink += shard->column_stats(0).distinct_count;
+    } else {
+      sink += RowAtATimeReshard(*lineitem, sites);
+    }
+    if (rep >= 0) total_sec += sw.ElapsedSeconds();
+  }
+  if (sink == 0x5ca1ab1e) std::fprintf(stderr, "#\n");
+  return {static_cast<double>(lineitem->num_rows()) * reps / total_sec,
+          total_sec};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -385,6 +454,20 @@ int main(int argc, char** argv) {
   record("wire_stream", "per_batch_dict", per_batch);
   record("wire_stream", "dict_stream", dict_stream);
 
+  // --- scale-out reshard ---
+  TpchConfig tpch;
+  tpch.scale_factor = opts.scale_factor;
+  tpch.seed = opts.seed;
+  Catalog tpch_catalog;
+  TpchGenerator(tpch).Generate(&tpch_catalog).CheckOK();
+  constexpr int kShards = 4;
+  const Throughput reshard_rows =
+      RunPartitionCatalog(tpch_catalog, /*gather=*/false, kShards, reps);
+  const Throughput reshard_gather =
+      RunPartitionCatalog(tpch_catalog, /*gather=*/true, kShards, reps);
+  record_tp("partition_catalog", "row_at_a_time", reshard_rows);
+  record_tp("partition_catalog", "gather", reshard_gather);
+
   std::printf(
       "# filter speedup: %.2fx   hash-reuse speedup: %.2fx   "
       "v2/v1 bytes: %.2f (%.0f%% smaller)\n",
@@ -402,6 +485,9 @@ int main(int argc, char** argv) {
       static_cast<long long>(per_batch.dict_reships),
       100.0 * static_cast<double>(dict_stream.bytes) /
           static_cast<double>(per_batch.bytes));
+  std::printf("# partition_catalog gather speedup: %.2fx (%d shards)\n",
+              reshard_gather.rows_per_sec / reshard_rows.rows_per_sec,
+              kShards);
 
   if (!opts.json_path.empty() &&
       !WriteJsonReport(opts.json_path, "micro_hotpath",

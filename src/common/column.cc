@@ -250,23 +250,31 @@ void Column::AppendFrom(const Column& src, size_t row) {
   GrowBitmap();
 }
 
+void Column::AdoptIfEmpty(const Column& src) {
+  if (size_ != 0) return;
+  if (rep_ == Rep::kNone && src.rep_ != Rep::kNone &&
+      src.rep_ != Rep::kVariant) {
+    // Empty untyped destination: become a typed copy of the source.
+    type_ = src.type_;
+    rep_ = src.rep_;
+  }
+  if (rep_ == Rep::kStr && src.rep_ == Rep::kStr && dict_ == nullptr) {
+    dict_ = src.dict_;
+    dict_owned_ = false;
+  }
+}
+
+bool Column::SameLayout(const Column& src) const {
+  return rep_ == src.rep_ && type_ == src.type_ && rep_ != Rep::kVariant &&
+         rep_ != Rep::kNone &&
+         (rep_ != Rep::kStr || dict_.get() == src.dict_.get());
+}
+
 void Column::AppendRange(const Column& src, size_t begin, size_t end) {
   PUSHSIP_DCHECK(begin <= end && end <= src.size_);
   if (begin == end) return;
-  if (size_ == 0 && rep_ == Rep::kNone && src.rep_ != Rep::kNone &&
-      src.rep_ != Rep::kVariant) {
-    // Empty untyped destination: become a typed slice of the source.
-    type_ = src.type_;
-    rep_ = src.rep_;
-    if (rep_ == Rep::kStr) {
-      dict_ = src.dict_;
-      dict_owned_ = false;
-    }
-  }
-  const bool bulk = rep_ == src.rep_ && type_ == src.type_ &&
-                    rep_ != Rep::kVariant && rep_ != Rep::kNone &&
-                    (rep_ != Rep::kStr || dict_.get() == src.dict_.get());
-  if (!bulk) {
+  AdoptIfEmpty(src);
+  if (!SameLayout(src)) {
     for (size_t i = begin; i < end; ++i) AppendFrom(src, i);
     return;
   }
@@ -292,6 +300,52 @@ void Column::AppendRange(const Column& src, size_t begin, size_t end) {
   if (!src.nulls_.empty()) {
     for (size_t i = begin; i < end; ++i) {
       if (src.IsNull(i)) SetNullBit(old_size + (i - begin));
+    }
+  }
+  GrowBitmap();
+}
+
+namespace {
+
+// dst += src[idx[0]], ..., src[idx[n-1]].
+template <typename T>
+void GatherInto(std::vector<T>* dst, const std::vector<T>& src,
+                const uint32_t* idx, size_t n) {
+  const size_t base = dst->size();
+  dst->resize(base + n);
+  T* out = dst->data() + base;
+  const T* in = src.data();
+  for (size_t k = 0; k < n; ++k) out[k] = in[idx[k]];
+}
+
+}  // namespace
+
+void Column::AppendGather(const Column& src, const uint32_t* idx, size_t n) {
+  if (n == 0) return;
+  AdoptIfEmpty(src);
+  if (!SameLayout(src)) {
+    for (size_t k = 0; k < n; ++k) AppendFrom(src, idx[k]);
+    return;
+  }
+  switch (rep_) {
+    case Rep::kI64:
+      GatherInto(&i64_, src.i64_, idx, n);
+      break;
+    case Rep::kF64:
+      GatherInto(&f64_, src.f64_, idx, n);
+      break;
+    case Rep::kStr:
+      GatherInto(&codes_, src.codes_, idx, n);
+      break;
+    default:
+      break;
+  }
+  const size_t old_size = size_;
+  size_ += n;
+  // Carry the source's null bits for the gathered rows.
+  if (!src.nulls_.empty()) {
+    for (size_t k = 0; k < n; ++k) {
+      if (src.IsNull(idx[k])) SetNullBit(old_size + k);
     }
   }
   GrowBitmap();

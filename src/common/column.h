@@ -11,8 +11,9 @@
 //
 // Dictionary lifetime. String columns hold a shared_ptr<StringDict>, an
 // append-only code -> string store. Dictionaries are shared widely — every
-// scan slice of a table column references the table's dictionary, join
-// gathers adopt the source dictionary, and exchange decoders keep one
+// scan slice and every scale-out shard of a table column references the
+// table's dictionary, join gathers and routed exchange partitions adopt
+// the source dictionary, and exchange decoders keep one
 // dictionary per (sender, column) stream so codes stay valid across batch
 // boundaries (the cross-batch dictionary wire encoding depends on this).
 // Sharing is safe without locks because a StringDict only ever grows, its
@@ -117,9 +118,18 @@ class Column {
   /// Same-dictionary string appends copy the code; foreign strings are
   /// re-interned into a private dictionary.
   void AppendFrom(const Column& src, size_t row);
-  /// Appends rows [begin, end) of `src`. An empty destination adopts the
-  /// source dictionary, making table slices zero-copy on the strings.
+  /// Appends rows [begin, end) of `src`. An empty destination (untyped, or
+  /// a string column with no dictionary yet) adopts the source's type and
+  /// dictionary read-only, making table slices zero-copy on the strings.
   void AppendRange(const Column& src, size_t begin, size_t end);
+  /// Appends rows idx[0], ..., idx[n-1] of `src`, in that order (a gather),
+  /// with one typed loop per representation; null bits are carried. Same
+  /// dictionary rule as AppendRange: an empty destination adopts the
+  /// source's type and dictionary read-only, so table shards and routed
+  /// exchange partitions share the source's strings. Every other shape
+  /// (type mismatch, a foreign dictionary, variant columns) falls back to
+  /// per-row AppendFrom.
+  void AppendGather(const Column& src, const uint32_t* idx, size_t n);
   void Reserve(size_t n);
   void PopBack();
 
@@ -208,6 +218,12 @@ class Column {
   /// Re-interns existing codes into a fresh private dictionary so appends
   /// never mutate a dictionary someone else owns.
   void EnsureOwnDict();
+  /// The bulk appends' dictionary rule (AppendRange, AppendGather): an
+  /// empty destination takes `src`'s type and, read-only, its dictionary.
+  void AdoptIfEmpty(const Column& src);
+  /// True when rows of `src` can be copied as raw typed slots: same typed
+  /// representation and, for strings, the same dictionary.
+  bool SameLayout(const Column& src) const;
 
   TypeId type_ = TypeId::kNull;
   Rep rep_ = Rep::kNone;

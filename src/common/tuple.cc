@@ -106,6 +106,15 @@ void Batch::AppendRowFrom(const Batch& src, size_t row) {
   ++num_rows_;
 }
 
+void Batch::AppendGather(const Batch& src, const uint32_t* idx, size_t n) {
+  if (cols_.empty() && num_rows_ == 0) SetArity(src.num_cols());
+  PUSHSIP_DCHECK(src.num_cols() == cols_.size());
+  for (size_t i = 0; i < cols_.size(); ++i) {
+    cols_[i].AppendGather(src.cols_[i], idx, n);
+  }
+  num_rows_ += n;
+}
+
 void Batch::AppendConcatRow(const Batch& left, size_t lr, const Batch& right,
                             size_t rr) {
   PUSHSIP_DCHECK(cols_.size() == left.num_cols() + right.num_cols());

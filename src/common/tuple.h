@@ -91,6 +91,10 @@ class Batch {
   void AppendRow(const std::vector<Value>& values);
   /// Gathers row `row` of `src` (all columns) onto the end of this batch.
   void AppendRowFrom(const Batch& src, size_t row);
+  /// Gathers rows idx[0..n) of `src`, in order, one typed loop per column
+  /// (Column::AppendGather). Like AppendRowFrom, an arity-less batch first
+  /// takes `src`'s arity.
+  void AppendGather(const Batch& src, const uint32_t* idx, size_t n);
   /// Appends one join output row: row `lr` of `left` concatenated with row
   /// `rr` of `right`. Requires num_cols() == left ++ right (SetArity once).
   /// Same-dictionary string gathers copy codes, not bytes.

@@ -79,9 +79,9 @@ int Value::Compare(const Value& other) const {
 }
 
 uint64_t HashOfDouble(double v) {
-  const int64_t as_int = static_cast<int64_t>(v);
-  if (static_cast<double>(as_int) == v) {
-    return HashMix64(static_cast<uint64_t>(as_int));
+  int64_t as_int = 0;
+  if (DoubleAsInt64(v, &as_int)) {
+    return HashOfInt64(as_int);
   }
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));

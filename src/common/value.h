@@ -43,8 +43,17 @@ inline uint64_t HashOfInt64(int64_t v) {
   return HashMix64(static_cast<uint64_t>(v));
 }
 
-/// Integral doubles hash as their integer value so that Int64(3) and
-/// Double(3.0), which Compare() as equal, hash equally.
+/// True when `v` is integral and inside int64's range; stores the integer
+/// in *out. The range check keeps the conversion defined for NaN,
+/// infinities and huge magnitudes, which are not integral here.
+inline bool DoubleAsInt64(double v, int64_t* out) {
+  if (!(v >= -0x1p63 && v < 0x1p63)) return false;
+  *out = static_cast<int64_t>(v);
+  return static_cast<double>(*out) == v;
+}
+
+/// Integral doubles (DoubleAsInt64) hash as their integer value so that
+/// Int64(3) and Double(3.0), which Compare() as equal, hash equally.
 uint64_t HashOfDouble(double v);
 
 /// FNV-1a over the bytes, then mixed.

@@ -241,25 +241,26 @@ Status ExchangeSender::DoPush(int, Batch&& batch) {
     }
     case ExchangeMode::kHashPartition: {
       // Key hashes come from the batch's cached lane when an upstream
-      // consumer (filter, tap) already hashed these columns; the routed
-      // partitions are built with columnar gathers (same-dictionary string
-      // columns move codes, not bytes).
+      // consumer (filter, tap) already hashed these columns; each routed
+      // partition is one typed gather per column (string columns share the
+      // batch's dictionary and move codes, not bytes).
       std::vector<uint64_t> scratch;
       const std::vector<uint64_t>& key_hashes =
           batch.KeyHashes(hash_cols_, &scratch);
       const size_t n = batch.size();
       const size_t ndest = destinations_.size();
-      std::vector<Batch> parts(ndest);
-      for (Batch& part : parts) {
-        part.SetArity(batch.num_cols());
-        part.Reserve(n / ndest + 1);
+      std::vector<std::vector<uint32_t>> rows(ndest);
+      for (std::vector<uint32_t>& dest_rows : rows) {
+        dest_rows.reserve(n / ndest + 1);
       }
       for (size_t r = 0; r < n; ++r) {
-        parts[static_cast<size_t>(key_hashes[r] % ndest)].AppendRowFrom(
-            batch, r);
+        rows[static_cast<size_t>(key_hashes[r] % ndest)].push_back(
+            static_cast<uint32_t>(r));
       }
       for (size_t i = 0; i < ndest; ++i) {
-        PUSHSIP_RETURN_NOT_OK(Send(i, parts[i]));
+        Batch part;
+        part.AppendGather(batch, rows[i].data(), rows[i].size());
+        PUSHSIP_RETURN_NOT_OK(Send(i, part));
       }
       return Status::OK();
     }

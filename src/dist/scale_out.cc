@@ -28,24 +28,25 @@ std::vector<std::shared_ptr<Catalog>> PartitionCatalog(
       catalogs[0]->RegisterTable(table).CheckOK();
       continue;
     }
-    std::vector<TablePtr> shards;
-    for (int s = 0; s < num_sites; ++s) {
+    // Shard s takes rows s, s+N, s+2N, ...: one typed gather per column
+    // through a single reused row-index list.
+    const size_t n = static_cast<size_t>(num_sites);
+    std::vector<uint32_t> rows;
+    rows.reserve(table->num_rows() / n + 1);
+    for (size_t s = 0; s < n; ++s) {
       auto shard = std::make_shared<Table>(name, table->schema());
-      shard->Reserve(table->num_rows() / static_cast<size_t>(num_sites) + 1);
       shard->SetPrimaryKey(table->primary_key());
       for (const Table::ForeignKey& fk : table->foreign_keys()) {
         shard->AddForeignKey(fk.col, fk.ref_table, fk.ref_col);
       }
-      shards.push_back(std::move(shard));
-    }
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      shards[r % static_cast<size_t>(num_sites)]->AppendRowFrom(*table, r);
-    }
-    for (int s = 0; s < num_sites; ++s) {
-      shards[static_cast<size_t>(s)]->ComputeStats();
-      catalogs[static_cast<size_t>(s)]
-          ->RegisterTable(shards[static_cast<size_t>(s)])
-          .CheckOK();
+      rows.clear();
+      for (size_t r = s; r < table->num_rows(); r += n) {
+        rows.push_back(static_cast<uint32_t>(r));
+      }
+      shard->Reserve(rows.size());
+      shard->AppendGather(*table, rows.data(), rows.size());
+      shard->ComputeStats();
+      catalogs[s]->RegisterTable(std::move(shard)).CheckOK();
     }
   }
   return catalogs;

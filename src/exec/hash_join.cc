@@ -90,9 +90,13 @@ Status SymmetricHashJoin::SnapshotState(std::string* meta,
     serde::AppendU8(side.complete_at_finish ? 1 : 0, meta);
     serde::AppendU32(static_cast<uint32_t>(side.batches.size()), meta);
     for (const Batch& b : side.batches) {
+      // Whole-column copies; string columns share b's dictionaries.
       Batch copy;
-      copy.SetArity(b.num_cols());
-      for (size_t r = 0; r < b.size(); ++r) copy.AppendRowFrom(b, r);
+      for (size_t c = 0; c < b.num_cols(); ++c) {
+        Column col;
+        col.AppendRange(b.col(c), 0, b.size());
+        copy.AddColumn(std::move(col));
+      }
       batches->push_back(std::move(copy));
     }
   }

@@ -48,13 +48,33 @@ class Table {
     }
     ++num_rows_;
   }
-  /// Copies row `row` of `src` column-wise (sharding without Value
-  /// round-trips; dictionaries are re-interned per shard).
+  /// Copies row `row` of `src` column-wise, without Value round-trips. A
+  /// string column adopts the source table's dictionary read-only with its
+  /// first string (Column::AppendFrom), so the copy shares its strings.
   void AppendRowFrom(const Table& src, size_t row) {
     for (size_t c = 0; c < cols_.size(); ++c) {
       cols_[c].AppendFrom(src.cols_[c], row);
     }
     ++num_rows_;
+  }
+  /// Copies rows idx[0..n) of `src`, in order, one typed gather per column
+  /// (Column::AppendGather); string columns share `src`'s dictionaries.
+  void AppendGather(const Table& src, const uint32_t* idx, size_t n) {
+    PUSHSIP_DCHECK(src.cols_.size() == cols_.size());
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      cols_[c].AppendGather(src.cols_[c], idx, n);
+    }
+    num_rows_ += n;
+  }
+  /// Appends every row of `batch`, one bulk copy per column
+  /// (Column::AppendRange: an empty string column adopts the batch's
+  /// dictionary).
+  void AppendBatch(const Batch& batch) {
+    PUSHSIP_DCHECK(batch.num_cols() == cols_.size());
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      cols_[c].AppendRange(batch.col(c), 0, batch.size());
+    }
+    num_rows_ += batch.size();
   }
   void Reserve(size_t n) {
     for (Column& c : cols_) c.Reserve(n);

@@ -1,5 +1,6 @@
 // Columnar-Batch edge cases: all-NULL columns, randomized CompactInPlace
-// against a row-at-a-time reference, and the shared BatchBuilder fixture.
+// and AppendGather against row-at-a-time references, and the shared
+// BatchBuilder fixture.
 #include <algorithm>
 #include <optional>
 #include <string>
@@ -17,6 +18,65 @@ namespace {
 using testing::BatchBuilder;
 using testing::SeededRandom;
 
+// One random column of `kind`: 0 int64, 1 double, 2 low-cardinality
+// string (each with NULL sprinkles), 3 all-NULL untyped, 4 mixed-type
+// (variant).
+Column RandomColumn(Random* rng, size_t rows, int64_t kind) {
+  Column col;
+  switch (kind) {
+    case 0: {
+      col = Column(TypeId::kInt64);
+      for (size_t r = 0; r < rows; ++r) {
+        if (rng->Bernoulli(0.1)) {
+          col.AppendNull();
+        } else {
+          col.AppendI64(rng->UniformInt(-1000, 1000));
+        }
+      }
+      break;
+    }
+    case 1: {
+      col = Column(TypeId::kDouble);
+      for (size_t r = 0; r < rows; ++r) {
+        if (rng->Bernoulli(0.1)) {
+          col.AppendNull();
+        } else {
+          col.AppendF64(rng->UniformDouble());
+        }
+      }
+      break;
+    }
+    case 2: {
+      col = Column(TypeId::kString);
+      for (size_t r = 0; r < rows; ++r) {
+        if (rng->Bernoulli(0.1)) {
+          col.AppendNull();
+        } else {
+          std::string s("s");
+          s += std::to_string(rng->UniformInt(0, 7));
+          col.AppendValue(Value::String(std::move(s)));
+        }
+      }
+      break;
+    }
+    case 3: {
+      // All-NULL, never typed.
+      for (size_t r = 0; r < rows; ++r) col.AppendNull();
+      break;
+    }
+    default: {
+      // Mixed types force the variant fallback.
+      for (size_t r = 0; r < rows; ++r) {
+        col.AppendValue(rng->Bernoulli(0.5)
+                            ? Value::Int64(rng->UniformInt(0, 9))
+                            : Value::String("mix"));
+      }
+      break;
+    }
+  }
+  return col;
+}
+
 // One random rectangular batch: typed columns with NULL sprinkles, a
 // low-cardinality string column, and occasionally an all-NULL or
 // mixed-type (variant) column.
@@ -24,58 +84,7 @@ Batch RandomBatch(Random* rng, size_t rows) {
   Batch b;
   const int ncols = static_cast<int>(rng->UniformInt(1, 5));
   for (int c = 0; c < ncols; ++c) {
-    Column col;
-    switch (rng->UniformInt(0, 4)) {
-      case 0: {
-        col = Column(TypeId::kInt64);
-        for (size_t r = 0; r < rows; ++r) {
-          if (rng->Bernoulli(0.1)) {
-            col.AppendNull();
-          } else {
-            col.AppendI64(rng->UniformInt(-1000, 1000));
-          }
-        }
-        break;
-      }
-      case 1: {
-        col = Column(TypeId::kDouble);
-        for (size_t r = 0; r < rows; ++r) {
-          if (rng->Bernoulli(0.1)) {
-            col.AppendNull();
-          } else {
-            col.AppendF64(rng->UniformDouble());
-          }
-        }
-        break;
-      }
-      case 2: {
-        col = Column(TypeId::kString);
-        for (size_t r = 0; r < rows; ++r) {
-          if (rng->Bernoulli(0.1)) {
-            col.AppendNull();
-          } else {
-            col.AppendValue(Value::String(
-                "s" + std::to_string(rng->UniformInt(0, 7))));
-          }
-        }
-        break;
-      }
-      case 3: {
-        // All-NULL, never typed.
-        for (size_t r = 0; r < rows; ++r) col.AppendNull();
-        break;
-      }
-      default: {
-        // Mixed types force the variant fallback.
-        for (size_t r = 0; r < rows; ++r) {
-          col.AppendValue(rng->Bernoulli(0.5)
-                              ? Value::Int64(rng->UniformInt(0, 9))
-                              : Value::String("mix"));
-        }
-        break;
-      }
-    }
-    b.AddColumn(std::move(col));
+    b.AddColumn(RandomColumn(rng, rows, rng->UniformInt(0, 4)));
   }
   return b;
 }
@@ -117,6 +126,97 @@ TEST(ColumnarBatchTest, CompactInPlaceMatchesRowAtATimeReference) {
     const std::vector<uint64_t>* cached = b.CachedKeyHashes(hash_cols);
     ASSERT_NE(cached, nullptr);
     EXPECT_EQ(*cached, expect_hashes);
+  }
+}
+
+// Every destination shape AppendGather distinguishes, each run against a
+// per-row AppendFrom loop from an identical starting state.
+TEST(ColumnarBatchTest, AppendGatherMatchesAppendFromLoop) {
+  Random rng = SeededRandom(103);
+  for (int iter = 0; iter < 500; ++iter) {
+    PUSHSIP_SEED_TRACE(testing::TestSeed());
+    const size_t rows = static_cast<size_t>(rng.UniformInt(1, 40));
+    const Column src = RandomColumn(&rng, rows, rng.UniformInt(0, 4));
+    // Any order, repeats allowed, possibly empty.
+    std::vector<uint32_t> idx(static_cast<size_t>(rng.UniformInt(0, 60)));
+    const int64_t last = static_cast<int64_t>(rows) - 1;
+    for (uint32_t& i : idx) i = static_cast<uint32_t>(rng.UniformInt(0, last));
+
+    Column got;
+    const int64_t shape = rng.UniformInt(0, 4);
+    switch (shape) {
+      case 0:  // empty, untyped
+        break;
+      case 1:  // empty, typed as the source (a string column: no dict yet)
+        got = Column(src.type());
+        break;
+      case 2:  // a prefix of the source already in: the same dictionary
+        got.AppendRange(src, 0, rows / 2 + 1);
+        break;
+      case 3:  // a private dictionary (or a mismatched type for non-strings)
+        got.AppendValue(Value::String("foreign"));
+        break;
+      default:  // same or different rep, different logical type
+        got = Column(src.type() == TypeId::kInt64 ? TypeId::kDate
+                                                  : TypeId::kInt64);
+        break;
+    }
+    Column want = got;
+    got.AppendGather(src, idx.data(), idx.size());
+    for (const uint32_t i : idx) want.AppendFrom(src, i);
+
+    ASSERT_EQ(got.size(), want.size()) << "iter " << iter;
+    if (want.type() == TypeId::kNull) {
+      // An empty untyped destination takes the source type up front (as
+      // AppendRange does), even when every gathered row is NULL.
+      EXPECT_TRUE(got.type() == TypeId::kNull || got.type() == src.type());
+    } else {
+      EXPECT_EQ(got.type(), want.type()) << "iter " << iter;
+    }
+    EXPECT_EQ(got.is_variant(), want.is_variant()) << "iter " << iter;
+    EXPECT_EQ(got.NullCount(), want.NullCount()) << "iter " << iter;
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got.IsNull(r), want.IsNull(r)) << "iter " << iter;
+      EXPECT_EQ(got.CompareAt(r, want, r), 0)
+          << "iter " << iter << " row " << r << ": "
+          << got.GetValue(r).ToString() << " vs "
+          << want.GetValue(r).ToString();
+      EXPECT_EQ(got.HashAt(r), want.HashAt(r)) << "iter " << iter;
+    }
+    // An empty destination shares the source dictionary read-only: its own
+    // later appends go to a private copy.
+    if (shape <= 1 && src.type() == TypeId::kString && !src.is_variant() &&
+        !idx.empty()) {
+      EXPECT_EQ(got.dict().get(), src.dict().get()) << "iter " << iter;
+      if (src.dict() != nullptr) {
+        const uint32_t before = src.dict()->size();
+        got.AppendValue(Value::String("fresh"));
+        EXPECT_EQ(src.dict()->size(), before);
+        EXPECT_EQ(got.StringAt(got.size() - 1), "fresh");
+      }
+    }
+  }
+}
+
+TEST(ColumnarBatchTest, BatchAppendGatherMatchesAppendRowFromLoop) {
+  Random rng = SeededRandom(104);
+  for (int iter = 0; iter < 100; ++iter) {
+    PUSHSIP_SEED_TRACE(testing::TestSeed());
+    const size_t rows = static_cast<size_t>(rng.UniformInt(1, 30));
+    const Batch src = RandomBatch(&rng, rows);
+    std::vector<uint32_t> idx;
+    for (size_t r = 0; r < rows; ++r) {
+      if (rng.Bernoulli(0.5)) idx.push_back(static_cast<uint32_t>(r));
+    }
+    Batch got;
+    Batch want;
+    got.AppendGather(src, idx.data(), idx.size());
+    for (const uint32_t i : idx) want.AppendRowFrom(src, i);
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(got.num_cols(), src.num_cols());
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got.CompareRows(r, want, r), 0) << got.RowToString(r);
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/testing/catalog_factory.h"
+#include "tests/testing/stats_reference.h"
 #include "workload/experiment.h"
 
 namespace pushsip {
@@ -267,23 +268,62 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
   }
 }
 
+// Shard s holds rows s, s+N, s+2N, ... of the full table, in order and
+// bit-identical; string columns share the full table's dictionaries; the
+// shard statistics equal the row-by-row reference; key metadata carries.
+// Unsharded tables stay whole at site 0.
 TEST(MultiSiteTest, PartitionCatalogCoversEveryRowExactlyOnce) {
+  constexpr size_t kSites = 4;
   auto full = TinyTpchCatalog();
-  auto parts = PartitionCatalog(*full, {"lineitem"}, 4);
-  ASSERT_EQ(parts.size(), 4u);
-  size_t total = 0;
-  for (int s = 0; s < 4; ++s) {
-    if (s == 0) {
-      EXPECT_TRUE(parts[0]->HasTable("part"));
-    } else {
-      EXPECT_FALSE(parts[static_cast<size_t>(s)]->HasTable("part"));
-    }
-    auto shard = parts[static_cast<size_t>(s)]->GetTable("lineitem");
-    ASSERT_TRUE(shard.ok());
-    EXPECT_TRUE((*shard)->has_stats());
-    total += (*shard)->num_rows();
+  auto parts = PartitionCatalog(*full, {"lineitem", "part"}, kSites);
+  ASSERT_EQ(parts.size(), kSites);
+  EXPECT_EQ(*parts[0]->GetTable("orders"), *full->GetTable("orders"));
+  for (size_t s = 1; s < kSites; ++s) {
+    EXPECT_FALSE(parts[s]->HasTable("orders"));
   }
-  EXPECT_EQ(total, (*full->GetTable("lineitem"))->num_rows());
+  size_t string_columns = 0;
+  for (const std::string name : {"lineitem", "part"}) {
+    const TablePtr table = *full->GetTable(name);
+    size_t total = 0;
+    for (size_t s = 0; s < kSites; ++s) {
+      SCOPED_TRACE(name + " shard " + std::to_string(s));
+      auto got = parts[s]->GetTable(name);
+      ASSERT_TRUE(got.ok());
+      const Table& shard = **got;
+      ASSERT_EQ(shard.num_cols(), table->num_cols());
+      ASSERT_EQ(shard.num_rows(),
+                (table->num_rows() + kSites - 1 - s) / kSites);
+      for (size_t c = 0; c < shard.num_cols(); ++c) {
+        const Column& col = shard.col(c);
+        const Column& src = table->col(c);
+        EXPECT_EQ(col.type(), src.type());
+        if (src.type() == TypeId::kString) {
+          EXPECT_EQ(col.dict().get(), src.dict().get());
+          ++string_columns;
+        }
+        for (size_t r = 0; r < shard.num_rows(); ++r) {
+          const size_t from = s + r * kSites;
+          ASSERT_EQ(col.CompareAt(r, src, from), 0)
+              << "column " << c << " row " << r;
+          ASSERT_EQ(col.HashAt(r), src.HashAt(from))
+              << "column " << c << " row " << r;
+        }
+      }
+      testing::ExpectStatsMatchReference(shard);
+      EXPECT_EQ(shard.primary_key(), table->primary_key());
+      ASSERT_EQ(shard.foreign_keys().size(), table->foreign_keys().size());
+      for (size_t i = 0; i < shard.foreign_keys().size(); ++i) {
+        EXPECT_EQ(shard.foreign_keys()[i].col, table->foreign_keys()[i].col);
+        EXPECT_EQ(shard.foreign_keys()[i].ref_table,
+                  table->foreign_keys()[i].ref_table);
+        EXPECT_EQ(shard.foreign_keys()[i].ref_col,
+                  table->foreign_keys()[i].ref_col);
+      }
+      total += shard.num_rows();
+    }
+    EXPECT_EQ(total, table->num_rows());
+  }
+  EXPECT_GT(string_columns, 0u);  // part's brand/container/... columns
 }
 
 }  // namespace

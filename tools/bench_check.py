@@ -53,14 +53,16 @@ MEANINGFUL_FLOOR = {
 HIGHER_IS_BETTER = {"qps", "metric_mean"}
 
 # The columnar hot-path cells gated with --hard-only: the typed filter
-# kernel, the zero-transpose v2 encode, and the cross-batch dictionary
-# stream. These are the cells the columnar Batch redesign bought its
-# speedup on; a >threshold throughput drop here fails the (blocking) CI
-# step, unlike the advisory full comparison.
+# kernel, the zero-transpose v2 encode, the cross-batch dictionary stream,
+# and the scale-out reshard's typed gather + statistics. These are the
+# cells the columnar Batch redesign bought its speedup on; a >threshold
+# throughput drop here fails the (blocking) CI step, unlike the advisory
+# full comparison.
 HARD_FLOOR_CELLS = {
     ("filter_pipeline", "vectorized"): "metric_mean",
     ("wire_roundtrip", "v2_columnar"): "metric_mean",
     ("wire_stream", "dict_stream"): "metric_mean",
+    ("partition_catalog", "gather"): "metric_mean",
 }
 
 # Semantic counter floors applied to matched *fresh* cells regardless of
