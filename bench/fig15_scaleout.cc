@@ -419,8 +419,7 @@ int RunTcpTransportMode(const HarnessOptions& opts, int sites,
     std::vector<Tuple> sim_rows = (*query)->root_sink->TakeRows();
     std::sort(sim_rows.begin(), sim_rows.end(),
               [](const Tuple& a, const Tuple& b) { return a.Compare(b) < 0; });
-    const std::string sim_wire = SerializeBatch(Batch::FromRows(sim_rows),
-                                                WireFormatVersion::kRowMajor);
+    const std::string sim_wire = SerializeBatch(Batch::FromRows(sim_rows));
 
     // The same query as N real processes over loopback TCP.
     MultiProcessOptions mp;

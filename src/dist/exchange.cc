@@ -40,70 +40,41 @@ ExchangeSender::ExchangeSender(ExecContext* ctx, std::string name,
   for (const ExchangeDestination& dest : destinations_) {
     sender_slots_.push_back(dest.channel->AllocSenderSlot());
   }
-  if (mode_ == ExchangeMode::kBroadcast) {
-    // One stream per wire version in use; every destination of a group
-    // receives the identical body sequence, so their decoders stay in sync
-    // with the shared encoder.
-    broadcast_streams_.resize(2);
-    for (const ExchangeDestination& dest : destinations_) {
-      const size_t v = dest.wire == WireFormatVersion::kColumnar ? 1 : 0;
-      if (broadcast_streams_[v] == nullptr) {
-        broadcast_streams_[v] = std::make_unique<Stream>(dest.wire);
-      }
-    }
-  } else {
-    streams_.reserve(destinations_.size());
-    for (const ExchangeDestination& dest : destinations_) {
-      streams_.push_back(std::make_unique<Stream>(dest.wire));
-    }
+  // Broadcast shares one stream: every destination receives the identical
+  // body sequence, so their decoders stay in sync with the one encoder.
+  const size_t num_streams =
+      mode_ == ExchangeMode::kBroadcast ? 1 : destinations_.size();
+  streams_.reserve(num_streams);
+  for (size_t i = 0; i < num_streams; ++i) {
+    streams_.push_back(std::make_unique<Stream>());
   }
 }
 
 void ExchangeSender::ResetStreams() {
   for (const auto& s : streams_) {
-    if (s != nullptr) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->encoder.Reset();
-    }
+    std::lock_guard<std::mutex> lock(s->mu);
+    s->encoder.Reset();
   }
-  for (const auto& s : broadcast_streams_) {
-    if (s != nullptr) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->encoder.Reset();
-    }
+  for (const ExchangeDestination& dest : destinations_) {
+    if (dest.remote != nullptr) dest.remote->Rewind();
   }
 }
 
 int64_t ExchangeSender::encode_transposes() const {
   int64_t total = 0;
-  for (const auto& s : streams_) {
-    if (s != nullptr) total += s->encoder.encode_transposes();
-  }
-  for (const auto& s : broadcast_streams_) {
-    if (s != nullptr) total += s->encoder.encode_transposes();
-  }
+  for (const auto& s : streams_) total += s->encoder.encode_transposes();
   return total;
 }
 
 int64_t ExchangeSender::dict_reships() const {
   int64_t total = 0;
-  for (const auto& s : streams_) {
-    if (s != nullptr) total += s->encoder.dict_reships();
-  }
-  for (const auto& s : broadcast_streams_) {
-    if (s != nullptr) total += s->encoder.dict_reships();
-  }
+  for (const auto& s : streams_) total += s->encoder.dict_reships();
   return total;
 }
 
 int64_t ExchangeSender::dict_entries_shipped() const {
   int64_t total = 0;
-  for (const auto& s : streams_) {
-    if (s != nullptr) total += s->encoder.dict_entries_shipped();
-  }
-  for (const auto& s : broadcast_streams_) {
-    if (s != nullptr) total += s->encoder.dict_entries_shipped();
-  }
+  for (const auto& s : streams_) total += s->encoder.dict_entries_shipped();
   return total;
 }
 
@@ -137,7 +108,6 @@ Status ExchangeSender::Send(size_t dest_index, const Batch& batch,
   // receivers tolerate gaps, and a deterministic replay skips the same
   // (or a superset of the same) windows.
   if (batch.empty()) return Status::OK();
-  const ExchangeDestination& dest = destinations_[dest_index];
   BatchFrame frame;
   frame.sender = static_cast<uint32_t>(sender_slots_[dest_index]);
   frame.epoch = epoch_.load();
@@ -145,13 +115,13 @@ Status ExchangeSender::Send(size_t dest_index, const Batch& batch,
   frame.seq = frame.replayable ? seq_source_->current_window()
                                : arrival_seq_[dest_index].fetch_add(1);
   if (body != nullptr) {
-    // Broadcast: the caller already holds the group stream's lock across
+    // Broadcast: the caller already holds the shared stream's lock across
     // encode and the whole fan-out, so stamping a header is all that's
     // left here.
     return TransmitFrame(
         dest_index,
         AssembleBatchFrame(frame.sender, frame.epoch, frame.seq,
-                           frame.replayable, *body, dest.wire),
+                           frame.replayable, *body),
         batch.size());
   }
   // Encode and enqueue under the stream's lock: a frame that carries
@@ -220,22 +190,16 @@ Status ExchangeSender::DoPush(int, Batch&& batch) {
       return Send(0, batch);
     case ExchangeMode::kBroadcast: {
       if (batch.empty()) return Status::OK();
-      // Serialize the payload once per wire version in use (headers carry
-      // the per-destination sender slot and seq, so only the body is
-      // shareable) instead of re-encoding per destination. The group
-      // stream's lock is held across encode *and* the fan-out so every
-      // destination's frame order matches the shared encoder's state.
-      std::string bodies[2];
-      std::unique_lock<std::mutex> locks[2];
+      // Serialize the payload once (headers carry the per-destination
+      // sender slot and seq, so only the body is shareable) instead of
+      // re-encoding per destination. The shared stream's lock is held
+      // across encode *and* the fan-out so every destination's frame order
+      // matches the encoder's state.
+      Stream& stream = *streams_[0];
+      std::lock_guard<std::mutex> lock(stream.mu);
+      const std::string body = stream.encoder.SerializeBody(batch);
       for (size_t i = 0; i < destinations_.size(); ++i) {
-        const size_t v =
-            destinations_[i].wire == WireFormatVersion::kColumnar ? 1 : 0;
-        if (bodies[v].empty()) {
-          Stream& stream = *broadcast_streams_[v];
-          locks[v] = std::unique_lock<std::mutex>(stream.mu);
-          bodies[v] = stream.encoder.SerializeBody(batch);
-        }
-        PUSHSIP_RETURN_NOT_OK(Send(i, batch, &bodies[v]));
+        PUSHSIP_RETURN_NOT_OK(Send(i, batch, &body));
       }
       return Status::OK();
     }

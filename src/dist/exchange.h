@@ -11,7 +11,7 @@
 //   * kHashPartition — rows routed by key hash (co-partitioned joins/aggs)
 //
 // Wire encoding. Each sender owns one WireStreamEncoder per outgoing
-// stream (per destination, or per wire-version group for broadcast), so
+// stream (per destination, or one shared stream for broadcast), so
 // low-cardinality string columns ship their dictionary entries once per
 // stream instead of once per batch; the receiver's WireStreamDecoder keeps
 // the matching per-(sender, column) dictionaries. Stream state is keyed by
@@ -71,10 +71,6 @@ struct ExchangeDestination {
   /// Transport edge toward an out-of-process consumer; when set it
   /// supersedes channel+link for this destination.
   std::shared_ptr<ChannelSender> remote = nullptr;
-  /// Wire version negotiated for this link. Receivers dispatch on the
-  /// frame header's version byte, so a mesh can mix old (row-major) and
-  /// new (columnar compressed) links frame by frame.
-  WireFormatVersion wire = kDefaultWireVersion;
 };
 
 /// \brief Terminal operator of a producing fragment.
@@ -150,17 +146,15 @@ class ExchangeSender : public Operator {
   /// One outgoing wire stream: the encoder plus the lock that keeps encode
   /// order equal to enqueue order (the cross-batch dictionary protocol
   /// requires in-order frames per stream). Forward and hash-partition
-  /// senders run one stream per destination; broadcast runs one per
-  /// wire-version group and stamps per-destination headers on the shared
-  /// body.
+  /// senders run one stream per destination; broadcast runs one shared
+  /// stream and stamps per-destination headers on its body.
   struct Stream {
-    explicit Stream(WireFormatVersion version) : encoder(version) {}
     std::mutex mu;
     WireStreamEncoder encoder;
   };
 
   /// Serializes and transmits one frame. When `body` is non-null it is the
-  /// batch payload already encoded at this destination's wire version
+  /// batch payload already encoded by the shared broadcast stream
   /// (broadcast encodes once and stamps per-destination headers); otherwise
   /// the batch is encoded here under the destination stream's lock.
   Status Send(size_t dest_index, const Batch& batch,
@@ -168,18 +162,18 @@ class ExchangeSender : public Operator {
   /// Bills the link, enqueues (or transports) the bytes, and bumps the
   /// send-side counters.
   Status TransmitFrame(size_t dest_index, std::string bytes, size_t rows);
-  /// Drops every stream's dictionary state (epoch transitions).
+  /// Epoch transitions: drops every stream's dictionary state and rewinds
+  /// the transport edges (the new epoch's frames replay the stream).
   void ResetStreams();
 
   ExchangeMode mode_;
   std::vector<int> hash_cols_;
   std::vector<ExchangeDestination> destinations_;
   std::vector<int> sender_slots_;  // per destination
-  /// Per-destination streams (forward / hash-partition modes).
+  /// One stream per destination (forward / hash-partition modes), or the
+  /// single shared stream of broadcast mode, whose mutex also orders the
+  /// whole encode-and-fan-out section.
   std::vector<std::unique_ptr<Stream>> streams_;
-  /// Per-wire-version shared streams (broadcast mode); the mutex also
-  /// orders the whole encode-and-fan-out section.
-  std::vector<std::unique_ptr<Stream>> broadcast_streams_;
   /// Per-destination arrival counters for non-bound senders. Atomic:
   /// compute fragments push into their terminal sender from several
   /// receiver threads at once. These seqs are informational only — the

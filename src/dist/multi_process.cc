@@ -226,12 +226,12 @@ Result<SiteRunResult> RunScaleOutSite(const SiteProcessOptions& options,
   out.stats = stats;
   if (options.site == query->root_site) {
     std::vector<Tuple> rows = query->root_sink->TakeRows();
-    // Result normalization: sorted v1 rows are the canonical answer bytes
-    // the coordinator bit-compares against the in-process run.
+    // Result normalization: the sorted rows' standalone wire batch is the
+    // canonical answer bytes the coordinator bit-compares against the
+    // in-process run.
     std::sort(rows.begin(), rows.end(),
               [](const Tuple& a, const Tuple& b) { return a.Compare(b) < 0; });
-    out.rows_wire =
-        SerializeBatch(Batch::FromRows(rows), WireFormatVersion::kRowMajor);
+    out.rows_wire = SerializeBatch(Batch::FromRows(rows));
   }
   // Our fragments are done, which means every peer feeding us already sent
   // its finish markers and everything we owed peers has been written;

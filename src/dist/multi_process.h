@@ -68,8 +68,8 @@ struct SiteProcessOptions {
 
 struct SiteRunResult {
   DistQueryStats stats;
-  /// Root site only: the serialized (v1 row-major, rows sorted) result
-  /// batch — the bit-comparable answer.
+  /// Root site only: the serialized (standalone v2 SerializeBatch, rows
+  /// sorted) result batch — the bit-comparable answer.
   std::string rows_wire;
 };
 

@@ -97,15 +97,14 @@ Result<bool> TransportFrameDecoder::Next(TransportMsg* out) {
 std::string EncodeHello(const TransportHello& hello) {
   std::string out;
   AppendU32(kHelloMagic, &out);
-  AppendU32(hello.protocol, &out);
+  AppendU32(kTransportProtocol, &out);
   AppendU32(static_cast<uint32_t>(hello.site), &out);
   AppendU32(hello.window, &out);
-  out.push_back(static_cast<char>(hello.wire_versions));
   return out;
 }
 
 Result<TransportHello> DecodeHello(const std::string& payload) {
-  if (payload.size() != 17) {
+  if (payload.size() != 16) {
     return Status::InvalidArgument("hello: bad size " +
                                    std::to_string(payload.size()));
   }
@@ -113,11 +112,14 @@ Result<TransportHello> DecodeHello(const std::string& payload) {
   if (ReadU32(p) != kHelloMagic) {
     return Status::InvalidArgument("hello: bad magic");
   }
+  const uint32_t protocol = ReadU32(p + 4);
+  if (protocol != kTransportProtocol) {
+    return Status::InvalidArgument("hello: unsupported protocol " +
+                                   std::to_string(protocol));
+  }
   TransportHello hello;
-  hello.protocol = ReadU32(p + 4);
   hello.site = static_cast<int32_t>(ReadU32(p + 8));
   hello.window = ReadU32(p + 12);
-  hello.wire_versions = static_cast<uint8_t>(p[16]);
   if (hello.site < 0) return Status::InvalidArgument("hello: bad site");
   return hello;
 }

@@ -7,7 +7,7 @@
 // frame_len counts everything after itself (kind + channel + payload), so
 // a reader needs 4 bytes to know the frame size and frame_len + 4 bytes to
 // decode — partial reads simply wait for more. kData payloads are wire-v2
-// (or negotiated v1) BatchFrame encodings, passed through opaquely.
+// BatchFrame encodings (WireStreamEncoder frames), passed through opaquely.
 //
 // The decoder is incremental and hostile-input-safe: arbitrary split or
 // coalesced TCP segments reassemble exactly; truncation waits; corrupt
@@ -26,7 +26,7 @@ namespace pushsip {
 
 /// What a transport frame carries.
 enum class TransportMsgKind : uint8_t {
-  kHello = 1,   ///< handshake: magic, protocol, site id, window, wire bits
+  kHello = 1,   ///< handshake: magic, protocol, site id, credit window
   kData = 2,    ///< one serialized BatchFrame for `channel`
   kFinish = 3,  ///< one sender's end-of-stream for `channel`
   kCredit = 4,  ///< receiver grants `payload` (u32 LE) credits on `channel`
@@ -75,16 +75,18 @@ class TransportFrameDecoder {
 
 // --- hello payload ---------------------------------------------------------
 
+/// The one hello layout this build speaks: 16 bytes of [u32 magic]
+/// [u32 protocol][i32 site][u32 window]. Protocol 1 was the 17-byte layout
+/// that also carried a wire-version bitmask; DecodeHello rejects it.
+constexpr uint32_t kTransportProtocol = 2;
+
 /// Handshake message, sent first (and answered in kind) on every new
-/// connection. `wire_versions` is a bitmask of WireFormatVersion values the
-/// sender can encode/decode (bit v set = version v supported); both sides
-/// use the highest common version. `window` is the per-channel credit
-/// window the *sender of the hello* grants as a receiver.
+/// connection; EncodeHello stamps kTransportProtocol. `window` is the
+/// per-channel credit window the *sender of the hello* grants as a
+/// receiver.
 struct TransportHello {
-  uint32_t protocol = 1;
   int32_t site = -1;
   uint32_t window = 0;
-  uint8_t wire_versions = 0;
 };
 
 std::string EncodeHello(const TransportHello& hello);

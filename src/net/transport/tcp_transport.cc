@@ -94,17 +94,9 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
       inbound_(static_cast<size_t>(options_.num_sites)),
       outbound_ever_(static_cast<size_t>(options_.num_sites), 0),
       peer_window_(static_cast<size_t>(options_.num_sites),
-                   options_.credit_window),
-      peer_wire_(static_cast<size_t>(options_.num_sites),
-                 static_cast<uint8_t>(kDefaultWireVersion)) {}
+                   options_.credit_window) {}
 
 TcpTransport::~TcpTransport() { Shutdown(); }
-
-uint8_t TcpTransport::local_wire_bits() const {
-  return static_cast<uint8_t>(
-      (1u << static_cast<unsigned>(WireFormatVersion::kRowMajor)) |
-      (1u << static_cast<unsigned>(WireFormatVersion::kColumnar)));
-}
 
 Status TcpTransport::Listen() {
   if (listen_fd_ >= 0) return Status::OK();
@@ -204,7 +196,6 @@ Status TcpTransport::DialPeer(const TcpPeer& peer) {
   TransportHello mine;
   mine.site = options_.local_site;
   mine.window = options_.credit_window;
-  mine.wire_versions = local_wire_bits();
   TransportMsg hello_msg;
   hello_msg.kind = TransportMsgKind::kHello;
   hello_msg.payload = EncodeHello(mine);
@@ -260,6 +251,7 @@ Status TcpTransport::DialPeer(const TcpPeer& peer) {
   PUSHSIP_RETURN_NOT_OK(SetNonBlocking(fd));
 
   auto conn = std::make_shared<Conn>(options_.max_frame_bytes);
+  conn->id = next_conn_id_.fetch_add(1);
   conn->fd = fd;
   conn->peer_site = peer.site;
   conn->initiator = true;
@@ -277,11 +269,6 @@ void TcpTransport::AdoptOutbound(ConnPtr conn, const TransportHello& hello) {
     old = outbound_[site];
     outbound_[site] = conn;
     peer_window_[site] = std::max<uint32_t>(1, hello.window);
-    const uint8_t common = hello.wire_versions & local_wire_bits();
-    peer_wire_[site] =
-        (common & (1u << static_cast<unsigned>(WireFormatVersion::kColumnar)))
-            ? static_cast<uint8_t>(WireFormatVersion::kColumnar)
-            : static_cast<uint8_t>(WireFormatVersion::kRowMajor);
     // A fresh connection resets every open edge toward this site to the
     // peer's full window — the replay protocol makes redelivery safe.
     for (auto& [key, credits] : send_credits_) {
@@ -411,11 +398,10 @@ void TcpTransport::HandleHello(const ConnPtr& conn,
   // Up before the reply goes out — WriteFrame refuses down connections.
   conn->up.store(true);
 
-  // Answer with our own hello (site id, receive window, wire versions).
+  // Answer with our own hello (site id, receive window).
   TransportHello mine;
   mine.site = options_.local_site;
   mine.window = options_.credit_window;
-  mine.wire_versions = local_wire_bits();
   TransportMsg reply;
   reply.kind = TransportMsgKind::kHello;
   reply.payload = EncodeHello(mine);
@@ -466,26 +452,32 @@ Status TcpTransport::BindChannel(uint32_t channel_id,
         if (token == 0) return;  // locally-produced frame: no credit owed
         OnChannelDrain(channel_id, static_cast<int>(token) - 1, bytes);
       });
-  std::vector<EarlyFrame> held;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    bindings_[channel_id] = channel;
-    const auto it = early_frames_.find(channel_id);
-    if (it != early_frames_.end()) {
+  // Replay frames that beat the binding, in arrival order, and publish
+  // the binding only once none is left: until then new frames queue
+  // behind the held ones. A frame overtaking held frames of its sender
+  // would raise the receiver's seq high-water and get them dropped as
+  // duplicates.
+  for (;;) {
+    std::vector<EarlyFrame> held;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = early_frames_.find(channel_id);
+      if (it == early_frames_.end()) {
+        bindings_[channel_id] = channel;
+        return Status::OK();
+      }
       held = std::move(it->second);
       early_frames_.erase(it);
     }
-  }
-  // Replay frames that beat the binding, in arrival order.
-  for (EarlyFrame& frame : held) {
-    if (frame.kind == TransportMsgKind::kFinish) {
-      channel->SendFinish();
-    } else {
-      channel->ForcePush(std::move(frame.payload),
-                         static_cast<uint64_t>(frame.origin_site) + 1);
+    for (EarlyFrame& frame : held) {
+      if (frame.kind == TransportMsgKind::kFinish) {
+        channel->SendFinish();
+      } else {
+        channel->ForcePush(std::move(frame.payload),
+                           static_cast<uint64_t>(frame.origin_site) + 1);
+      }
     }
   }
-  return Status::OK();
 }
 
 void TcpTransport::OnChannelDrain(uint32_t channel_id, int origin_site,
@@ -580,7 +572,11 @@ TcpTransport::ConnPtr TcpTransport::OutboundFor(int site) {
 
 /// The sending half of one (channel, producer) edge over TCP: spend a
 /// credit (blocking at zero), then write a kData frame on the outbound
-/// connection to the consumer's site.
+/// connection to the consumer's site. The stream stays on the connection
+/// it first wrote on until a failed send or Rewind (see ChannelSender):
+/// when another fragment's restart on this site heals a dead connection,
+/// the frames this stream wrote into the old socket may be lost, and
+/// continuing on the new one would leave a silent gap.
 class TcpChannelSender : public ChannelSender {
  public:
   TcpChannelSender(TcpTransport* transport, uint32_t channel_id, int to_site)
@@ -588,19 +584,16 @@ class TcpChannelSender : public ChannelSender {
 
   Status SendFrame(std::string bytes, ExecContext* bill_to,
                    double* link_seconds) override {
-    PUSHSIP_RETURN_NOT_OK(AcquireCredit());
-    TcpTransport::ConnPtr conn = transport_->OutboundFor(to_site_);
-    if (conn == nullptr || !conn->up.load()) {
-      return Status::Unavailable("no live connection to site " +
-                                 std::to_string(to_site_));
-    }
+    PUSHSIP_RETURN_NOT_OK(Released(AcquireCredit()));
+    PUSHSIP_ASSIGN_OR_RETURN(TcpTransport::ConnPtr conn, StreamConn());
     // Gather-write the 9-byte frame header and the serialized batch: the
     // (potentially large) payload goes to the socket from its own buffer
     // instead of being copied into a concatenated frame first.
     const std::string header = EncodeTransportFrameHeader(
         TransportMsgKind::kData, channel_id_, bytes.size());
     double secs = 0;
-    PUSHSIP_RETURN_NOT_OK(transport_->WriteFrameV(conn, header, bytes, &secs));
+    PUSHSIP_RETURN_NOT_OK(Released(
+        transport_->WriteFrameV(conn, header, bytes, &secs)));
     const size_t sent = header.size() + bytes.size();
     if (link_seconds != nullptr) *link_seconds += secs;
     if (bill_to != nullptr) {
@@ -625,17 +618,16 @@ class TcpChannelSender : public ChannelSender {
   }
 
   Status SendFinish() override {
-    TcpTransport::ConnPtr conn = transport_->OutboundFor(to_site_);
-    if (conn == nullptr || !conn->up.load()) {
-      return Status::Unavailable("no live connection to site " +
-                                 std::to_string(to_site_));
-    }
+    PUSHSIP_ASSIGN_OR_RETURN(TcpTransport::ConnPtr conn, StreamConn());
     TransportMsg msg;
     msg.kind = TransportMsgKind::kFinish;
     msg.channel = channel_id_;
     double secs = 0;
-    return transport_->WriteFrame(conn, EncodeTransportMsg(msg), &secs);
+    return Released(
+        transport_->WriteFrame(conn, EncodeTransportMsg(msg), &secs));
   }
+
+  void Rewind() override { stream_conn_.store(0); }
 
   double stall_seconds() const override {
     return static_cast<double>(stall_micros_.load()) / 1e6;
@@ -643,6 +635,32 @@ class TcpChannelSender : public ChannelSender {
   int64_t bytes_sent() const override { return bytes_sent_.load(); }
 
  private:
+  /// The live outbound connection, pinning the stream to it on first use.
+  /// kUnavailable (which releases the pin) when there is none, or when it
+  /// replaced the one the stream already wrote on.
+  Result<TcpTransport::ConnPtr> StreamConn() {
+    TcpTransport::ConnPtr conn = transport_->OutboundFor(to_site_);
+    if (conn == nullptr || !conn->up.load()) {
+      return Released(Status::Unavailable("no live connection to site " +
+                                          std::to_string(to_site_)));
+    }
+    uint64_t pinned = 0;
+    if (!stream_conn_.compare_exchange_strong(pinned, conn->id) &&
+        pinned != conn->id) {
+      return Released(Status::Unavailable(
+          "connection to site " + std::to_string(to_site_) +
+          " was replaced mid-stream; frames on the old one may be lost"));
+    }
+    return conn;
+  }
+
+  /// A failed send is the caller's restart signal: the stream after it is
+  /// a replay, free to use whichever connection is live.
+  Status Released(Status st) {
+    if (!st.ok()) stream_conn_.store(0);
+    return st;
+  }
+
   Status AcquireCredit() {
     const uint64_t key = TcpTransport::EdgeKey(to_site_, channel_id_);
     Stopwatch stall;
@@ -694,6 +712,7 @@ class TcpChannelSender : public ChannelSender {
   TcpTransport* transport_;
   const uint32_t channel_id_;
   const int to_site_;
+  std::atomic<uint64_t> stream_conn_{0};  // Conn::id pinned; 0 = none
   std::atomic<int64_t> stall_micros_{0};
   std::atomic<int64_t> bytes_sent_{0};
 };
@@ -755,14 +774,6 @@ LinkUsage TcpTransport::TotalUsage() const {
   usage.bytes = bytes_sent_.load();
   usage.seconds = static_cast<double>(wire_micros_.load()) / 1e6;
   return usage;
-}
-
-WireFormatVersion TcpTransport::negotiated_wire(int to_site) const {
-  if (to_site < 0 || to_site >= options_.num_sites) {
-    return kDefaultWireVersion;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<WireFormatVersion>(peer_wire_[to_site]);
 }
 
 void TcpTransport::MaybeChaosKill() {

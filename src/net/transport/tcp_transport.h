@@ -12,10 +12,9 @@
 // SimLink::Transmit blocking the producer for the transfer time.
 //
 // Handshake. The dialer sends a kHello (magic, protocol, site id, its
-// receive window, supported wire versions) and waits for the acceptor's
-// hello back; both sides pick the highest common wire version and learn
-// the peer's credit window. A hello that fails validation closes the
-// connection.
+// receive window) and waits for the acceptor's hello back; each side
+// learns the peer's credit window. A hello that fails validation (wrong
+// magic, size or protocol) closes the connection.
 //
 // Flow control. Credits are per (connection, channel): a sender starts
 // with the window the peer's hello granted, spends one credit per kData
@@ -29,8 +28,11 @@
 // recovery path calls Heal(), which redials dead outbound connections
 // (fresh handshake, credit windows reset on both sides) and then replays
 // the fragment; receivers' epoch/seq high-water dedup discards the
-// duplicate prefix. KillConnections() is the chaos hook that severs every
-// live socket mid-query.
+// duplicate prefix. A channel sender also fails once the connection it
+// wrote on is replaced, even when another fragment's heal got there first:
+// frames left in the dead socket may be lost, and only the replay re-sends
+// them (ChannelSender::Rewind marks the replay). KillConnections() is the
+// chaos hook that severs every live socket mid-query.
 #ifndef PUSHSIP_NET_TRANSPORT_TCP_TRANSPORT_H_
 #define PUSHSIP_NET_TRANSPORT_TCP_TRANSPORT_H_
 
@@ -109,7 +111,6 @@ class TcpTransport : public Transport {
                             AttrId attr, const BloomFilter& filter) override;
   Status Heal() override;
   LinkUsage TotalUsage() const override;
-  WireFormatVersion negotiated_wire(int to_site) const override;
 
   /// Chaos hook: severs every live connection (both directions). Senders
   /// fail with kUnavailable until Heal() (and the peers' heals) reconnect.
@@ -125,6 +126,7 @@ class TcpTransport : public Transport {
   /// holder of the shared_ptr let go; MarkDown() shuts the socket to wake
   /// blocked I/O without invalidating the descriptor.
   struct Conn {
+    uint64_t id = 0;  ///< unique per endpoint; outbound conns only
     int fd = -1;
     int peer_site = -1;
     bool initiator = false;
@@ -157,7 +159,6 @@ class TcpTransport : public Transport {
   Status WriteFrameV(const ConnPtr& conn, std::string_view header,
                      std::string_view payload, double* seconds);
   ConnPtr OutboundFor(int site);
-  uint8_t local_wire_bits() const;
 
   TcpTransportOptions options_;
   EventLoop loop_;
@@ -176,7 +177,6 @@ class TcpTransport : public Transport {
   std::vector<uint8_t> outbound_ever_;
   std::vector<ConnPtr> pending_;          // accepted, hello not yet seen
   std::vector<uint32_t> peer_window_;     // credit window each peer grants
-  std::vector<uint8_t> peer_wire_;        // negotiated wire version per site
   std::unordered_map<uint32_t, std::shared_ptr<ExchangeChannel>> bindings_;
   /// One data/finish frame that arrived before its channel was bound.
   struct EarlyFrame {
@@ -197,6 +197,7 @@ class TcpTransport : public Transport {
   std::atomic<int64_t> wire_micros_{0};
   std::atomic<int64_t> reconnects_{0};
   std::atomic<int64_t> chaos_data_frames_{0};  // kill-schedule progress
+  std::atomic<uint64_t> next_conn_id_{1};
 };
 
 }  // namespace pushsip

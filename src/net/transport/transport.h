@@ -51,6 +51,14 @@ class ChannelSender {
   /// Signals this sender's end-of-stream to the consuming channel.
   virtual Status SendFinish() = 0;
 
+  /// Marks the start of a replayed stream (the producing fragment
+  /// restarted at a new epoch). A TCP sender pins its stream to the
+  /// connection it first wrote on and fails with kUnavailable once that
+  /// connection is replaced: frames written into the dead socket may never
+  /// have arrived, and only a replay re-sends them. A failed send or a
+  /// Rewind releases the pin.
+  virtual void Rewind() {}
+
   /// Cumulative seconds SendFrame spent blocked on flow control.
   virtual double stall_seconds() const = 0;
   virtual int64_t bytes_sent() const = 0;
@@ -105,12 +113,6 @@ class Transport {
 
   /// Bytes/seconds this endpoint pushed onto the wire (data + control).
   virtual LinkUsage TotalUsage() const = 0;
-
-  /// Wire format negotiated with `to_site` (TCP handshake; sim: default).
-  virtual WireFormatVersion negotiated_wire(int to_site) const {
-    (void)to_site;
-    return kDefaultWireVersion;
-  }
 };
 
 /// kFilter payload codec: [u16 label_len][label][FilterMessage bytes].

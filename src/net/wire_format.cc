@@ -14,7 +14,12 @@ constexpr char kBatchFrameTag = 'X';
 constexpr char kBloomTag = 'F';
 constexpr char kFilterMsgTag = 'A';
 
-// v2 columnar payload: per-column encodings.
+/// Every header's second byte. Decoders reject any other value (version 1
+/// was the retired row-major encoding).
+constexpr uint8_t kWireVersion =
+    static_cast<uint8_t>(WireFormatVersion::kColumnar);
+
+// Batch payload: per-column encodings.
 enum ColTag : uint8_t {
   kColMixed = 0,            ///< per-value self-describing (mixed types)
   kColInt64 = 1,            ///< zigzag varints
@@ -139,19 +144,18 @@ class WireReader {
     return s;
   }
 
-  /// Validates the tag and returns the payload's wire version (all message
-  /// kinds exist in both versions).
-  Result<WireFormatVersion> ExpectVersionedHeader(char tag) {
+  /// Validates the message tag and the wire version byte.
+  Status ExpectHeader(char tag) {
     PUSHSIP_ASSIGN_OR_RETURN(const uint8_t t, ReadU8());
     PUSHSIP_ASSIGN_OR_RETURN(const uint8_t ver, ReadU8());
     if (t != static_cast<uint8_t>(tag)) {
       return Status::InvalidArgument("bad wire message header");
     }
-    if (ver != static_cast<uint8_t>(WireFormatVersion::kRowMajor) &&
-        ver != static_cast<uint8_t>(WireFormatVersion::kColumnar)) {
-      return Status::InvalidArgument("unknown batch wire version");
+    if (ver != kWireVersion) {
+      return Status::InvalidArgument("unsupported wire version " +
+                                     std::to_string(ver));
     }
-    return static_cast<WireFormatVersion>(ver);
+    return Status::OK();
   }
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
@@ -165,6 +169,8 @@ class WireReader {
   size_t pos_ = 0;
 };
 
+/// Self-describing value: type tag, then 8 fixed bytes or a u32 length
+/// plus bytes. Only the mixed-type column (kColMixed) uses it.
 void AppendValue(const Value& v, std::string* out) {
   PutU8(static_cast<uint8_t>(v.type()), out);
   switch (v.type()) {
@@ -181,40 +187,6 @@ void AppendValue(const Value& v, std::string* out) {
       PutU32(static_cast<uint32_t>(v.AsString().size()), out);
       out->append(v.AsString());
       break;
-  }
-}
-
-/// v1 value encoding straight from a column row — same bytes AppendValue
-/// produces, without constructing a Value (strings go out as views).
-void AppendValueFromCol(const Column& col, size_t r, std::string* out) {
-  if (col.is_variant()) {
-    AppendValue(col.GetValue(r), out);
-    return;
-  }
-  if (col.IsNull(r)) {
-    PutU8(static_cast<uint8_t>(TypeId::kNull), out);
-    return;
-  }
-  switch (col.type()) {
-    case TypeId::kInt64:
-    case TypeId::kDate:
-      PutU8(static_cast<uint8_t>(col.type()), out);
-      PutU64(static_cast<uint64_t>(col.I64At(r)), out);
-      return;
-    case TypeId::kDouble:
-      PutU8(static_cast<uint8_t>(TypeId::kDouble), out);
-      PutDouble(col.F64At(r), out);
-      return;
-    case TypeId::kString: {
-      const std::string_view s = col.StringAt(r);
-      PutU8(static_cast<uint8_t>(TypeId::kString), out);
-      PutU32(static_cast<uint32_t>(s.size()), out);
-      out->append(s);
-      return;
-    }
-    case TypeId::kNull:
-      PutU8(static_cast<uint8_t>(TypeId::kNull), out);
-      return;
   }
 }
 
@@ -245,51 +217,8 @@ Result<Value> ReadValue(WireReader* r) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 payload: row-major, fixed-width, self-describing per value. Legacy —
-// the one place encode walks rows instead of columns.
-
-void AppendBatchBodyV1(const Batch& batch, std::string* out) {
-  const size_t n = batch.size();
-  const size_t num_cols = batch.num_cols();
-  PutU32(static_cast<uint32_t>(n), out);
-  for (size_t r = 0; r < n; ++r) {
-    PutU32(static_cast<uint32_t>(num_cols), out);
-    for (size_t c = 0; c < num_cols; ++c) {
-      AppendValueFromCol(batch.col(c), r, out);
-    }
-  }
-}
-
-Result<Batch> ReadBatchBodyV1(WireReader* r) {
-  PUSHSIP_ASSIGN_OR_RETURN(const uint32_t num_rows, r->ReadU32());
-  Batch batch;
-  for (uint32_t i = 0; i < num_rows; ++i) {
-    PUSHSIP_ASSIGN_OR_RETURN(const uint32_t arity, r->ReadU32());
-    if (i == 0) {
-      if (arity > kMaxPlausibleCols) {
-        return Status::InvalidArgument(
-            "implausible column count on the wire");
-      }
-      batch.SetArity(arity);
-      batch.Reserve(std::min<uint64_t>(num_rows, kMaxReserveRows));
-    } else if (arity != batch.num_cols()) {
-      // Batches are rectangular; ragged rows no longer deserialize.
-      return Status::InvalidArgument("ragged batch on the wire");
-    }
-    std::vector<Value> values;
-    values.reserve(arity);
-    for (uint32_t c = 0; c < arity; ++c) {
-      PUSHSIP_ASSIGN_OR_RETURN(Value v, ReadValue(r));
-      values.push_back(std::move(v));
-    }
-    batch.AppendRow(values);
-  }
-  return batch;
-}
-
-// ---------------------------------------------------------------------------
-// v2 payload: column-major with per-column compression, encoded directly
-// from the Batch's typed column vectors (no row materialization).
+// Batch payload: column-major with per-column compression, encoded
+// directly from the Batch's typed column vectors (no row materialization).
 
 /// Appends the null bitmap preamble: u8 has_nulls, then (when any) an
 /// LSB-first bitmap with bit r set iff row r is NULL in this column.
@@ -307,9 +236,9 @@ void AppendNullBitmapCol(const Column& col, size_t n, size_t null_count,
 }
 
 /// Shared typed encodings for everything except string columns (whose
-/// layout differs between the stateless and the streaming encoder).
+/// layout differs between the standalone batch and the stream encoder).
 /// Returns false when the column needs the mixed per-value fallback.
-bool AppendTypedColumnV2(const Column& col, size_t n, std::string* out) {
+bool AppendTypedColumn(const Column& col, size_t n, std::string* out) {
   if (col.is_variant()) return false;
   const size_t null_count = col.NullCount();
   if (null_count == n) {
@@ -351,9 +280,9 @@ bool AppendTypedColumnV2(const Column& col, size_t n, std::string* out) {
   return true;
 }
 
-void AppendMixedColumnV2(const Column& col, size_t n, std::string* out) {
+void AppendMixedColumn(const Column& col, size_t n, std::string* out) {
   PutU8(kColMixed, out);
-  for (size_t r = 0; r < n; ++r) AppendValueFromCol(col, r, out);
+  for (size_t r = 0; r < n; ++r) AppendValue(col.GetValue(r), out);
 }
 
 /// Self-contained string column: per-batch dictionary when at least half
@@ -401,26 +330,33 @@ void AppendStringColumnPerBatch(const Column& col, size_t n,
   }
 }
 
-void AppendColumnV2(const Column& col, size_t n, std::string* out) {
-  if (AppendTypedColumnV2(col, n, out)) return;
-  if (col.is_variant()) {
-    AppendMixedColumnV2(col, n, out);
-    return;
-  }
-  AppendStringColumnPerBatch(col, n, out, nullptr);
-}
-
-void AppendBatchBodyV2(const Batch& batch, std::string* out) {
+/// The batch body both entry points share: row count, layout byte, column
+/// count, then each column. `append_string(col, c, out)` picks the string
+/// column layout (per-batch for SerializeBatch, the stream dictionary for
+/// WireStreamEncoder); mixed-type columns take the per-value fallback.
+/// Returns how many columns took that fallback.
+template <typename AppendString>
+int64_t AppendBatchBody(const Batch& batch, AppendString&& append_string,
+                        std::string* out) {
   const size_t n = batch.size();
   PutVarint(n, out);
-  if (n == 0) return;
+  if (n == 0) return 0;
   // Layout byte kept for format stability; batches are always rectangular
   // now, so only the uniform columnar layout is ever written.
   PutU8(1, out);
   PutVarint(batch.num_cols(), out);
+  int64_t transposes = 0;
   for (size_t c = 0; c < batch.num_cols(); ++c) {
-    AppendColumnV2(batch.col(c), n, out);
+    const Column& col = batch.col(c);
+    if (AppendTypedColumn(col, n, out)) continue;
+    if (col.is_variant()) {
+      ++transposes;
+      AppendMixedColumn(col, n, out);
+      continue;
+    }
+    append_string(col, c, out);
   }
+  return transposes;
 }
 
 /// Reads the null-bitmap preamble into `*is_null` words (empty when the
@@ -443,15 +379,12 @@ Status ReadNullBitmap(WireReader* r, size_t n,
   return Status::OK();
 }
 
-/// Per-(sender, column) dictionaries a stream decoder threads through the
-/// body decode; nullptr for the stateless entry points (then only
-/// self-contained frames — stream columns starting at base 0 — decode).
-struct StreamDecodeState {
-  std::vector<std::shared_ptr<StringDict>>* dicts = nullptr;
-};
-
-Result<Column> ReadColumnV2(WireReader* r, size_t n, size_t col_index,
-                            StreamDecodeState* stream) {
+/// `stream_dicts` holds the per-(sender, column) dictionaries a stream
+/// decoder threads through the body decode; nullptr for standalone batches
+/// (then only self-contained stream columns — base 0 — decode).
+Result<Column> ReadColumn(
+    WireReader* r, size_t n, size_t col_index,
+    std::vector<std::shared_ptr<StringDict>>* stream_dicts) {
   PUSHSIP_ASSIGN_OR_RETURN(const uint8_t tag, r->ReadU8());
   const size_t reserve = std::min<uint64_t>(n, kMaxReserveRows);
   std::vector<uint8_t> is_null;
@@ -537,15 +470,15 @@ Result<Column> ReadColumnV2(WireReader* r, size_t n, size_t col_index,
             "dictionary update larger than the bytes on the wire");
       }
       std::shared_ptr<StringDict> dict;
-      if (stream != nullptr && stream->dicts != nullptr) {
-        if (stream->dicts->size() <= col_index) {
-          stream->dicts->resize(col_index + 1);
+      if (stream_dicts != nullptr) {
+        if (stream_dicts->size() <= col_index) {
+          stream_dicts->resize(col_index + 1);
         }
-        auto& slot = (*stream->dicts)[col_index];
+        auto& slot = (*stream_dicts)[col_index];
         if (slot == nullptr) slot = std::make_shared<StringDict>();
         dict = slot;
       } else {
-        // Stateless decode can only handle self-contained stream frames
+        // A standalone batch can only hold self-contained stream columns
         // (first frame of a stream); continuations need decoder state.
         if (base != 0) {
           return Status::InvalidArgument(
@@ -599,7 +532,8 @@ Result<Column> ReadColumnV2(WireReader* r, size_t n, size_t col_index,
   }
 }
 
-Result<Batch> ReadBatchBodyV2(WireReader* r, StreamDecodeState* stream) {
+Result<Batch> ReadBatchBody(
+    WireReader* r, std::vector<std::shared_ptr<StringDict>>* stream_dicts) {
   PUSHSIP_ASSIGN_OR_RETURN(const uint64_t num_rows, r->ReadVarint());
   Batch batch;
   if (num_rows == 0) return batch;
@@ -626,84 +560,62 @@ Result<Batch> ReadBatchBodyV2(WireReader* r, StreamDecodeState* stream) {
   }
   for (uint64_t c = 0; c < num_cols; ++c) {
     PUSHSIP_ASSIGN_OR_RETURN(Column col,
-                             ReadColumnV2(r, num_rows, c, stream));
+                             ReadColumn(r, num_rows, c, stream_dicts));
     batch.AddColumn(std::move(col));
   }
   return batch;
 }
 
-void AppendBatchBody(const Batch& batch, WireFormatVersion version,
-                     std::string* out) {
-  if (version == WireFormatVersion::kColumnar) {
-    AppendBatchBodyV2(batch, out);
-  } else {
-    AppendBatchBodyV1(batch, out);
-  }
-}
-
-Result<Batch> ReadBatchBody(WireReader* r, WireFormatVersion version,
-                            StreamDecodeState* stream) {
-  return version == WireFormatVersion::kColumnar
-             ? ReadBatchBodyV2(r, stream)
-             : ReadBatchBodyV1(r);
-}
-
-// Bloom bodies: v1 is always the dense word array; v2 prefixes an encoding
-// byte and ships varint set-bit-position deltas instead when smaller.
+// Bloom bodies: an encoding byte, then either the dense word array or
+// varint set-bit-position deltas, whichever is smaller.
 enum BloomEncoding : uint8_t {
   kBloomDense = 0,
   kBloomSparse = 1,
 };
 
-void AppendBloomBody(const BloomFilter& filter, WireFormatVersion version,
-                     std::string* out) {
+void AppendBloomBody(const BloomFilter& filter, std::string* out) {
   PutU64(filter.num_bits(), out);
   PutU32(static_cast<uint32_t>(filter.num_hashes()), out);
   PutU64(filter.inserted_count(), out);
   const std::vector<uint64_t>& words = filter.words();
-  if (version == WireFormatVersion::kColumnar) {
-    // Try the sparse encoding: varint count, then varint deltas between
-    // successive set bit positions (first delta = first position).
-    std::string sparse;
-    uint64_t count = 0;
-    uint64_t prev = 0;
-    for (size_t w = 0; w < words.size(); ++w) {
-      uint64_t word = words[w];
-      while (word != 0) {
-        const int bit = std::countr_zero(word);
-        word &= word - 1;
-        const uint64_t pos = w * 64 + static_cast<uint64_t>(bit);
-        PutVarint(pos - prev, &sparse);
-        prev = pos;
-        ++count;
-      }
+  // Try the sparse encoding: varint count, then varint deltas between
+  // successive set bit positions (first delta = first position).
+  std::string sparse;
+  uint64_t count = 0;
+  uint64_t prev = 0;
+  for (size_t w = 0; w < words.size(); ++w) {
+    uint64_t word = words[w];
+    while (word != 0) {
+      const int bit = std::countr_zero(word);
+      word &= word - 1;
+      const uint64_t pos = w * 64 + static_cast<uint64_t>(bit);
+      PutVarint(pos - prev, &sparse);
+      prev = pos;
+      ++count;
     }
-    std::string count_prefix;
-    PutVarint(count, &count_prefix);
-    if (1 + count_prefix.size() + sparse.size() < 1 + words.size() * 8) {
-      PutU8(kBloomSparse, out);
-      out->append(count_prefix);
-      out->append(sparse);
-      return;
-    }
-    PutU8(kBloomDense, out);
   }
+  std::string count_prefix;
+  PutVarint(count, &count_prefix);
+  if (1 + count_prefix.size() + sparse.size() < 1 + words.size() * 8) {
+    PutU8(kBloomSparse, out);
+    out->append(count_prefix);
+    out->append(sparse);
+    return;
+  }
+  PutU8(kBloomDense, out);
   for (const uint64_t w : words) PutU64(w, out);
 }
 
-Result<BloomFilter> ReadBloomBody(WireReader* r, WireFormatVersion version) {
+Result<BloomFilter> ReadBloomBody(WireReader* r) {
   PUSHSIP_ASSIGN_OR_RETURN(const uint64_t num_bits, r->ReadU64());
   PUSHSIP_ASSIGN_OR_RETURN(const uint32_t num_hashes, r->ReadU32());
   PUSHSIP_ASSIGN_OR_RETURN(const uint64_t inserted, r->ReadU64());
   if (num_bits == 0 || num_bits % 64 != 0 || num_bits > (1ULL << 36)) {
     return Status::InvalidArgument("implausible bloom geometry on the wire");
   }
-  uint8_t encoding = kBloomDense;
-  if (version == WireFormatVersion::kColumnar) {
-    PUSHSIP_ASSIGN_OR_RETURN(encoding, r->ReadU8());
-    if (encoding > kBloomSparse) {
-      return Status::InvalidArgument("unknown bloom encoding on the wire");
-    }
+  PUSHSIP_ASSIGN_OR_RETURN(const uint8_t encoding, r->ReadU8());
+  if (encoding > kBloomSparse) {
+    return Status::InvalidArgument("unknown bloom encoding on the wire");
   }
   std::vector<uint64_t> words(num_bits / 64);
   if (encoding == kBloomSparse) {
@@ -736,11 +648,14 @@ Result<BloomFilter> ReadBloomBody(WireReader* r, WireFormatVersion version) {
                                 std::move(words));
 }
 
+void AppendHeader(char tag, std::string* out) {
+  PutU8(static_cast<uint8_t>(tag), out);
+  PutU8(kWireVersion, out);
+}
+
 void AppendBatchFrameHeader(uint32_t sender, uint32_t epoch, uint64_t seq,
-                            bool replayable, WireFormatVersion version,
-                            std::string* out) {
-  PutU8(static_cast<uint8_t>(kBatchFrameTag), out);
-  PutU8(static_cast<uint8_t>(version), out);
+                            bool replayable, std::string* out) {
+  AppendHeader(kBatchFrameTag, out);
   PutU32(sender, out);
   PutU32(epoch, out);
   PutU64(seq, out);
@@ -749,84 +664,37 @@ void AppendBatchFrameHeader(uint32_t sender, uint32_t epoch, uint64_t seq,
 
 }  // namespace
 
-void AppendTuple(const Tuple& tuple, std::string* out) {
-  PutU32(static_cast<uint32_t>(tuple.size()), out);
-  for (const Value& v : tuple.values()) AppendValue(v, out);
-}
-
-std::string SerializeBatch(const Batch& batch, WireFormatVersion version) {
+std::string SerializeBatch(const Batch& batch, WireFormatVersion) {
   std::string out;
   // Rough pre-size: header + ~16 bytes per value.
   out.reserve(10 + batch.size() * 32);
-  PutU8(static_cast<uint8_t>(kBatchTag), &out);
-  PutU8(static_cast<uint8_t>(version), &out);
-  AppendBatchBody(batch, version, &out);
+  AppendHeader(kBatchTag, &out);
+  AppendBatchBody(
+      batch,
+      [](const Column& col, size_t, std::string* o) {
+        AppendStringColumnPerBatch(col, col.size(), o, nullptr);
+      },
+      &out);
   return out;
 }
 
 Result<Batch> DeserializeBatch(const std::string& bytes) {
   WireReader r(bytes);
-  PUSHSIP_ASSIGN_OR_RETURN(const WireFormatVersion version,
-                           r.ExpectVersionedHeader(kBatchTag));
-  PUSHSIP_ASSIGN_OR_RETURN(Batch batch, ReadBatchBody(&r, version, nullptr));
+  PUSHSIP_RETURN_NOT_OK(r.ExpectHeader(kBatchTag));
+  PUSHSIP_ASSIGN_OR_RETURN(Batch batch, ReadBatchBody(&r, nullptr));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after batch");
   }
   return batch;
 }
 
-std::string SerializeBatchBody(const Batch& batch,
-                               WireFormatVersion version) {
-  std::string out;
-  out.reserve(8 + batch.size() * 32);
-  AppendBatchBody(batch, version, &out);
-  return out;
-}
-
 std::string AssembleBatchFrame(uint32_t sender, uint32_t epoch, uint64_t seq,
-                               bool replayable, const std::string& body,
-                               WireFormatVersion version) {
+                               bool replayable, const std::string& body) {
   std::string out;
   out.reserve(19 + body.size());
-  AppendBatchFrameHeader(sender, epoch, seq, replayable, version, &out);
+  AppendBatchFrameHeader(sender, epoch, seq, replayable, &out);
   out.append(body);
   return out;
-}
-
-std::string SerializeBatchFrame(uint32_t sender, uint32_t epoch, uint64_t seq,
-                                bool replayable, const Batch& batch,
-                                WireFormatVersion version) {
-  std::string out;
-  out.reserve(27 + batch.size() * 32);
-  AppendBatchFrameHeader(sender, epoch, seq, replayable, version, &out);
-  AppendBatchBody(batch, version, &out);
-  return out;
-}
-
-std::string SerializeBatchFrame(const BatchFrame& frame,
-                                WireFormatVersion version) {
-  return SerializeBatchFrame(frame.sender, frame.epoch, frame.seq,
-                             frame.replayable, frame.batch, version);
-}
-
-Result<BatchFrame> DeserializeBatchFrame(const std::string& bytes) {
-  WireReader r(bytes);
-  PUSHSIP_ASSIGN_OR_RETURN(const WireFormatVersion version,
-                           r.ExpectVersionedHeader(kBatchFrameTag));
-  BatchFrame frame;
-  PUSHSIP_ASSIGN_OR_RETURN(frame.sender, r.ReadU32());
-  PUSHSIP_ASSIGN_OR_RETURN(frame.epoch, r.ReadU32());
-  PUSHSIP_ASSIGN_OR_RETURN(frame.seq, r.ReadU64());
-  PUSHSIP_ASSIGN_OR_RETURN(const uint8_t replayable, r.ReadU8());
-  if (replayable > 1) {
-    return Status::InvalidArgument("bad replayable flag in batch frame");
-  }
-  frame.replayable = replayable != 0;
-  PUSHSIP_ASSIGN_OR_RETURN(frame.batch, ReadBatchBody(&r, version, nullptr));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after batch frame");
-  }
-  return frame;
 }
 
 // ---------------------------------------------------------------------------
@@ -845,9 +713,8 @@ struct WireStreamEncoder::ColState {
   std::vector<uint32_t> row_codes;
 };
 
-WireStreamEncoder::WireStreamEncoder(WireFormatVersion version,
-                                     bool stream_dicts)
-    : version_(version), stream_dicts_(stream_dicts) {}
+WireStreamEncoder::WireStreamEncoder(bool stream_dicts)
+    : stream_dicts_(stream_dicts) {}
 
 WireStreamEncoder::~WireStreamEncoder() = default;
 
@@ -924,25 +791,12 @@ void WireStreamEncoder::EncodeStringColumn(const Column& col,
 }
 
 void WireStreamEncoder::AppendBody(const Batch& batch, std::string* out) {
-  if (version_ != WireFormatVersion::kColumnar) {
-    AppendBatchBodyV1(batch, out);
-    return;
-  }
-  const size_t n = batch.size();
-  PutVarint(n, out);
-  if (n == 0) return;
-  PutU8(1, out);
-  PutVarint(batch.num_cols(), out);
-  for (size_t c = 0; c < batch.num_cols(); ++c) {
-    const Column& col = batch.col(c);
-    if (AppendTypedColumnV2(col, n, out)) continue;
-    if (col.is_variant()) {
-      ++encode_transposes_;
-      AppendMixedColumnV2(col, n, out);
-      continue;
-    }
-    EncodeStringColumn(col, c, out);
-  }
+  encode_transposes_ += AppendBatchBody(
+      batch,
+      [this](const Column& col, size_t c, std::string* o) {
+        EncodeStringColumn(col, c, o);
+      },
+      out);
 }
 
 std::string WireStreamEncoder::SerializeBody(const Batch& batch) {
@@ -957,15 +811,14 @@ std::string WireStreamEncoder::SerializeFrame(uint32_t sender, uint32_t epoch,
                                               const Batch& batch) {
   std::string out;
   out.reserve(27 + batch.size() * 32);
-  AppendBatchFrameHeader(sender, epoch, seq, replayable, version_, &out);
+  AppendBatchFrameHeader(sender, epoch, seq, replayable, &out);
   AppendBody(batch, &out);
   return out;
 }
 
 Result<BatchFrame> WireStreamDecoder::DecodeFrame(const std::string& bytes) {
   WireReader r(bytes);
-  PUSHSIP_ASSIGN_OR_RETURN(const WireFormatVersion version,
-                           r.ExpectVersionedHeader(kBatchFrameTag));
+  PUSHSIP_RETURN_NOT_OK(r.ExpectHeader(kBatchFrameTag));
   BatchFrame frame;
   PUSHSIP_ASSIGN_OR_RETURN(frame.sender, r.ReadU32());
   PUSHSIP_ASSIGN_OR_RETURN(frame.epoch, r.ReadU32());
@@ -989,52 +842,45 @@ Result<BatchFrame> WireStreamDecoder::DecodeFrame(const std::string& bytes) {
     frame.stale = true;
     return frame;
   }
-  StreamDecodeState sds{&st.dicts};
-  PUSHSIP_ASSIGN_OR_RETURN(frame.batch, ReadBatchBody(&r, version, &sds));
+  PUSHSIP_ASSIGN_OR_RETURN(frame.batch, ReadBatchBody(&r, &st.dicts));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after batch frame");
   }
   return frame;
 }
 
-std::string SerializeBloomFilter(const BloomFilter& filter,
-                                 WireFormatVersion version) {
+std::string SerializeBloomFilter(const BloomFilter& filter) {
   std::string out;
   out.reserve(22 + filter.SizeBytes());
-  PutU8(static_cast<uint8_t>(kBloomTag), &out);
-  PutU8(static_cast<uint8_t>(version), &out);
-  AppendBloomBody(filter, version, &out);
+  AppendHeader(kBloomTag, &out);
+  AppendBloomBody(filter, &out);
   return out;
 }
 
 Result<BloomFilter> DeserializeBloomFilter(const std::string& bytes) {
   WireReader r(bytes);
-  PUSHSIP_ASSIGN_OR_RETURN(const WireFormatVersion version,
-                           r.ExpectVersionedHeader(kBloomTag));
-  PUSHSIP_ASSIGN_OR_RETURN(BloomFilter f, ReadBloomBody(&r, version));
+  PUSHSIP_RETURN_NOT_OK(r.ExpectHeader(kBloomTag));
+  PUSHSIP_ASSIGN_OR_RETURN(BloomFilter f, ReadBloomBody(&r));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after bloom filter");
   }
   return f;
 }
 
-std::string SerializeFilterMessage(AttrId attr, const BloomFilter& filter,
-                                   WireFormatVersion version) {
+std::string SerializeFilterMessage(AttrId attr, const BloomFilter& filter) {
   std::string out;
   out.reserve(26 + filter.SizeBytes());
-  PutU8(static_cast<uint8_t>(kFilterMsgTag), &out);
-  PutU8(static_cast<uint8_t>(version), &out);
+  AppendHeader(kFilterMsgTag, &out);
   PutU32(static_cast<uint32_t>(attr), &out);
-  AppendBloomBody(filter, version, &out);
+  AppendBloomBody(filter, &out);
   return out;
 }
 
 Result<FilterMessage> DeserializeFilterMessage(const std::string& bytes) {
   WireReader r(bytes);
-  PUSHSIP_ASSIGN_OR_RETURN(const WireFormatVersion version,
-                           r.ExpectVersionedHeader(kFilterMsgTag));
+  PUSHSIP_RETURN_NOT_OK(r.ExpectHeader(kFilterMsgTag));
   PUSHSIP_ASSIGN_OR_RETURN(const uint32_t attr, r.ReadU32());
-  PUSHSIP_ASSIGN_OR_RETURN(BloomFilter f, ReadBloomBody(&r, version));
+  PUSHSIP_ASSIGN_OR_RETURN(BloomFilter f, ReadBloomBody(&r));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after filter message");
   }

@@ -1,34 +1,30 @@
 // Wire format for cross-site dataflow: Batches (exchange operators) and
 // Bloom-filter messages (cross-site AIP shipping) are serialized to byte
-// strings, moved across a SimLink, and deserialized at the receiving site.
+// strings, moved across a SimLink or a TCP connection, and deserialized at
+// the receiving site.
 //
-// Every message starts with a one-byte tag plus a version byte so a
-// receiver can reject garbage instead of crashing. Sizes reported by the
-// serializers are what the link is charged — the same bytes a real socket
-// would carry.
+// Every message starts with a one-byte tag plus a version byte (always 2)
+// so a receiver can reject garbage, or bytes of another encoding, instead
+// of crashing. Sizes reported by the serializers are what the link is
+// charged — the same bytes a real socket carries.
 //
-// Batch payloads exist in two wire versions, negotiated per link (the
-// version byte in the header tells the receiver which decoder to use, so
-// old-format frames stay decodable forever):
-//   * v1 (kRowMajor)  — little-endian, fixed-width, self-describing per
-//     value; simple and the original format.
-//   * v2 (kColumnar)  — column-major: one type tag per column, a null
-//     bitmap only when the column has NULLs, zigzag-varint ints and dates,
-//     and dictionary encoding for low-cardinality string columns. Since the
-//     in-memory Batch is itself columnar, v2 encode/decode walks each
-//     column's typed vector directly — no row materialization ("zero
-//     transpose"); only mixed-type variant columns fall back to per-value
-//     encoding (counted by the encoder's encode_transposes()).
-//
-// Exchange streams use WireStreamEncoder/WireStreamDecoder pairs, which
-// extend v2 with *cross-batch* string dictionaries: the encoder ships each
-// distinct string once per (stream, column) and later batches carry only
-// dictionary codes, instead of re-shipping a per-batch dictionary every
-// ~1024 rows. Stream state is keyed by the frame's (sender, epoch): a
-// fragment restart or migration bumps the epoch, which resets both sides.
-// The stateless Serialize*/Deserialize* functions remain self-contained
-// (every batch carries its own dictionary) and are what non-stream callers
-// and tests use.
+// There is one batch encoding, column-major: one type tag per column, a
+// null bitmap only when the column has NULLs, zigzag-varint ints and
+// dates, and dictionary encoding for low-cardinality string columns. Since
+// the in-memory Batch is itself columnar, encode/decode walks each
+// column's typed vector directly — no row materialization ("zero
+// transpose"); only mixed-type variant columns fall back to per-value
+// encoding (counted by the encoder's encode_transposes()). It has two
+// entry points:
+//   * Exchange frames: WireStreamEncoder/WireStreamDecoder pairs add
+//     *cross-batch* string dictionaries — the encoder ships each distinct
+//     string once per (stream, column) and later frames carry only
+//     dictionary codes. Stream state is keyed by the frame's (sender,
+//     epoch): a fragment restart or migration bumps the epoch, which
+//     resets both sides. A fresh encoder's first frame is self-contained.
+//   * Standalone batches: SerializeBatch/DeserializeBatch, where every
+//     batch carries its own dictionary. Checkpoint snapshots, held-frame
+//     snapshots and canonical answer bytes use this form.
 #ifndef PUSHSIP_NET_WIRE_FORMAT_H_
 #define PUSHSIP_NET_WIRE_FORMAT_H_
 
@@ -44,24 +40,20 @@
 
 namespace pushsip {
 
-/// Batch payload encoding, carried in the message header's version byte.
+/// The wire version carried in every message header's version byte.
 enum class WireFormatVersion : uint8_t {
-  kRowMajor = 1,  ///< v1: row-major, fixed-width, self-describing values
-  kColumnar = 2,  ///< v2: column-major, varint + dictionary compressed
+  kColumnar = 2,  ///< column-major, varint + dictionary compressed
 };
 
-/// The version new senders use unless a link negotiates otherwise.
-constexpr WireFormatVersion kDefaultWireVersion = WireFormatVersion::kColumnar;
+/// Serializes a whole standalone batch (tag + version + payload).
+/// `version` has one value; it stays so callers that name it (perfbench/
+/// load.cc) keep compiling.
+std::string SerializeBatch(
+    const Batch& batch,
+    WireFormatVersion version = WireFormatVersion::kColumnar);
 
-/// Appends the wire encoding of one tuple to `out` (v1 row encoding).
-void AppendTuple(const Tuple& tuple, std::string* out);
-
-/// Serializes a whole batch (tag + version + payload).
-std::string SerializeBatch(const Batch& batch,
-                           WireFormatVersion version = kDefaultWireVersion);
-
-/// Parses a serialized batch (either wire version); fails on truncation,
-/// bad tags, or unknown value types.
+/// Parses a standalone batch; fails on truncation, a bad tag or version,
+/// or unknown value types.
 Result<Batch> DeserializeBatch(const std::string& bytes);
 
 /// One exchange message: a batch plus the provenance header the failure
@@ -89,28 +81,13 @@ struct BatchFrame {
   Batch batch;
 };
 
-std::string SerializeBatchFrame(const BatchFrame& frame,
-                                WireFormatVersion version =
-                                    kDefaultWireVersion);
-/// Copy-free variant for senders that already hold the batch.
-std::string SerializeBatchFrame(uint32_t sender, uint32_t epoch, uint64_t seq,
-                                bool replayable, const Batch& batch,
-                                WireFormatVersion version =
-                                    kDefaultWireVersion);
-/// Fails (never crashes) on truncated or corrupt input, either version.
-Result<BatchFrame> DeserializeBatchFrame(const std::string& bytes);
-
-/// Split serialization for senders that reuse one encoded payload across
-/// several frame headers (a broadcast exchange serializes the batch body
-/// once and stamps a per-destination header in front of it). The `version`
-/// passed to AssembleBatchFrame must match the one the body was encoded
-/// with.
-std::string SerializeBatchBody(const Batch& batch, WireFormatVersion version);
+/// Stamps a frame header in front of a body from
+/// WireStreamEncoder::SerializeBody: a broadcast exchange encodes the batch
+/// body once and sends it under a per-destination header.
 std::string AssembleBatchFrame(uint32_t sender, uint32_t epoch, uint64_t seq,
-                               bool replayable, const std::string& body,
-                               WireFormatVersion version);
+                               bool replayable, const std::string& body);
 
-/// \brief Stateful v2 encoder for one exchange stream (one sender's frames
+/// \brief Stateful encoder for one exchange stream (one sender's frames
 /// toward one destination, or one shared broadcast body).
 ///
 /// String columns are re-interned into a per-column *stream dictionary*;
@@ -124,11 +101,8 @@ class WireStreamEncoder {
   /// `stream_dicts` = false keeps the self-contained per-batch dictionary
   /// encoding (used for comparison benchmarks and non-stream callers); the
   /// re-ship counter then measures what streaming would have saved.
-  explicit WireStreamEncoder(WireFormatVersion version,
-                             bool stream_dicts = true);
+  explicit WireStreamEncoder(bool stream_dicts = true);
   ~WireStreamEncoder();  // out-of-line: ColState is private to the .cc
-
-  WireFormatVersion version() const { return version_; }
 
   /// Serializes a full frame (header + body) advancing the stream state.
   std::string SerializeFrame(uint32_t sender, uint32_t epoch, uint64_t seq,
@@ -162,7 +136,6 @@ class WireStreamEncoder {
                           std::string* out);
   void AppendBody(const Batch& batch, std::string* out);
 
-  WireFormatVersion version_;
   bool stream_dicts_;
   std::vector<std::unique_ptr<ColState>> cols_;
   int64_t encode_transposes_ = 0;
@@ -193,14 +166,11 @@ class WireStreamDecoder {
   std::unordered_map<uint32_t, SenderState> senders_;
 };
 
-/// Serializes a Bloom filter. v1 ships the dense bit-word array; v2 ships
-/// varint deltas of the set bit positions instead whenever that is smaller
-/// (lightly filled filters — the common case for AIP summaries sized from
-/// optimistic NDV estimates — shrink several-fold). Either version
-/// deserializes.
-std::string SerializeBloomFilter(const BloomFilter& filter,
-                                 WireFormatVersion version =
-                                     kDefaultWireVersion);
+/// Serializes a Bloom filter: the dense bit-word array, or varint deltas
+/// of the set bit positions whenever that is smaller (lightly filled
+/// filters — the common case for AIP summaries sized from optimistic NDV
+/// estimates — shrink several-fold).
+std::string SerializeBloomFilter(const BloomFilter& filter);
 Result<BloomFilter> DeserializeBloomFilter(const std::string& bytes);
 
 /// An AIP set shipped to a remote fragment: the Bloom summary plus the
@@ -211,9 +181,7 @@ struct FilterMessage {
   BloomFilter filter{16};
 };
 
-std::string SerializeFilterMessage(AttrId attr, const BloomFilter& filter,
-                                   WireFormatVersion version =
-                                       kDefaultWireVersion);
+std::string SerializeFilterMessage(AttrId attr, const BloomFilter& filter);
 Result<FilterMessage> DeserializeFilterMessage(const std::string& bytes);
 
 }  // namespace pushsip

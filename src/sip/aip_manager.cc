@@ -147,8 +147,8 @@ std::vector<const AipManager::Candidate*> AipManager::EstimateBenefit(
         (u->sp.remote_ship != nullptr && !source.sp.state_is_partitioned);
     if (remote_target) {
       // Distributed extension: pruned tuples also skip the link. Prefer
-      // the observed wire bytes/row (which reflects the negotiated
-      // compressed format) over the static average-footprint guess, so
+      // the observed wire bytes/row (which reflects the compressed wire
+      // format) over the static average-footprint guess, so
       // compression shifts the ship-vs-save tradeoff the way it should.
       constexpr double kDefaultRowBytes = 64.0;
       double row_bytes = ctx_->observed_wire_bytes_per_row();

@@ -309,8 +309,9 @@ TEST(ExchangeTest, ReceiverDropsStaleEpochsAndDuplicateSeqs) {
 
   const auto frame = [&](uint32_t epoch, uint64_t seq, bool replayable,
                          int64_t first_key) {
-    return SerializeBatchFrame(/*sender=*/0, epoch, seq, replayable,
-                               MakeBatch(first_key, 2));
+    return WireStreamEncoder().SerializeFrame(/*sender=*/0, epoch, seq,
+                                              replayable,
+                                              MakeBatch(first_key, 2));
   };
   // Epoch 0: windows 0 and 2 (gap = fully pruned window, legal).
   ASSERT_TRUE(channel->SendBatch(frame(0, 0, true, 0)));

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dist/multi_process.h"
 #include "tests/testing/test_rng.h"
 
 namespace pushsip {
@@ -124,26 +125,6 @@ TEST(WireFormatTest, BatchRejectsGarbageAndTruncation) {
   EXPECT_FALSE(DeserializeBatch(bytes + "x").ok());
 }
 
-// Batches are rectangular; a legacy row-major payload whose rows disagree
-// on arity must be rejected, not silently reshaped.
-TEST(WireFormatTest, RowMajorRejectsRaggedPayload) {
-  auto put_u32 = [](uint32_t v, std::string* out) {
-    for (int i = 0; i < 4; ++i) {
-      out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  std::string bytes;
-  bytes.push_back('B');  // batch tag
-  bytes.push_back(1);    // v1
-  put_u32(2, &bytes);    // two rows
-  put_u32(0, &bytes);    // row 0: arity 0
-  put_u32(1, &bytes);    // row 1: arity 1
-  bytes.push_back(0);    // ... one NULL value
-  auto decoded = DeserializeBatch(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().ToString().find("ragged"), std::string::npos);
-}
-
 TEST(WireFormatTest, BatchFrameRoundTripProperty) {
   PUSHSIP_SEED_TRACE(TestSeed());
   Random rng = SeededRandom(7);
@@ -157,7 +138,10 @@ TEST(WireFormatTest, BatchFrameRoundTripProperty) {
     const int rows = static_cast<int>(rng.UniformInt(0, 12));
     frame.batch = RandomBatch(&rng, rows, arity);
 
-    auto decoded = DeserializeBatchFrame(SerializeBatchFrame(frame));
+    auto decoded = WireStreamDecoder().DecodeFrame(
+        WireStreamEncoder().SerializeFrame(frame.sender, frame.epoch,
+                                           frame.seq, frame.replayable,
+                                           frame.batch));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->sender, frame.sender);
     EXPECT_EQ(decoded->epoch, frame.epoch);
@@ -167,49 +151,111 @@ TEST(WireFormatTest, BatchFrameRoundTripProperty) {
   }
 }
 
-// The receiver deserializes whatever a (faulty) link delivered: every
-// truncation and every single-byte corruption of a frame must produce an
-// error Status — never a crash, hang, or silent misparse that changes the
-// header fields unnoticed.
-TEST(WireFormatTest, BatchFrameRejectsTruncationAndCorruption) {
-  PUSHSIP_SEED_TRACE(TestSeed());
-  Random rng = SeededRandom(8);
-  BatchFrame frame;
-  frame.sender = 3;
-  frame.epoch = 2;
-  frame.seq = 41;
-  frame.replayable = true;
-  frame.batch.SetArity(3);
-  for (int r = 0; r < 6; ++r) {
-    frame.batch.AppendRow(std::vector<Value>{
-        Value::Int64(r), Value::String("payload"), Value::Null()});
+/// Decodes `input` at a fresh stream decoder that first decoded `seen`.
+Result<BatchFrame> DecodeAfter(const std::vector<std::string>& seen,
+                               const std::string& input) {
+  WireStreamDecoder decoder;
+  for (const std::string& frame : seen) {
+    EXPECT_TRUE(decoder.DecodeFrame(frame).ok());
   }
-  const std::string bytes = SerializeBatchFrame(frame);
+  return decoder.DecodeFrame(input);
+}
 
-  EXPECT_FALSE(DeserializeBatchFrame("").ok());
-  // Every possible truncation point fails cleanly.
+/// At a decoder primed with `seen`, every truncation of `bytes` and a
+/// trailing byte must fail, and every single-bit flip must either fail or
+/// decode into a batch no larger than its input (flips inside fixed-width
+/// payload values are indistinguishable from data).
+void ExpectFrameFailsClosed(const std::vector<std::string>& seen,
+                            const std::string& bytes) {
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_FALSE(DeserializeBatchFrame(bytes.substr(0, cut)).ok())
+    EXPECT_FALSE(DecodeAfter(seen, bytes.substr(0, cut)).ok())
         << "cut at " << cut;
   }
-  EXPECT_FALSE(DeserializeBatchFrame(bytes + "x").ok());
-  // Random byte flips either fail, or decode into a frame whose header and
-  // row count are self-consistent (flips inside fixed-width payload values
-  // are indistinguishable from data and round-trip as data).
-  for (int round = 0; round < 200; ++round) {
-    std::string corrupt = bytes;
-    const size_t pos = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(corrupt.size())));
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^
-                                     (1 << rng.UniformInt(0, 8)));
-    auto decoded = DeserializeBatchFrame(corrupt);  // must not crash
-    if (decoded.ok()) {
-      EXPECT_LE(decoded->batch.size(), corrupt.size());
+  EXPECT_FALSE(DecodeAfter(seen, bytes + "x").ok());
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = bytes;
+      corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 << bit));
+      auto decoded = DecodeAfter(seen, corrupt);  // must not crash
+      if (decoded.ok()) {
+        EXPECT_LE(decoded->batch.size(), corrupt.size())
+            << "byte " << pos << " bit " << bit;
+      }
     }
   }
+}
+
+// The receiver decodes whatever a (faulty) link delivered: every
+// truncation and every single-bit corruption of a frame must produce an
+// error Status or a self-consistent frame — never a crash, hang, or
+// over-read. Covers a stream's self-contained first frame and a
+// continuation frame (stream dictionary base > 0), the latter both at a
+// decoder that saw the first frame and at one that missed it.
+TEST(WireFormatTest, BatchFrameRejectsTruncationAndCorruption) {
+  const auto make_batch = [](int first, const char* extra) {
+    Batch batch;
+    batch.SetArity(3);
+    for (int r = first; r < first + 6; ++r) {
+      batch.AppendRow(std::vector<Value>{
+          Value::Int64(r), Value::String(r % 2 ? "payload" : extra),
+          Value::Null()});
+    }
+    return batch;
+  };
+  WireStreamEncoder encoder;
+  const std::string first = encoder.SerializeFrame(
+      /*sender=*/3, /*epoch=*/2, /*seq=*/41, /*replayable=*/true,
+      make_batch(0, "first"));
+  const std::string continuation =
+      encoder.SerializeFrame(3, 2, 42, true, make_batch(6, "second"));
+
+  EXPECT_FALSE(DecodeAfter({}, "").ok());
+  EXPECT_TRUE(DecodeAfter({}, first).ok());
+  ExpectFrameFailsClosed({}, first);
+  EXPECT_TRUE(DecodeAfter({first}, continuation).ok());
+  ExpectFrameFailsClosed({first}, continuation);
+  // A decoder that missed the first frame has no dictionary to extend.
+  EXPECT_FALSE(DecodeAfter({}, continuation).ok());
+  ExpectFrameFailsClosed({}, continuation);
+
   // Cross-type confusion is rejected.
-  EXPECT_FALSE(DeserializeBatch(bytes).ok());
-  EXPECT_FALSE(DeserializeBatchFrame(SerializeBatch(frame.batch)).ok());
+  EXPECT_FALSE(DeserializeBatch(first).ok());
+  EXPECT_FALSE(
+      WireStreamDecoder().DecodeFrame(SerializeBatch(make_batch(0, "x")))
+          .ok());
+}
+
+// Version 1 (the retired row-major encoding) is refused by every decoder,
+// whatever follows the header.
+TEST(WireFormatTest, VersionOneHeaderIsRejectedEverywhere) {
+  Batch batch;
+  batch.SetArity(2);
+  batch.AppendRow(std::vector<Value>{Value::Int64(1), Value::String("a")});
+  BloomFilter filter = BloomFilter::WithBitCount(128, 1);
+  filter.Insert(0x9E3779B97F4A7C15ULL);
+  const auto as_v1 = [](std::string bytes) {
+    EXPECT_EQ(bytes[1], 2);
+    bytes[1] = 1;
+    return bytes;
+  };
+  EXPECT_FALSE(DeserializeBatch(as_v1(SerializeBatch(batch))).ok());
+  EXPECT_FALSE(DeserializeBatch(as_v1(SerializeBatch(Batch{}))).ok());
+  EXPECT_FALSE(
+      WireStreamDecoder()
+          .DecodeFrame(as_v1(WireStreamEncoder().SerializeFrame(
+              0, 0, 0, true, batch)))
+          .ok());
+  EXPECT_FALSE(
+      DeserializeBloomFilter(as_v1(SerializeBloomFilter(filter))).ok());
+  EXPECT_FALSE(
+      DeserializeFilterMessage(as_v1(SerializeFilterMessage(7, filter))).ok());
+
+  // A hand-built v1 batch (one row of one NULL) is refused as well.
+  std::string v1_batch("B\x01", 2);
+  v1_batch.append(std::string("\x01\0\0\0\x01\0\0\0\0", 9));
+  auto decoded = DeserializeBatch(v1_batch);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos);
 }
 
 TEST(WireFormatTest, BloomFilterRoundTripProperty) {
@@ -241,34 +287,8 @@ TEST(WireFormatTest, BloomFilterRoundTripProperty) {
   }
 }
 
-// Both wire versions must decode any batch identically — the per-link
-// negotiation means one receiver can see v1 and v2 frames interleaved, and
-// a rolling upgrade must never change row content. Covers NULLs, empty
-// strings, and mixed-type (variant) columns.
-TEST(WireFormatTest, OldAndNewBatchEncodingsDecodeIdentically) {
-  PUSHSIP_SEED_TRACE(TestSeed());
-  Random rng = SeededRandom(21);
-  for (int round = 0; round < 60; ++round) {
-    const int arity = static_cast<int>(rng.UniformInt(1, 7));
-    const int rows = static_cast<int>(rng.UniformInt(0, 30));
-    Batch batch = RandomBatch(&rng, rows, arity);
-
-    const std::string v1 =
-        SerializeBatch(batch, WireFormatVersion::kRowMajor);
-    const std::string v2 =
-        SerializeBatch(batch, WireFormatVersion::kColumnar);
-    auto from_v1 = DeserializeBatch(v1);
-    auto from_v2 = DeserializeBatch(v2);
-    ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-    ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-    ExpectSameContent(*from_v1, batch);
-    ExpectSameContent(*from_v2, batch);
-  }
-}
-
 // Replayed frames keep their exact (sender, epoch, seq, replayable)
-// provenance in both versions — the dedup protocol must survive a wire
-// upgrade mid-query.
+// provenance on the wire — the dedup protocol depends on it.
 TEST(WireFormatTest, BatchFrameEpochSeqSurviveBothVersions) {
   PUSHSIP_SEED_TRACE(TestSeed());
   Random rng = SeededRandom(22);
@@ -286,16 +306,16 @@ TEST(WireFormatTest, BatchFrameEpochSeqSurviveBothVersions) {
           rng.UniformInt(0, 2) ? Value::Null()
                                : Value::Date(rng.UniformInt(0, 30000))});
     }
-    for (const WireFormatVersion v :
-         {WireFormatVersion::kRowMajor, WireFormatVersion::kColumnar}) {
-      auto decoded = DeserializeBatchFrame(SerializeBatchFrame(frame, v));
-      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      EXPECT_EQ(decoded->sender, frame.sender);
-      EXPECT_EQ(decoded->epoch, frame.epoch);
-      EXPECT_EQ(decoded->seq, frame.seq);
-      EXPECT_EQ(decoded->replayable, frame.replayable);
-      ExpectSameContent(decoded->batch, frame.batch);
-    }
+    auto decoded = WireStreamDecoder().DecodeFrame(
+        WireStreamEncoder().SerializeFrame(frame.sender, frame.epoch,
+                                           frame.seq, frame.replayable,
+                                           frame.batch));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->sender, frame.sender);
+    EXPECT_EQ(decoded->epoch, frame.epoch);
+    EXPECT_EQ(decoded->seq, frame.seq);
+    EXPECT_EQ(decoded->replayable, frame.replayable);
+    ExpectSameContent(decoded->batch, frame.batch);
   }
 }
 
@@ -308,20 +328,16 @@ TEST(WireFormatTest, AssembledFrameMatchesOneShotSerialization) {
     batch.AppendRow(std::vector<Value>{Value::Int64(r), Value::String("dup"),
                                        Value::Double(1.5)});
   }
-  for (const WireFormatVersion v :
-       {WireFormatVersion::kRowMajor, WireFormatVersion::kColumnar}) {
-    const std::string body = SerializeBatchBody(batch, v);
-    const std::string assembled =
-        AssembleBatchFrame(/*sender=*/7, /*epoch=*/3, /*seq=*/99,
-                           /*replayable=*/true, body, v);
-    const std::string oneshot =
-        SerializeBatchFrame(7, 3, 99, true, batch, v);
-    EXPECT_EQ(assembled, oneshot);
-  }
+  const std::string assembled = AssembleBatchFrame(
+      /*sender=*/7, /*epoch=*/3, /*seq=*/99, /*replayable=*/true,
+      WireStreamEncoder().SerializeBody(batch));
+  const std::string oneshot =
+      WireStreamEncoder().SerializeFrame(7, 3, 99, true, batch);
+  EXPECT_EQ(assembled, oneshot);
 }
 
-// v2 truncation/corruption robustness: the columnar decoder must fail
-// cleanly on every cut and never crash on byte flips.
+// Standalone batch truncation/corruption robustness: the decoder must
+// fail cleanly on every cut and never crash on byte flips.
 TEST(WireFormatTest, ColumnarBatchRejectsTruncationAndCorruption) {
   PUSHSIP_SEED_TRACE(TestSeed());
   Random rng = SeededRandom(23);
@@ -332,8 +348,7 @@ TEST(WireFormatTest, ColumnarBatchRejectsTruncationAndCorruption) {
         Value::Int64(r * 1000), Value::String(r % 2 ? "left" : "right"),
         r % 3 ? Value::Null() : Value::Double(2.25), Value::Date(12000 + r)});
   }
-  const std::string bytes =
-      SerializeBatch(batch, WireFormatVersion::kColumnar);
+  const std::string bytes = SerializeBatch(batch);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     EXPECT_FALSE(DeserializeBatch(bytes.substr(0, cut)).ok())
         << "cut at " << cut;
@@ -379,8 +394,7 @@ TEST(WireFormatTest, ColumnarRejectsImplausibleRowCount) {
 TEST(WireFormatTest, SparseBloomRejectsWrappingDelta) {
   BloomFilter filter(4096, 0.05, 1);
   for (uint64_t k = 0; k < 8; ++k) filter.Insert(k * 7919);
-  std::string bytes =
-      SerializeBloomFilter(filter, WireFormatVersion::kColumnar);
+  std::string bytes = SerializeBloomFilter(filter);
   ASSERT_EQ(static_cast<uint8_t>(bytes[22]), 1u);  // sparse encoding byte
   // Replace the payload after the count with one maximal varint delta.
   std::string evil = bytes.substr(0, 23);
@@ -390,52 +404,130 @@ TEST(WireFormatTest, SparseBloomRejectsWrappingDelta) {
   EXPECT_FALSE(DeserializeBloomFilter(evil).ok());
 }
 
-// Dictionary evidence: a low-cardinality string column must shrink the
-// encoding well below v1; a unique-string column must still round-trip.
+// Dictionary evidence: a low-cardinality string column ships each string
+// once, so the whole batch encodes in under half the bytes its string
+// values alone occupy; a unique-string column must still round-trip.
 TEST(WireFormatTest, ColumnarCompressesLowCardinalityStrings) {
   Batch repeated, unique;
   repeated.SetArity(2);
   unique.SetArity(2);
+  size_t string_bytes = 0;
   for (int r = 0; r < 256; ++r) {
-    repeated.AppendRow(std::vector<Value>{
-        Value::Int64(r), Value::String(r % 2 ? "Brand#34" : "Brand#11")});
+    const std::string brand = r % 2 ? "Brand#34" : "Brand#11";
+    string_bytes += brand.size();
+    repeated.AppendRow(
+        std::vector<Value>{Value::Int64(r), Value::String(brand)});
     unique.AppendRow(std::vector<Value>{
         Value::Int64(r), Value::String("key-" + std::to_string(r))});
   }
-  const size_t v1_rep =
-      SerializeBatch(repeated, WireFormatVersion::kRowMajor).size();
-  const size_t v2_rep =
-      SerializeBatch(repeated, WireFormatVersion::kColumnar).size();
-  EXPECT_LT(v2_rep * 2, v1_rep);  // at least 2x smaller with the dict
-  auto decoded = DeserializeBatch(
-      SerializeBatch(unique, WireFormatVersion::kColumnar));
+  EXPECT_LT(SerializeBatch(repeated).size() * 2, string_bytes);
+  auto decoded = DeserializeBatch(SerializeBatch(unique));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->ValueAt(255, 1).AsString(), "key-255");
 }
 
-// A lightly filled Bloom filter ships sparse in v2 and reconstructs the
-// exact bit array; both versions stay decodable.
+// A lightly filled Bloom filter ships sparse and reconstructs the exact
+// bit array; a saturated one falls back to the dense words.
 TEST(WireFormatTest, SparseBloomEncodingShrinksAndRoundTrips) {
   BloomFilter filter(4096, 0.05, 1);
   for (uint64_t k = 0; k < 64; ++k) filter.Insert(k * 7919);
-  const std::string v1 =
-      SerializeBloomFilter(filter, WireFormatVersion::kRowMajor);
-  const std::string v2 =
-      SerializeBloomFilter(filter, WireFormatVersion::kColumnar);
-  EXPECT_LT(v2.size() * 4, v1.size());  // 64 set bits of ~80k: sparse wins
-  for (const std::string* bytes : {&v1, &v2}) {
-    auto decoded = DeserializeBloomFilter(*bytes);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->words(), filter.words());
-    EXPECT_EQ(decoded->inserted_count(), filter.inserted_count());
-  }
-  // A saturated filter falls back to the dense words inside v2 framing.
+  const std::string sparse = SerializeBloomFilter(filter);
+  // 64 set bits of ~25k: several-fold below the dense word array.
+  EXPECT_LT(sparse.size() * 4, filter.words().size() * 8);
+  auto decoded = DeserializeBloomFilter(sparse);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->words(), filter.words());
+  EXPECT_EQ(decoded->inserted_count(), filter.inserted_count());
   BloomFilter dense = BloomFilter::WithBitCount(256, 1);
   for (uint64_t k = 0; k < 4096; ++k) dense.Insert(k);
-  auto decoded = DeserializeBloomFilter(
-      SerializeBloomFilter(dense, WireFormatVersion::kColumnar));
+  decoded = DeserializeBloomFilter(SerializeBloomFilter(dense));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->words(), dense.words());
+}
+
+// Golden bytes: the encoding of a fixed batch, two consecutive stream
+// frames, a broadcast-assembled frame, and sparse and dense Bloom and
+// filter messages, pinned as hex. Any change to these bytes changes what
+// checkpoint snapshots and canonical answers contain, and what peers of
+// another build would read — it must be deliberate.
+Batch GoldenBatch(int first_row) {
+  Batch batch;
+  batch.SetArity(8);
+  for (int r = first_row; r < first_row + 6; ++r) {
+    batch.AppendRow(std::vector<Value>{
+        Value::Int64(r % 2 ? -r * 1000 : r * 1000),  // int64, zigzag
+        Value::Date(9000 + r),                       // date
+        r % 3 == 0 ? Value::Null() : Value::Double(r + 0.25),  // nulls
+        Value::String(r % 2 ? "AIR" : "MAIL"),       // low cardinality
+        Value::String("key-" + std::to_string(r)),   // high cardinality
+        r % 2 ? Value::Int64(r) : Value::String("v"),  // variant
+        Value::Null(),                               // all NULL
+        r == first_row ? Value::Null() : Value::String("REG")});
+  }
+  return batch;
+}
+
+TEST(WireFormatTest, GoldenBytesPinTheEncoding) {
+  const Batch batch = GoldenBatch(0);
+  ASSERT_TRUE(batch.col(5).is_variant());
+  EXPECT_EQ(HexEncode(SerializeBatch(batch)),
+            "4202060108010000cf0fa01fef2ec03e8f4e0200d08c01d28c01d48c01d68c01"
+            "d88c01da8c01030109000000000000f43f000000000000024000000000000011"
+            "400000000000001540040002044d41494c034149520001000100010500056b65"
+            "792d30056b65792d31056b65792d32056b65792d33056b65792d34056b65792d"
+            "3500030100000076010100000000000000030100000076010300000000000000"
+            "0301000000760105000000000000000604010101035245470000000000");
+
+  WireStreamEncoder stream;
+  EXPECT_EQ(HexEncode(stream.SerializeFrame(/*sender=*/1, /*epoch=*/2,
+                                            /*seq=*/3, /*replayable=*/true,
+                                            batch)),
+            "58020100000002000000030000000000000001060108010000cf0fa01fef2ec0"
+            "3e8f4e0200d08c01d28c01d48c01d68c01d88c01da8c01030109000000000000"
+            "f43f00000000000002400000000000001140000000000000154007000002044d"
+            "41494c0341495200010001000107000006056b65792d30056b65792d31056b65"
+            "792d32056b65792d33056b65792d34056b65792d350001020304050003010000"
+            "0076010100000000000000030100000076010300000000000000030100000076"
+            "010500000000000000060701010001035245470000000000");
+  EXPECT_EQ(HexEncode(stream.SerializeFrame(1, 2, 4, true, GoldenBatch(4))),
+            "580201000000020000000400000000000000010601080100c03e8f4ee05daf6d"
+            "807dcf8c010200d88c01da8c01dc8c01de8c01e08c01e28c0103012400000000"
+            "0000114000000000000015400000000000001d40000000000080204007000200"
+            "00010001000107000604056b65792d36056b65792d37056b65792d38056b6579"
+            "2d39040506070809000301000000760105000000000000000301000000760107"
+            "0000000000000003010000007601090000000000000006070101010000000000"
+            "00");
+
+  WireStreamEncoder broadcast;
+  EXPECT_EQ(HexEncode(AssembleBatchFrame(/*sender=*/5, /*epoch=*/0,
+                                         /*seq=*/9, /*replayable=*/false,
+                                         broadcast.SerializeBody(batch))),
+            "58020500000000000000090000000000000000060108010000cf0fa01fef2ec0"
+            "3e8f4e0200d08c01d28c01d48c01d68c01d88c01da8c01030109000000000000"
+            "f43f00000000000002400000000000001140000000000000154007000002044d"
+            "41494c0341495200010001000107000006056b65792d30056b65792d31056b65"
+            "792d32056b65792d33056b65792d34056b65792d350001020304050003010000"
+            "0076010100000000000000030100000076010300000000000000030100000076"
+            "010500000000000000060701010001035245470000000000");
+
+  // Insert takes hashes, so spread the keys over all 64 bits.
+  constexpr uint64_t kSpread = 0x9E3779B97F4A7C15ULL;
+  BloomFilter sparse = BloomFilter::WithBitCount(1024, 2);
+  for (uint64_t k = 1; k <= 4; ++k) sparse.Insert(k * kSpread);
+  BloomFilter dense = BloomFilter::WithBitCount(128, 1);
+  for (uint64_t k = 1; k <= 40; ++k) dense.Insert(k * kSpread);
+  EXPECT_EQ(HexEncode(SerializeBloomFilter(sparse)),
+            "460200040000000000000200000004000000000000000108668b018601660695"
+            "01767c");
+  EXPECT_EQ(HexEncode(SerializeBloomFilter(dense)),
+            "460280000000000000000100000028000000000000000012a990c884422452a1"
+            "90899448a44221");
+  EXPECT_EQ(HexEncode(SerializeFilterMessage(AttrId{204}, sparse)),
+            "4102cc00000000040000000000000200000004000000000000000108668b0186"
+            "0166069501767c");
+  EXPECT_EQ(HexEncode(SerializeFilterMessage(AttrId{204}, dense)),
+            "4102cc00000080000000000000000100000028000000000000000012a990c884"
+            "422452a190899448a44221");
 }
 
 TEST(WireFormatTest, FilterMessageRoundTrip) {

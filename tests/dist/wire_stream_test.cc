@@ -36,7 +36,7 @@ TEST(WireStreamTest, NullBitmapsRoundTripEveryColumnKind) {
                           .Date({std::nullopt, 10957, 11000, std::nullopt})
                           .Nulls(4)
                           .Build();
-  WireStreamEncoder enc(WireFormatVersion::kColumnar);
+  WireStreamEncoder enc;
   WireStreamDecoder dec;
   const std::string bytes =
       enc.SerializeFrame(/*sender=*/0, /*epoch=*/0, /*seq=*/0,
@@ -53,7 +53,7 @@ TEST(WireStreamTest, NullBitmapsRoundTripEveryColumnKind) {
 TEST(WireStreamTest, DictionaryCarriesOverAcrossBatchBoundaries) {
   // The same three strings repeat across many batches: the stream encoder
   // must ship each entry exactly once and later frames shrink to codes.
-  WireStreamEncoder enc(WireFormatVersion::kColumnar);
+  WireStreamEncoder enc;
   WireStreamDecoder dec;
   size_t first_frame_size = 0;
   std::shared_ptr<StringDict> stream_dict;
@@ -85,7 +85,7 @@ TEST(WireStreamTest, DictionaryCarriesOverAcrossBatchBoundaries) {
 }
 
 TEST(WireStreamTest, NewStringsExtendTheStreamDictionaryIncrementally) {
-  WireStreamEncoder enc(WireFormatVersion::kColumnar);
+  WireStreamEncoder enc;
   WireStreamDecoder dec;
   const Batch first = BatchBuilder().Str({"a", "b"}).Build();
   const Batch second = BatchBuilder().Str({"b", "c", "a"}).Build();
@@ -104,7 +104,7 @@ TEST(WireStreamTest, EpochResetDoesNotCorruptAlreadyDecodedBatches) {
   // resets, and the decoder must start fresh dictionaries for the new
   // epoch WITHOUT mutating the dictionary that batches decoded under the
   // old epoch still reference.
-  WireStreamEncoder enc(WireFormatVersion::kColumnar);
+  WireStreamEncoder enc;
   WireStreamDecoder dec;
   const Batch old_epoch_batch =
       BatchBuilder().Str({"old0", "old1", "old0"}).Build();
@@ -135,8 +135,8 @@ TEST(WireStreamTest, EpochResetDoesNotCorruptAlreadyDecodedBatches) {
 }
 
 TEST(WireStreamTest, StaleEpochFrameIsFlaggedAndSkipped) {
-  WireStreamEncoder current(WireFormatVersion::kColumnar);
-  WireStreamEncoder straggler(WireFormatVersion::kColumnar);
+  WireStreamEncoder current;
+  WireStreamEncoder straggler;
   WireStreamDecoder dec;
   const Batch batch = BatchBuilder().Str({"live"}).I64({1}).Build();
   ASSERT_TRUE(
@@ -159,7 +159,7 @@ TEST(WireStreamTest, StaleEpochFrameIsFlaggedAndSkipped) {
 TEST(WireStreamTest, ReplayAfterResetShipsTheDictionaryAgain) {
   // After Reset() the encoder may not assume anything reached the decoder:
   // the first frame of the new epoch must be self-sufficient.
-  WireStreamEncoder enc(WireFormatVersion::kColumnar);
+  WireStreamEncoder enc;
   const Batch batch = BatchBuilder().Str({"p", "q"}).Build();
   (void)enc.SerializeFrame(0, 0, 0, true, batch);
   EXPECT_EQ(enc.dict_entries_shipped(), 2);

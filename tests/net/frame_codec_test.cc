@@ -18,7 +18,6 @@ std::vector<TransportMsg> SampleMessages() {
   TransportHello hello;
   hello.site = 3;
   hello.window = 64;
-  hello.wire_versions = 0x6;
   msgs.push_back({TransportMsgKind::kHello, 0, EncodeHello(hello)});
   msgs.push_back(
       {TransportMsgKind::kData, 17, std::string("batch\x00\x01\xff-bytes", 14)});
@@ -220,17 +219,14 @@ TEST(FrameCodecTest, SingleBitFlipsNeverCrashOrOverRead) {
 
 TEST(FrameCodecTest, HelloRoundTripsAndRejectsGarbage) {
   TransportHello hello;
-  hello.protocol = 7;
   hello.site = 12;
   hello.window = 1024;
-  hello.wire_versions = 0x6;
   const std::string wire = EncodeHello(hello);
+  ASSERT_EQ(wire.size(), 16u);
   auto back = DecodeHello(wire);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->protocol, 7u);
   EXPECT_EQ(back->site, 12);
   EXPECT_EQ(back->window, 1024u);
-  EXPECT_EQ(back->wire_versions, 0x6);
 
   EXPECT_FALSE(DecodeHello(wire.substr(0, wire.size() - 1)).ok());
   EXPECT_FALSE(DecodeHello(wire + "x").ok());
@@ -238,6 +234,21 @@ TEST(FrameCodecTest, HelloRoundTripsAndRejectsGarbage) {
   std::string bad_magic = wire;
   bad_magic[0] = 'X';
   EXPECT_FALSE(DecodeHello(bad_magic).ok());
+  // A peer speaking another protocol number is refused, whatever it is.
+  for (const uint32_t protocol : {0u, 1u, kTransportProtocol + 1, ~0u}) {
+    std::string other = wire;
+    for (int i = 0; i < 4; ++i) {
+      other[4 + i] = static_cast<char>(protocol >> (8 * i));
+    }
+    EXPECT_FALSE(DecodeHello(other).ok()) << "protocol " << protocol;
+  }
+  // The old 17-byte layout (protocol 1 plus a trailing wire-version
+  // bitmask) is refused.
+  std::string old_layout = wire;
+  old_layout[4] = 1;
+  old_layout.push_back(static_cast<char>(0x6));
+  ASSERT_EQ(old_layout.size(), 17u);
+  EXPECT_FALSE(DecodeHello(old_layout).ok());
   TransportHello negative;
   negative.site = -2;
   EXPECT_FALSE(DecodeHello(EncodeHello(negative)).ok());

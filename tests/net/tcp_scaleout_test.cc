@@ -47,7 +47,8 @@ SiteProcessOptions SiteOptions(int site) {
 }
 
 /// The whole query in one process over the simulated mesh — the reference
-/// answer, serialized sorted row-major (the bit-comparable form).
+/// answer, its sorted rows serialized as a standalone wire batch (the
+/// bit-comparable form).
 std::string SimReferenceWire() {
   TpchConfig gen;
   gen.scale_factor = kScaleFactor;
@@ -71,7 +72,7 @@ std::string SimReferenceWire() {
   std::vector<Tuple> rows = (*query)->root_sink->TakeRows();
   std::sort(rows.begin(), rows.end(),
             [](const Tuple& a, const Tuple& b) { return a.Compare(b) < 0; });
-  return SerializeBatch(Batch::FromRows(rows), WireFormatVersion::kRowMajor);
+  return SerializeBatch(Batch::FromRows(rows));
 }
 
 struct ClusterRun {

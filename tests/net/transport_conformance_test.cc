@@ -1,9 +1,10 @@
 // Transport conformance: one parameterized battery asserting the contract
 // both backends must honor — connect, per-sender ordered delivery,
 // concurrent senders, half-close (finish) semantics, AIP filter shipment,
-// flow-control boundedness under a slow consumer, and replay
-// deduplication through a real ExchangeReceiver (on TCP, across an actual
-// connection kill + reconnect). A query wired for one backend must behave
+// flow-control boundedness under a slow consumer, replay deduplication
+// through a real ExchangeReceiver (on TCP, across an actual connection
+// kill + reconnect), and streams refusing to continue on a replacement
+// connection until rewound. A query wired for one backend must behave
 // identically on the other; this suite is the executable form of that
 // promise.
 #include <atomic>
@@ -291,12 +292,12 @@ TEST_P(TransportConformanceTest, ReplayAfterReconnectIsDeduplicated) {
 
   constexpr int kBatches = 10;
   constexpr int kRowsPerBatch = 4;
+  // A fresh stream encoder's first frame is self-contained, so each frame
+  // decodes on its own, whichever attempt delivers it.
   auto frame = [&](int seq) {
-    return SerializeBatchFrame(/*sender=*/0, /*epoch=*/0,
-                               static_cast<uint64_t>(seq),
-                               /*replayable=*/true,
-                               MakeBatch(seq * kRowsPerBatch, kRowsPerBatch),
-                               WireFormatVersion::kRowMajor);
+    return WireStreamEncoder().SerializeFrame(
+        /*sender=*/0, /*epoch=*/0, static_cast<uint64_t>(seq),
+        /*replayable=*/true, MakeBatch(seq * kRowsPerBatch, kRowsPerBatch));
   };
 
   // First attempt delivers the first half.
@@ -335,6 +336,38 @@ TEST_P(TransportConformanceTest, ReplayAfterReconnectIsDeduplicated) {
     ASSERT_EQ(keys[static_cast<size_t>(i)], i);
   }
   EXPECT_GT(receiver.batches_discarded(), 0);
+}
+
+// A stream must not continue silently on a replacement connection: the
+// frames it left in the dead socket may be lost. Here site 1 kills and
+// heals its own sockets between sends, as a fragment restart elsewhere on
+// the site would. After a Rewind (the replay) the stream may use the new
+// connection; without one, its next send fails with kUnavailable, and the
+// failure releases it for the replay that follows.
+TEST_P(TransportConformanceTest, ReplacedConnectionFailsTheStreamUntilRewind) {
+  auto channel = std::make_shared<ExchangeChannel>();
+  channel->set_num_senders(1);
+  channel->set_consumer_site(0);
+  ASSERT_TRUE(transports_[0]->BindChannel(9, channel).ok());
+  auto sender = transports_[1]->OpenChannel(9, 0);
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+  const auto sever = [&] {
+    if (!IsTcp()) return;
+    tcp_[1]->KillConnections();
+    ASSERT_TRUE(tcp_[1]->Heal().ok());
+  };
+
+  ASSERT_TRUE((*sender)->SendFrame("first", nullptr, nullptr).ok());
+  sever();
+  (*sender)->Rewind();
+  ASSERT_TRUE((*sender)->SendFrame("replayed", nullptr, nullptr).ok());
+  sever();
+  if (IsTcp()) {
+    EXPECT_EQ((*sender)->SendFrame("gap", nullptr, nullptr).code(),
+              StatusCode::kUnavailable);
+  }
+  EXPECT_TRUE((*sender)->SendFrame("replayed", nullptr, nullptr).ok());
+  EXPECT_TRUE((*sender)->SendFinish().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformanceTest,

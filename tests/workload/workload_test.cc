@@ -113,9 +113,20 @@ TEST(WorkloadTest, FeedForwardPrunesOnSelectiveQueries) {
   EXPECT_GT(r->aip_pruned, 0);
 }
 
+// Unpaced, the peak state swings with thread interleaving (baseline and
+// Feed-Forward peaks overlap from run to run). Paced sources pin the
+// completion order, as the space figures do, so the peaks reproduce; 2 ms
+// per 256 rows keeps the order pinned even with the suite sharing the CPU
+// (0.5 ms still let an occasional Feed-Forward run overshoot).
 TEST(WorkloadTest, FeedForwardReducesStateOnQ1A) {
-  auto base = RunExperiment(BaseConfig(QueryId::kQ1A, Strategy::kBaseline));
-  auto ff = RunExperiment(BaseConfig(QueryId::kQ1A, Strategy::kFeedForward));
+  const auto paced = [](Strategy s) {
+    ExperimentConfig cfg = BaseConfig(QueryId::kQ1A, s);
+    cfg.pace_every_rows = 256;
+    cfg.pace_ms = 2.0;
+    return cfg;
+  };
+  auto base = RunExperiment(paced(Strategy::kBaseline));
+  auto ff = RunExperiment(paced(Strategy::kFeedForward));
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(ff.ok());
   EXPECT_LT(ff->stats.peak_state_bytes, base->stats.peak_state_bytes);
