@@ -1,5 +1,6 @@
 #include "dist/dist_driver.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -8,6 +9,21 @@
 #include "util/stopwatch.h"
 
 namespace pushsip {
+
+// Every counter is 8 bytes, so a field missing from the list shows here.
+static_assert(sizeof(DistQueryStats) == [] {
+  size_t bytes = 0;
+  DistQueryStats::ForEachCounter([&](auto, CounterMerge) { bytes += 8; });
+  return bytes;
+}(), "list every DistQueryStats counter in ForEachCounter");
+
+void DistQueryStats::Merge(const DistQueryStats& other) {
+  ForEachCounter([&](auto member, CounterMerge merge) {
+    this->*member = merge == CounterMerge::kMax
+                        ? std::max(this->*member, other.*member)
+                        : this->*member + other.*member;
+  });
+}
 
 TableScan* FragmentReplayScan(const PlanBuilder& fragment) {
   const std::vector<SourceOperator*>& sources = fragment.sources();
@@ -429,16 +445,7 @@ Result<DistQueryStats> DistributedQuery::Run() {
   }
   for (auto& site : sites) {
     stats.aip_reattached += site->filters_reattached();
-    ExecContext& ctx = site->context();
-    stats.peak_state_bytes += ctx.state_tracker().peak_bytes();
-    for (Operator* op : ctx.operators()) {
-      for (int p = 0; p < op->num_inputs(); ++p) {
-        stats.rows_pruned += op->rows_pruned(p);
-      }
-      stats.stall_seconds += op->stall_seconds();
-      if (auto* scan = dynamic_cast<TableScan*>(op)) {
-        stats.rows_source_pruned += scan->rows_source_pruned();
-      }
+    AddContextCounters(site->context(), &stats, [&stats](Operator* op) {
       if (auto* recv = dynamic_cast<ExchangeReceiver*>(op)) {
         stats.batches_discarded += recv->batches_discarded();
       }
@@ -447,7 +454,7 @@ Result<DistQueryStats> DistributedQuery::Run() {
         stats.dict_reships += sender->dict_reships();
         stats.payload_bytes += sender->bytes_sent();
       }
-    }
+    });
     for (const auto& manager : site->aip_managers()) {
       stats.aip_sets += manager->sets_built();
       stats.aip_filters += manager->filters_attached();

@@ -30,28 +30,18 @@
 
 namespace pushsip {
 
-/// Measurements of one distributed query execution.
-struct DistQueryStats {
-  double elapsed_sec = 0;
-  int64_t result_rows = 0;
-  /// Summed per-site peaks of buffered operator state.
-  int64_t peak_state_bytes = 0;
-  /// Tuples pruned by port filters across all sites.
-  int64_t rows_pruned = 0;
-  /// Tuples pruned at scans (including by remotely shipped AIP filters) —
-  /// these never crossed a link.
-  int64_t rows_source_pruned = 0;
-  /// Bytes that crossed the mesh (batches and shipped filters).
-  int64_t bytes_shipped = 0;
+/// How a counter folds across sites' reports.
+enum class CounterMerge { kSum, kMax };
+
+/// Measurements of one distributed query execution. The inherited
+/// QueryStats counters are folded over every site: peak_state_bytes sums
+/// the per-site peaks, and bytes_shipped/link_seconds count what crossed
+/// the mesh or transport (batches and shipped filters).
+struct DistQueryStats : QueryStats {
   /// Payload bytes handed to exchange senders — includes same-site
   /// deliveries that never crossed a link, so it can exceed bytes_shipped.
   /// The profile tree's per-sender bytes sum to exactly this.
   int64_t payload_bytes = 0;
-  /// Simulated seconds the mesh links spent transmitting.
-  double link_seconds = 0;
-  /// Seconds operators spent stalled, summed over all sites — receivers
-  /// waiting for traffic, senders blocked on backpressure/credits.
-  double stall_seconds = 0;
   // AIP bookkeeping, summed over all sites' managers.
   int64_t aip_sets = 0;
   int64_t aip_filters = 0;
@@ -78,12 +68,43 @@ struct DistQueryStats {
   /// targets receive every filter their predecessor already had).
   int64_t aip_reattached = 0;
 
-  double shipped_mb() const {
-    return static_cast<double>(bytes_shipped) / (1024.0 * 1024.0);
+  /// The counter list: `visit(member, merge)` once per counter, inherited
+  /// ones included, in a fixed order. Merge() and the site report's
+  /// encode/decode are generated from it (dist_driver.cc asserts it lists
+  /// every field), so a new counter is declared above and listed here.
+  template <typename Visit>
+  static constexpr void ForEachCounter(Visit&& visit) {
+    using M = CounterMerge;
+    visit(&DistQueryStats::elapsed_sec, M::kMax);  // the slowest site
+    visit(&DistQueryStats::result_rows, M::kSum);
+    visit(&DistQueryStats::peak_state_bytes, M::kSum);
+    visit(&DistQueryStats::rows_pruned, M::kSum);
+    visit(&DistQueryStats::rows_source_pruned, M::kSum);
+    visit(&DistQueryStats::bytes_shipped, M::kSum);
+    visit(&DistQueryStats::link_seconds, M::kSum);
+    visit(&DistQueryStats::stall_seconds, M::kSum);
+    visit(&DistQueryStats::payload_bytes, M::kSum);
+    visit(&DistQueryStats::aip_sets, M::kSum);
+    visit(&DistQueryStats::aip_filters, M::kSum);
+    visit(&DistQueryStats::aip_ship_seconds, M::kSum);
+    visit(&DistQueryStats::fragment_restarts, M::kSum);
+    visit(&DistQueryStats::batches_discarded, M::kSum);
+    visit(&DistQueryStats::faults_injected, M::kSum);
+    visit(&DistQueryStats::aip_reships, M::kSum);
+    visit(&DistQueryStats::stragglers_detected, M::kSum);
+    visit(&DistQueryStats::fragment_migrations, M::kSum);
+    visit(&DistQueryStats::recalibrations, M::kSum);
+    visit(&DistQueryStats::encode_transposes, M::kSum);
+    visit(&DistQueryStats::dict_reships, M::kSum);
+    visit(&DistQueryStats::checkpoints_taken, M::kSum);
+    visit(&DistQueryStats::checkpoint_bytes, M::kSum);
+    visit(&DistQueryStats::state_recoveries, M::kSum);
+    visit(&DistQueryStats::restore_seconds, M::kSum);
+    visit(&DistQueryStats::aip_reattached, M::kSum);
   }
-  double peak_state_mb() const {
-    return static_cast<double>(peak_state_bytes) / (1024.0 * 1024.0);
-  }
+
+  /// Folds another site's report into this one, counter by counter.
+  void Merge(const DistQueryStats& other);
 };
 
 /// Returns the TableScan a replay of `fragment` would restart from, or

@@ -11,14 +11,16 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 #include <unordered_map>
 
 #include "obs/trace.h"
 #include "sip/aip_set.h"
 #include "storage/tpch_generator.h"
+#include "util/serde.h"
 
 namespace pushsip {
 
@@ -180,8 +182,8 @@ Result<std::shared_ptr<Transport>> WireInProcessTcp(DistributedQuery& q,
   return std::shared_ptr<Transport>(set);
 }
 
-Result<SiteRunResult> RunScaleOutSite(const SiteProcessOptions& options,
-                                      std::shared_ptr<Transport> transport) {
+Result<SiteReport> RunScaleOutSite(const SiteProcessOptions& options,
+                                   std::shared_ptr<Transport> transport) {
   if (options.site < 0 || options.site >= options.num_sites) {
     return Status::InvalidArgument("site id out of range");
   }
@@ -220,10 +222,8 @@ Result<SiteRunResult> RunScaleOutSite(const SiteProcessOptions& options,
       });
 
   PUSHSIP_RETURN_NOT_OK(transport->Start());
-  PUSHSIP_ASSIGN_OR_RETURN(DistQueryStats stats, query->Run());
-
-  SiteRunResult out;
-  out.stats = stats;
+  SiteReport out;
+  PUSHSIP_ASSIGN_OR_RETURN(out.stats, query->Run());
   if (options.site == query->root_site) {
     std::vector<Tuple> rows = query->root_sink->TakeRows();
     // Result normalization: the sorted rows' standalone wire batch is the
@@ -240,55 +240,50 @@ Result<SiteRunResult> RunScaleOutSite(const SiteProcessOptions& options,
   return out;
 }
 
-std::string EncodeStatsLine(const DistQueryStats& s) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "STATS elapsed=%a rows=%" PRId64 " peak=%" PRId64 " pruned=%" PRId64
-      " src_pruned=%" PRId64 " bytes=%" PRId64 " link=%a sets=%" PRId64
-      " filters=%" PRId64 " ship=%a restarts=%" PRId64 " discarded=%" PRId64
-      " faults=%" PRId64 " reships=%" PRId64 " stragglers=%" PRId64
-      " migrations=%" PRId64 " recalibs=%" PRId64 " transposes=%" PRId64
-      " dictreships=%" PRId64 " stall=%a payload=%" PRId64
-      " ckpts=%" PRId64 " ckptbytes=%" PRId64 " recoveries=%" PRId64
-      " restore=%a reattached=%" PRId64,
-      s.elapsed_sec, s.result_rows, s.peak_state_bytes, s.rows_pruned,
-      s.rows_source_pruned, s.bytes_shipped, s.link_seconds, s.aip_sets,
-      s.aip_filters, s.aip_ship_seconds, s.fragment_restarts,
-      s.batches_discarded, s.faults_injected, s.aip_reships,
-      s.stragglers_detected, s.fragment_migrations, s.recalibrations,
-      s.encode_transposes, s.dict_reships, s.stall_seconds, s.payload_bytes,
-      s.checkpoints_taken, s.checkpoint_bytes, s.state_recoveries,
-      s.restore_seconds, s.aip_reattached);
-  return buf;
+namespace {
+
+/// Largest site count a multi-process run (and a `--peers` site id) spans.
+constexpr int kMaxSites = 64;
+
+/// Parses all of `text` as a decimal in [lo, hi].
+bool ParseDecimal(std::string_view text, unsigned lo, unsigned hi,
+                  unsigned* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && *out >= lo && *out <= hi;
 }
 
-Result<DistQueryStats> ParseStatsLine(const std::string& line) {
-  const char* p = line.c_str();
-  if (std::strncmp(p, "STATS ", 6) == 0) p += 6;
-  DistQueryStats s;
-  const int matched = std::sscanf(
-      p,
-      "elapsed=%la rows=%" SCNd64 " peak=%" SCNd64 " pruned=%" SCNd64
-      " src_pruned=%" SCNd64 " bytes=%" SCNd64 " link=%la sets=%" SCNd64
-      " filters=%" SCNd64 " ship=%la restarts=%" SCNd64 " discarded=%" SCNd64
-      " faults=%" SCNd64 " reships=%" SCNd64 " stragglers=%" SCNd64
-      " migrations=%" SCNd64 " recalibs=%" SCNd64 " transposes=%" SCNd64
-      " dictreships=%" SCNd64 " stall=%la payload=%" SCNd64
-      " ckpts=%" SCNd64 " ckptbytes=%" SCNd64 " recoveries=%" SCNd64
-      " restore=%la reattached=%" SCNd64,
-      &s.elapsed_sec, &s.result_rows, &s.peak_state_bytes, &s.rows_pruned,
-      &s.rows_source_pruned, &s.bytes_shipped, &s.link_seconds, &s.aip_sets,
-      &s.aip_filters, &s.aip_ship_seconds, &s.fragment_restarts,
-      &s.batches_discarded, &s.faults_injected, &s.aip_reships,
-      &s.stragglers_detected, &s.fragment_migrations, &s.recalibrations,
-      &s.encode_transposes, &s.dict_reships, &s.stall_seconds,
-      &s.payload_bytes, &s.checkpoints_taken, &s.checkpoint_bytes,
-      &s.state_recoveries, &s.restore_seconds, &s.aip_reattached);
-  if (matched != 26) {
-    return Status::InvalidArgument("malformed STATS line: " + line);
+void AppendCounter(int64_t v, std::string* out) { serde::AppendI64(v, out); }
+void AppendCounter(double v, std::string* out) { serde::AppendF64(v, out); }
+Status ReadCounter(serde::Reader& r, int64_t* v) { return r.ReadI64(v); }
+Status ReadCounter(serde::Reader& r, double* v) { return r.ReadF64(v); }
+
+}  // namespace
+
+std::string EncodeSiteReport(const SiteReport& report) {
+  std::string out;
+  DistQueryStats::ForEachCounter([&](auto member, CounterMerge) {
+    AppendCounter(report.stats.*member, &out);
+  });
+  serde::AppendBytes(report.rows_wire, &out);
+  serde::AppendBytes(report.trace_events, &out);
+  return out;
+}
+
+Result<SiteReport> DecodeSiteReport(const std::string& bytes) {
+  serde::Reader reader(bytes);
+  SiteReport report;
+  Status st;
+  DistQueryStats::ForEachCounter([&](auto member, CounterMerge) {
+    if (st.ok()) st = ReadCounter(reader, &(report.stats.*member));
+  });
+  PUSHSIP_RETURN_NOT_OK(st);
+  PUSHSIP_RETURN_NOT_OK(reader.ReadBytes(&report.rows_wire));
+  PUSHSIP_RETURN_NOT_OK(reader.ReadBytes(&report.trace_events));
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("site report has trailing bytes");
   }
-  return s;
+  return report;
 }
 
 std::string HexEncode(const std::string& bytes) {
@@ -307,23 +302,54 @@ Result<std::string> HexDecode(const std::string& hex) {
   if (hex.size() % 2 != 0) {
     return Status::InvalidArgument("odd-length hex string");
   }
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("non-hex character in ROWS payload");
+  std::string out(hex.size() / 2, '\0');
+  for (size_t i = 0; i < out.size(); ++i) {
+    const char* pair = hex.data() + 2 * i;
+    uint8_t byte = 0;
+    const auto [ptr, ec] = std::from_chars(pair, pair + 2, byte, 16);
+    if (ec != std::errc() || ptr != pair + 2) {
+      return Status::InvalidArgument("non-hex character");
     }
-    out.push_back(static_cast<char>((hi << 4) | lo));
+    out[i] = static_cast<char>(byte);
   }
   return out;
+}
+
+std::string FormatPeers(const std::vector<TcpPeer>& peers) {
+  std::string spec;
+  for (const TcpPeer& peer : peers) {
+    if (!spec.empty()) spec += ",";
+    spec += std::to_string(peer.site) + "=" + peer.host + ":" +
+            std::to_string(peer.port);
+  }
+  return spec;
+}
+
+Result<std::vector<TcpPeer>> ParsePeers(const std::string& spec) {
+  std::vector<TcpPeer> peers;
+  size_t pos = 0;
+  while (pos <= spec.size()) {
+    size_t comma = spec.find(',', pos);
+    if (comma == std::string::npos) comma = spec.size();
+    const std::string_view entry(spec.data() + pos, comma - pos);
+    pos = comma + 1;
+    const size_t eq = entry.find('=');
+    const size_t colon = entry.rfind(':');
+    unsigned site = 0;
+    unsigned port = 0;
+    if (eq == std::string_view::npos || colon == std::string_view::npos ||
+        colon <= eq + 1 ||
+        !ParseDecimal(entry.substr(0, eq), 0, kMaxSites - 1, &site) ||
+        !ParseDecimal(entry.substr(colon + 1), 1, 65535, &port)) {
+      return Status::InvalidArgument("malformed peer entry '" +
+                                     std::string(entry) +
+                                     "' (want site=host:port)");
+    }
+    peers.push_back({static_cast<int>(site),
+                     std::string(entry.substr(eq + 1, colon - eq - 1)),
+                     static_cast<uint16_t>(port)});
+  }
+  return peers;
 }
 
 std::string FindSiteBinary() {
@@ -416,7 +442,7 @@ Status DrainChildren(std::vector<ChildProc>& children) {
 }  // namespace
 
 Result<MultiProcessResult> RunMultiProcess(const MultiProcessOptions& options) {
-  if (options.num_sites < 1 || options.num_sites > 64) {
+  if (options.num_sites < 1 || options.num_sites > kMaxSites) {
     return Status::InvalidArgument("num_sites must be in [1, 64]");
   }
   const std::string binary =
@@ -428,11 +454,11 @@ Result<MultiProcessResult> RunMultiProcess(const MultiProcessOptions& options) {
   }
   PUSHSIP_ASSIGN_OR_RETURN(std::vector<uint16_t> ports,
                            PickFreePorts(options.num_sites));
-  std::string peers;
+  std::vector<TcpPeer> peer_list;
   for (int i = 0; i < options.num_sites; ++i) {
-    if (i > 0) peers += ",";
-    peers += std::to_string(i) + "=127.0.0.1:" + std::to_string(ports[i]);
+    peer_list.push_back({i, "127.0.0.1", ports[i]});
   }
+  const std::string peers = FormatPeers(peer_list);
 
   char sf[64];
   std::snprintf(sf, sizeof(sf), "%.17g", options.scale_factor);
@@ -459,9 +485,8 @@ Result<MultiProcessResult> RunMultiProcess(const MultiProcessOptions& options) {
         "--batch=" + std::to_string(options.batch_size),
     };
     if (options.trace) {
-      args.push_back("--trace-hex=1");
-      // Align every child's clock to the coordinator's epoch so the merged
-      // trace shares one time axis without a handshake.
+      // Turns site tracing on, with every child's clock aligned to the
+      // coordinator's epoch so the merged trace shares one time axis.
       args.push_back("--trace-epoch=" +
                      std::to_string(obs::Trace::epoch_micros()));
     }
@@ -520,68 +545,25 @@ Result<MultiProcessResult> RunMultiProcess(const MultiProcessOptions& options) {
 
   MultiProcessResult result;
   for (int i = 0; i < options.num_sites; ++i) {
-    bool got_stats = false;
-    size_t pos = 0;
-    const std::string& text = children[i].output;
-    while (pos < text.size()) {
-      size_t eol = text.find('\n', pos);
-      if (eol == std::string::npos) eol = text.size();
-      const std::string line = text.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (line.rfind("STATS ", 0) == 0) {
-        PUSHSIP_ASSIGN_OR_RETURN(const DistQueryStats s, ParseStatsLine(line));
-        DistQueryStats& t = result.stats;
-        t.elapsed_sec = std::max(t.elapsed_sec, s.elapsed_sec);
-        t.result_rows += s.result_rows;
-        t.peak_state_bytes += s.peak_state_bytes;
-        t.rows_pruned += s.rows_pruned;
-        t.rows_source_pruned += s.rows_source_pruned;
-        t.bytes_shipped += s.bytes_shipped;
-        t.link_seconds += s.link_seconds;
-        t.aip_sets += s.aip_sets;
-        t.aip_filters += s.aip_filters;
-        t.aip_ship_seconds += s.aip_ship_seconds;
-        t.fragment_restarts += s.fragment_restarts;
-        t.batches_discarded += s.batches_discarded;
-        t.faults_injected += s.faults_injected;
-        t.aip_reships += s.aip_reships;
-        t.stragglers_detected += s.stragglers_detected;
-        t.fragment_migrations += s.fragment_migrations;
-        t.recalibrations += s.recalibrations;
-        t.encode_transposes += s.encode_transposes;
-        t.dict_reships += s.dict_reships;
-        t.stall_seconds += s.stall_seconds;
-        t.payload_bytes += s.payload_bytes;
-        t.checkpoints_taken += s.checkpoints_taken;
-        t.checkpoint_bytes += s.checkpoint_bytes;
-        t.state_recoveries += s.state_recoveries;
-        t.restore_seconds += s.restore_seconds;
-        t.aip_reattached += s.aip_reattached;
-        if (result.per_site.size() < static_cast<size_t>(i + 1)) {
-          result.per_site.resize(i + 1);
-        }
-        result.per_site[i] = s;
-        got_stats = true;
-      } else if (line.rfind("ROWS ", 0) == 0) {
-        PUSHSIP_ASSIGN_OR_RETURN(result.rows_wire, HexDecode(line.substr(5)));
-      } else if (line.rfind("TRACE ", 0) == 0) {
-        PUSHSIP_ASSIGN_OR_RETURN(const std::string events,
-                                 HexDecode(line.substr(6)));
-        if (!events.empty()) {
-          if (!result.trace_events_json.empty()) {
-            result.trace_events_json += ",";
-          }
-          result.trace_events_json += events;
-        }
-      }
-    }
-    if (!got_stats) {
+    // A site's whole stdout is its one report line.
+    const std::string& out = children[i].output;
+    if (out.rfind("REPORT ", 0) != 0 || out.back() != '\n') {
       return Status::Internal("site " + std::to_string(i) +
-                              " reported no STATS line");
+                              " printed no REPORT line");
+    }
+    PUSHSIP_ASSIGN_OR_RETURN(const std::string bytes,
+                             HexDecode(out.substr(7, out.size() - 8)));
+    PUSHSIP_ASSIGN_OR_RETURN(SiteReport report, DecodeSiteReport(bytes));
+    result.stats.Merge(report.stats);
+    result.per_site.push_back(report.stats);
+    if (i == 0) result.rows_wire = std::move(report.rows_wire);
+    if (!report.trace_events.empty()) {
+      if (!result.trace_events_json.empty()) result.trace_events_json += ",";
+      result.trace_events_json += report.trace_events;
     }
   }
   if (result.rows_wire.empty()) {
-    return Status::Internal("root site reported no ROWS line");
+    return Status::Internal("root site reported no answer");
   }
   return result;
 }

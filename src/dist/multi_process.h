@@ -11,10 +11,11 @@
 // in-process queue. Only the local site's fragments run.
 //
 // Coordinator. RunMultiProcess forks one `pushsip_site` child per site
-// (ports pre-assigned on loopback), collects each child's STATS line and
-// the root site's ROWS line (hex of the serialized, sorted result batch),
-// and folds them into one DistQueryStats — the same shape an in-process
-// run reports, so callers compare the two runs directly.
+// (ports pre-assigned on loopback). Each child prints one `REPORT <hex>`
+// line: its SiteReport (stats, the root's serialized sorted answer, trace
+// events). The coordinator folds the stats with DistQueryStats::Merge —
+// the same shape an in-process run reports, so callers compare the two
+// runs directly.
 #ifndef PUSHSIP_DIST_MULTI_PROCESS_H_
 #define PUSHSIP_DIST_MULTI_PROCESS_H_
 
@@ -66,11 +67,14 @@ struct SiteProcessOptions {
   double exchange_idle_timeout_sec = 30.0;
 };
 
-struct SiteRunResult {
+/// What one site process reports to the coordinator.
+struct SiteReport {
   DistQueryStats stats;
   /// Root site only: the serialized (standalone v2 SerializeBatch, rows
   /// sorted) result batch — the bit-comparable answer.
   std::string rows_wire;
+  /// The site's serialized Chrome trace events; empty when not tracing.
+  std::string trace_events;
 };
 
 /// Builds the full topology, wires the cross-process edges over
@@ -78,17 +82,25 @@ struct SiteRunResult {
 /// the local site's fragments, and shuts the transport down. Works with
 /// any Transport backend — the in-process conformance tests drive it with
 /// one TcpTransport per thread.
-Result<SiteRunResult> RunScaleOutSite(const SiteProcessOptions& options,
-                                      std::shared_ptr<Transport> transport);
+Result<SiteReport> RunScaleOutSite(const SiteProcessOptions& options,
+                                   std::shared_ptr<Transport> transport);
 
-// --- the coordinator <-> site process text protocol ---
+// --- the coordinator <-> site process protocol ---
 
-/// "STATS k=v ..." with doubles in hexfloat (lossless round-trip).
-std::string EncodeStatsLine(const DistQueryStats& stats);
-Result<DistQueryStats> ParseStatsLine(const std::string& line);
+/// The report's bytes: every counter in DistQueryStats::ForEachCounter
+/// order (doubles bit-exact), then the length-prefixed answer and trace.
+std::string EncodeSiteReport(const SiteReport& report);
+/// Fails closed: truncation, a bad length, or trailing bytes is a Status.
+Result<SiteReport> DecodeSiteReport(const std::string& bytes);
 
 std::string HexEncode(const std::string& bytes);
 Result<std::string> HexDecode(const std::string& hex);
+
+/// The `--peers` value: "0=127.0.0.1:5000,1=127.0.0.1:5001".
+std::string FormatPeers(const std::vector<TcpPeer>& peers);
+/// Inverse of FormatPeers. Rejects empty entries and hosts, non-numeric
+/// fields, sites outside [0, 64) and ports outside [1, 65535].
+Result<std::vector<TcpPeer>> ParsePeers(const std::string& spec);
 
 /// One whole multi-process run, as the coordinator sees it.
 struct MultiProcessOptions {
@@ -104,15 +116,15 @@ struct MultiProcessOptions {
   /// Path to the pushsip_site executable; empty = search next to this
   /// executable (FindSiteBinary).
   std::string site_binary;
-  /// Ask every site process to trace its run and report the events on a
-  /// TRACE stdout line. Site timestamps are aligned to the coordinator's
-  /// trace epoch (obs::Trace), so the merged events share one time axis.
+  /// Ask every site process to trace its run and return the events in its
+  /// report. Site timestamps are aligned to the coordinator's trace epoch
+  /// (obs::Trace), so the merged events share one time axis.
   bool trace = false;
 };
 
 struct MultiProcessResult {
-  /// Folded over all sites: elapsed is the slowest site, counters are
-  /// summed.
+  /// `per_site` folded with DistQueryStats::Merge: elapsed is the slowest
+  /// site, counters are summed.
   DistQueryStats stats;
   /// Each site's own report, index = site id (per-session breakdowns).
   std::vector<DistQueryStats> per_site;
@@ -127,8 +139,8 @@ struct MultiProcessResult {
 std::string FindSiteBinary();
 
 /// Forks one pushsip_site per site on loopback, waits for all of them, and
-/// folds their reports. Any child failing (nonzero exit, unparsable
-/// report) fails the whole run.
+/// folds their reports. Any child failing (nonzero exit, missing or
+/// undecodable report) fails the whole run.
 Result<MultiProcessResult> RunMultiProcess(const MultiProcessOptions& options);
 
 }  // namespace pushsip

@@ -44,21 +44,27 @@ Result<QueryStats> Driver::Run() {
   return CollectQueryStats(ctx_, sink_, timer.ElapsedSeconds());
 }
 
+void AddContextCounters(ExecContext& ctx, QueryStats* stats,
+                        const std::function<void(Operator*)>& visit) {
+  stats->peak_state_bytes += ctx.state_tracker().peak_bytes();
+  for (Operator* op : ctx.operators()) {
+    for (int p = 0; p < op->num_inputs(); ++p) {
+      stats->rows_pruned += op->rows_pruned(p);
+    }
+    stats->stall_seconds += op->stall_seconds();
+    if (auto* scan = dynamic_cast<TableScan*>(op)) {
+      stats->rows_source_pruned += scan->rows_source_pruned();
+    }
+    if (visit) visit(op);
+  }
+}
+
 QueryStats CollectQueryStats(ExecContext* ctx, Sink* sink,
                              double elapsed_sec) {
   QueryStats stats;
   stats.elapsed_sec = elapsed_sec;
   stats.result_rows = sink->num_rows();
-  stats.peak_state_bytes = ctx->state_tracker().peak_bytes();
-  for (Operator* op : ctx->operators()) {
-    for (int p = 0; p < op->num_inputs(); ++p) {
-      stats.rows_pruned += op->rows_pruned(p);
-    }
-    stats.stall_seconds += op->stall_seconds();
-    if (auto* scan = dynamic_cast<TableScan*>(op)) {
-      stats.rows_source_pruned += scan->rows_source_pruned();
-    }
-  }
+  AddContextCounters(*ctx, &stats);
   const LinkUsage links = ctx->TotalLinkUsage();
   stats.bytes_shipped = links.bytes;
   stats.link_seconds = links.seconds;

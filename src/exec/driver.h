@@ -4,6 +4,7 @@
 #ifndef PUSHSIP_EXEC_DRIVER_H_
 #define PUSHSIP_EXEC_DRIVER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,10 +42,17 @@ struct QueryStats {
   }
 };
 
-/// Folds a finished plan's counters (sink rows, per-operator pruning, state
-/// peak, link usage) into a QueryStats. Shared by Driver and the serving
-/// layer, which runs sources on pooled workers instead of fresh threads but
-/// reports the same statistics shape.
+/// Adds one context's counters to `stats`: its state peak plus every
+/// operator's port-filter pruning, stall seconds and (scans) source
+/// pruning. `visit`, when set, sees each operator in the same walk, so a
+/// caller folds counters of operator kinds this layer does not know.
+void AddContextCounters(ExecContext& ctx, QueryStats* stats,
+                        const std::function<void(Operator*)>& visit = {});
+
+/// Folds a finished plan's counters (sink rows, AddContextCounters, link
+/// usage) into a QueryStats. Shared by Driver and the serving layer, which
+/// runs sources on pooled workers instead of fresh threads but reports the
+/// same statistics shape.
 QueryStats CollectQueryStats(ExecContext* ctx, Sink* sink,
                              double elapsed_sec);
 

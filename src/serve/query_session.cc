@@ -530,13 +530,7 @@ Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
   } hook_guard{s};
 
   PUSHSIP_ASSIGN_OR_RETURN(const DistQueryStats d, dq->Run());
-  out.stats.elapsed_sec = d.elapsed_sec;
-  out.stats.result_rows = d.result_rows;
-  out.stats.peak_state_bytes = d.peak_state_bytes;
-  out.stats.rows_pruned = d.rows_pruned;
-  out.stats.rows_source_pruned = d.rows_source_pruned;
-  out.stats.bytes_shipped = d.bytes_shipped;
-  out.stats.link_seconds = d.link_seconds;
+  out.stats = d;  // slices off the distributed-only counters
   out.rows = dq->root_sink->TakeRows();
   if (collected != nullptr) {
     collected->Seal();

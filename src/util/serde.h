@@ -1,9 +1,9 @@
 // Tiny fixed-width little-endian encode/decode helpers for operator
-// checkpoint metadata and the fragment-checkpoint container format. These
-// blobs never cross a version boundary (a checkpoint is consumed by the
-// same binary that wrote it), so fixed-width fields beat varints for
-// simplicity; bounds are still checked on every read so a corrupt blob
-// fails instead of crashing.
+// checkpoint metadata, the fragment-checkpoint container format, and the
+// multi-process site report. These blobs never cross a version boundary
+// (each is consumed by the build that wrote it), so fixed-width fields beat
+// varints for simplicity; bounds are still checked on every read so a
+// corrupt blob fails instead of crashing.
 #ifndef PUSHSIP_UTIL_SERDE_H_
 #define PUSHSIP_UTIL_SERDE_H_
 
@@ -70,21 +70,22 @@ class Reader {
     return Status::OK();
   }
   Status ReadI64(int64_t* v) {
-    uint64_t u;
+    uint64_t u = 0;
     PUSHSIP_RETURN_NOT_OK(ReadU64(&u));
     *v = static_cast<int64_t>(u);
     return Status::OK();
   }
   Status ReadF64(double* v) {
-    uint64_t bits;
+    uint64_t bits = 0;
     PUSHSIP_RETURN_NOT_OK(ReadU64(&bits));
     std::memcpy(v, &bits, 8);
     return Status::OK();
   }
   Status ReadBytes(std::string* out) {
-    uint64_t n;
+    uint64_t n = 0;
     PUSHSIP_RETURN_NOT_OK(ReadU64(&n));
-    if (pos_ + n > bytes_.size()) return Truncated();
+    // pos_ <= size always holds, so this cannot wrap for a huge n.
+    if (n > bytes_.size() - pos_) return Truncated();
     out->assign(bytes_.data() + pos_, n);
     pos_ += n;
     return Status::OK();
@@ -94,7 +95,7 @@ class Reader {
 
  private:
   Status Truncated() const {
-    return Status::IOError("serde: truncated checkpoint blob");
+    return Status::IOError("serde: truncated blob");
   }
 
   const std::string& bytes_;

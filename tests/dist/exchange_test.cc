@@ -13,6 +13,7 @@
 #include "net/wire_format.h"
 #include "storage/table.h"
 #include "tests/testing/batch_builder.h"
+#include "util/serde.h"
 
 namespace pushsip {
 namespace {
@@ -409,6 +410,22 @@ TEST(ExchangeTest, ReceiverErrorsOnCorruptFrame) {
   const Status st = receiver.Run();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+}
+
+// A checkpoint blob whose held frame claims a payload of nearly 2^64 bytes
+// must fail the restore, not wrap the length check and abort on allocation.
+TEST(ExchangeTest, RestoreReplayStateRejectsHugeHeldFrameLength) {
+  std::string blob;
+  serde::AppendU32(0, &blob);  // no per-sender progress
+  serde::AppendU64(1, &blob);  // one held frame
+  serde::AppendU32(0, &blob);  // its sender
+  serde::AppendU64(0, &blob);  // its seq
+  serde::AppendU64(UINT64_MAX - 7, &blob);  // its payload length
+  blob.append(8, 'x');
+  ExecContext ctx;
+  ExchangeReceiver receiver(&ctx, "xrecv", TwoIntSchema(),
+                            std::make_shared<ExchangeChannel>());
+  EXPECT_FALSE(receiver.RestoreReplayState(blob).ok());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end acceptance of the TCP backend: the full Q17 scale-out
 // topology runs as four transport endpoints on loopback (threads here —
 // the process boundary adds nothing the sockets don't already prove; the
-// fork/exec path is covered by pushsip_site + the CI smoke job) and must
+// fork/exec path is covered by multi_process_test) and must
 // produce answers bit-identical to the in-process simulated run. The
 // chaos variant severs every live connection of one site mid-query and
 // requires the reconnect + epoch/seq replay dedup machinery to still

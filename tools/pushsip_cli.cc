@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
     }
     if (tcp_transport) {
       // Coordinator mode: one pushsip_site process per site over loopback
-      // TCP; their STATS/ROWS reports are folded here.
+      // TCP; their REPORT lines are folded here.
       MultiProcessOptions mp;
       mp.query = dist_query;
       mp.scale_factor = gen.scale_factor;

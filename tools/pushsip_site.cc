@@ -3,9 +3,10 @@
 // Every site process is started with the same (query, sf, seed) — it
 // rebuilds the full topology deterministically, wires the cross-process
 // exchange edges over the TCP transport, runs only its own fragments, and
-// reports on stdout:
-//   STATS k=v ...   this site's DistQueryStats (doubles in hexfloat)
-//   ROWS <hex>      site 0 only: the serialized, sorted result batch
+// prints one line on stdout:
+//   REPORT <hex>    this site's SiteReport (dist/multi_process.h): its
+//                   DistQueryStats, site 0's serialized sorted answer, and
+//                   its trace events (empty unless tracing)
 //
 // Flags (all assigned by the coordinator — see dist/multi_process.h):
 //   --site=I --sites=N --query=q17|subquery --sf=F --seed=S
@@ -13,8 +14,7 @@
 //   --peers=0=host:p,...    every site's address, including this one
 //   --host=ADDR             listen address      (default 127.0.0.1)
 //   --aip=0|1 --weak-filter=0|1 --merge=0|1 --window=W --batch=B
-//   --trace-hex=0|1         also report "TRACE <hex>" (serialized events)
-//   --trace-epoch=MICROS    trace time origin (coordinator's epoch)
+//   --trace-epoch=MICROS    trace this run from the coordinator's epoch
 //   --trace-out=FILE        write this site's own Chrome trace JSON
 #include <cstdio>
 #include <cstring>
@@ -25,39 +25,11 @@
 
 using namespace pushsip;
 
-namespace {
-
-/// "0=127.0.0.1:5000,1=127.0.0.1:5001" -> TcpPeer list.
-bool ParsePeers(const std::string& spec, std::vector<TcpPeer>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    const size_t eq = entry.find('=');
-    const size_t colon = entry.rfind(':');
-    if (eq == std::string::npos || colon == std::string::npos || colon < eq) {
-      return false;
-    }
-    TcpPeer peer;
-    peer.site = std::atoi(entry.substr(0, eq).c_str());
-    peer.host = entry.substr(eq + 1, colon - eq - 1);
-    peer.port = static_cast<uint16_t>(
-        std::atoi(entry.substr(colon + 1).c_str()));
-    out->push_back(std::move(peer));
-  }
-  return !out->empty();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   SiteProcessOptions opts;
   TcpTransportOptions net;
-  std::string peers_spec;
+  std::vector<TcpPeer> peers;
   std::string trace_out;
-  bool trace_hex = false;
   int64_t trace_epoch = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -79,7 +51,13 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--host=", 0) == 0) {
       net.listen_host = arg.substr(7);
     } else if (arg.rfind("--peers=", 0) == 0) {
-      peers_spec = arg.substr(8);
+      auto parsed = ParsePeers(arg.substr(8));
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "bad --peers: %s\n",
+                     parsed.status().ToString().c_str());
+        return 2;
+      }
+      peers = std::move(*parsed);
     } else if (arg.rfind("--aip=", 0) == 0) {
       opts.aip = std::atoi(arg.c_str() + 6) != 0;
     } else if (arg.rfind("--weak-filter=", 0) == 0) {
@@ -90,8 +68,6 @@ int main(int argc, char** argv) {
       net.credit_window = static_cast<uint32_t>(std::atoi(arg.c_str() + 9));
     } else if (arg.rfind("--batch=", 0) == 0) {
       opts.batch_size = static_cast<size_t>(std::atoll(arg.c_str() + 8));
-    } else if (arg.rfind("--trace-hex=", 0) == 0) {
-      trace_hex = std::atoi(arg.c_str() + 12) != 0;
     } else if (arg.rfind("--trace-epoch=", 0) == 0) {
       trace_epoch = std::atoll(arg.c_str() + 14);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -112,12 +88,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad --site/--sites\n");
     return 2;
   }
-  std::vector<TcpPeer> peers;
-  if (!peers_spec.empty() && !ParsePeers(peers_spec, &peers)) {
-    std::fprintf(stderr, "malformed --peers\n");
-    return 2;
-  }
-  if (trace_hex || !trace_out.empty()) {
+  if (trace_epoch > 0 || !trace_out.empty()) {
     // Events are stamped relative to the coordinator's epoch so the merged
     // trace shares one time axis across processes.
     if (trace_epoch > 0) obs::Trace::SetEpochMicros(trace_epoch);
@@ -147,14 +118,8 @@ int main(int argc, char** argv) {
                  run.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s\n", EncodeStatsLine(run->stats).c_str());
-  if (!run->rows_wire.empty()) {
-    std::printf("ROWS %s\n", HexEncode(run->rows_wire).c_str());
-  }
-  if (trace_hex) {
-    std::printf("TRACE %s\n",
-                HexEncode(obs::TraceBuffer::Global().SerializeEvents()).c_str());
-  }
+  run->trace_events = obs::TraceBuffer::Global().SerializeEvents();
+  std::printf("REPORT %s\n", HexEncode(EncodeSiteReport(*run)).c_str());
   if (!trace_out.empty() &&
       !obs::TraceBuffer::Global().WriteChromeJson(trace_out)) {
     std::fprintf(stderr, "site %d trace write failed: %s\n", opts.site,
