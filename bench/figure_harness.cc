@@ -54,13 +54,6 @@ void FinishObs(const HarnessOptions& opts, const std::string& extra_events) {
   }
 }
 
-namespace {
-
-struct CellStats {
-  double mean = 0;
-  double ci95 = 0;  // 95% confidence half-width
-};
-
 CellStats Summarize(const std::vector<double>& xs) {
   CellStats out;
   if (xs.empty()) return out;
@@ -77,6 +70,8 @@ CellStats Summarize(const std::vector<double>& xs) {
   }
   return out;
 }
+
+namespace {
 
 // Minimal JSON string escaping (names here are ASCII identifiers).
 std::string JsonEscape(const std::string& s) {

@@ -71,6 +71,15 @@ void InitObs(const HarnessOptions& opts);
 void FinishObs(const HarnessOptions& opts,
                const std::string& extra_events = "");
 
+/// Mean and 95% confidence half-width of a cell's repeated measurements.
+struct CellStats {
+  double mean = 0;
+  double ci95 = 0;  ///< 0 with fewer than two samples
+};
+
+/// Summarizes repeated measurements with a small Student-t table.
+CellStats Summarize(const std::vector<double>& xs);
+
 /// One measured cell of a benchmark, as emitted to the JSON report.
 struct JsonRecord {
   std::string query;

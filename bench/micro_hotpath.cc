@@ -4,13 +4,16 @@
 // consumer), and the wire codec (v2 columnar encode/decode time and bytes,
 // with the compression ratio against the retired v1 row-major size computed
 // in closed form — plus the cross-batch
-// dictionary stream encoding vs per-batch dictionaries), and the scale-out
+// dictionary stream encoding vs per-batch dictionaries), the scale-out
 // reshard (PartitionCatalog's typed gathers + typed statistics vs the
-// per-cell row-at-a-time copy and per-cell statistics it replaced).
+// per-cell row-at-a-time copy and per-cell statistics it replaced), and the
+// join probe (SymmetricHashJoin's flat table and per-column gathers vs the
+// multimap and per-row concatenation it replaced, on the served query's
+// 25-column lineitem-part output).
 //
 // Flags: the shared harness flags (--reps=, --seed=, --json <path>) plus
-//   --sf=X      TPC-H scale factor of the partition_catalog cell's lineitem
-//               (default 0.02)
+//   --sf=X      TPC-H scale factor of the partition_catalog and join_probe
+//               cells' tables (default 0.02)
 //   --rows=N    rows per batch            (default 1024)
 //   --batches=N batches per measurement   (default 256)
 //   --check     exit non-zero unless the vectorized filter pipeline is
@@ -21,10 +24,12 @@
 //               stay advisory).
 #include <cstring>
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "bench/figure_harness.h"
 #include "dist/scale_out.h"
+#include "exec/hash_join.h"
 #include "exec/operator.h"
 #include "exec/sink.h"
 #include "net/wire_format.h"
@@ -364,6 +369,114 @@ Throughput RunPartitionCatalog(const Catalog& full, bool gather, int sites,
           total_sec};
 }
 
+/// `table`'s rows in scan-sized slices (Table::SliceRows).
+std::vector<Batch> SliceTable(const Table& table, size_t rows) {
+  std::vector<Batch> batches;
+  for (size_t begin = 0; begin < table.num_rows(); begin += rows) {
+    batches.push_back(
+        table.SliceRows(begin, std::min(table.num_rows(), begin + rows)));
+  }
+  return batches;
+}
+
+/// The join's build and probe before the flat table, kept as the
+/// reference: one unordered_multimap node per buffered row, and per match
+/// one AppendFrom per output column. Returns the output row count.
+size_t RowAtATimeJoin(const std::vector<Batch>& build,
+                      const std::vector<Batch>& probe,
+                      const std::vector<int>& build_keys,
+                      const std::vector<int>& probe_keys) {
+  std::unordered_multimap<uint64_t, std::pair<uint32_t, uint32_t>> table;
+  for (uint32_t bi = 0; bi < build.size(); ++bi) {
+    std::vector<uint64_t> scratch;
+    const std::vector<uint64_t>& h = build[bi].KeyHashes(build_keys, &scratch);
+    for (uint32_t r = 0; r < build[bi].size(); ++r) {
+      table.emplace(h[r], std::make_pair(bi, r));
+    }
+  }
+  size_t out_rows = 0;
+  for (const Batch& batch : probe) {
+    std::vector<uint64_t> scratch;
+    const std::vector<uint64_t>& h = batch.KeyHashes(probe_keys, &scratch);
+    std::vector<Column> out(batch.num_cols() + build.front().num_cols());
+    for (size_t r = 0; r < batch.size(); ++r) {
+      const auto [lo, hi] = table.equal_range(h[r]);
+      for (auto it = lo; it != hi; ++it) {
+        const Batch& ob = build[it->second.first];
+        const size_t orow = it->second.second;
+        if (!Batch::RowsEqualOn(batch, r, probe_keys, ob, orow, build_keys)) {
+          continue;
+        }
+        size_t c = 0;
+        for (size_t i = 0; i < batch.num_cols(); ++i) {
+          out[c++].AppendFrom(batch.col(i), r);
+        }
+        for (size_t i = 0; i < ob.num_cols(); ++i) {
+          out[c++].AppendFrom(ob.col(i), orow);
+        }
+      }
+    }
+    out_rows += out.front().size();
+  }
+  return out_rows;
+}
+
+/// Join-probe cell: the served query's shape — part rows with p_size < 40
+/// buffered as the build side, then every lineitem row probing it on
+/// l_partkey, 25 output columns — through SymmetricHashJoin (build port
+/// finished first, so the probe side only probes) or the row-at-a-time
+/// reference. Throughput counts build plus probe rows per second.
+Throughput RunJoinProbe(const Catalog& catalog, bool batched, int reps) {
+  const TablePtr lineitem = *catalog.GetTable("lineitem");
+  const TablePtr part = *catalog.GetTable("part");
+  const std::vector<Batch> probe = SliceTable(*lineitem, kDefaultBatchSize);
+  std::vector<Batch> build = SliceTable(*part, kDefaultBatchSize);
+  const size_t size_col =
+      static_cast<size_t>(*part->schema().IndexOf("part.p_size"));
+  for (Batch& b : build) {
+    std::vector<uint32_t> sel;
+    for (size_t r = 0; r < b.size(); ++r) {
+      if (b.col(size_col).I64At(r) < 40) {
+        sel.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    b.CompactInPlace(sel);
+  }
+  const std::vector<int> probe_keys{1};  // l_partkey
+  const std::vector<int> build_keys{0};  // p_partkey
+  size_t rows = 0;
+  for (const Batch& b : probe) rows += b.size();
+  for (const Batch& b : build) rows += b.size();
+  double total_sec = 0;
+  size_t sink = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::vector<Batch> probe_copy = probe;
+    std::vector<Batch> build_copy = build;
+    if (batched) {
+      ExecContext ctx;
+      const Schema out_schema =
+          Schema::Concat(lineitem->schema(), part->schema());
+      NullOp null_op(&ctx, out_schema);
+      SymmetricHashJoin join(&ctx, "join", lineitem->schema(),
+                             part->schema(), probe_keys, build_keys);
+      join.SetOutput(&null_op);
+      Stopwatch sw;
+      for (Batch& b : build_copy) join.Push(1, std::move(b)).CheckOK();
+      join.Finish(1).CheckOK();
+      for (Batch& b : probe_copy) join.Push(0, std::move(b)).CheckOK();
+      join.Finish(0).CheckOK();
+      total_sec += sw.ElapsedSeconds();
+      sink += static_cast<size_t>(join.rows_out());
+    } else {
+      Stopwatch sw;
+      sink += RowAtATimeJoin(build_copy, probe_copy, build_keys, probe_keys);
+      total_sec += sw.ElapsedSeconds();
+    }
+  }
+  if (sink == 0x5ca1ab1e) std::fprintf(stderr, "#\n");
+  return {static_cast<double>(rows) * reps / total_sec, total_sec};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -483,6 +596,14 @@ int main(int argc, char** argv) {
   record_tp("partition_catalog", "row_at_a_time", reshard_rows);
   record_tp("partition_catalog", "gather", reshard_gather);
 
+  // --- join probe ---
+  const Throughput join_rows =
+      RunJoinProbe(tpch_catalog, /*batched=*/false, reps);
+  const Throughput join_batched =
+      RunJoinProbe(tpch_catalog, /*batched=*/true, reps);
+  record_tp("join_probe", "row_at_a_time", join_rows);
+  record_tp("join_probe", "batch_gather", join_batched);
+
   std::printf(
       "# filter speedup: %.2fx   hash-reuse speedup: %.2fx   "
       "v2/v1 bytes: %.2f (%.0f%% smaller)\n",
@@ -503,6 +624,8 @@ int main(int argc, char** argv) {
   std::printf("# partition_catalog gather speedup: %.2fx (%d shards)\n",
               reshard_gather.rows_per_sec / reshard_rows.rows_per_sec,
               kShards);
+  std::printf("# join_probe batch-gather speedup: %.2fx\n",
+              join_batched.rows_per_sec / join_rows.rows_per_sec);
 
   if (!opts.json_path.empty() &&
       !WriteJsonReport(opts.json_path, "micro_hotpath",

@@ -1,10 +1,13 @@
 // Closed-loop concurrency benchmark for the serving layer: N client
 // threads each submit-wait-repeat against one QueryServer, sweeping the
 // client count (default 1, 8, 64) with the cross-query AIP cache off
-// ("no-cache") and on ("aip-cache"). Reports per-query latency p50/p99 and
-// aggregate qps per cell, in the figure-harness JSON cell shape keyed
-// (query, strategy, sites=client-count) so tools/bench_check.py can gate
-// regressions on p50_ms/p99_ms/qps.
+// ("no-cache") and on ("aip-cache"). Each cell runs --reps times, each
+// repetition against a fresh QueryServer (cold cache); the cell reports
+// latency p50/p99 over every repetition's queries, qps as the mean over
+// repetitions with its 95% confidence half-width (figure_harness's
+// Summarize), and cache hits/misses summed. Cells use the figure-harness
+// JSON shape keyed (query, strategy, sites=client-count) so
+// tools/bench_check.py can gate regressions on p50_ms/p99_ms/qps.
 //
 // Flags: the shared harness flags (--sf=, --reps=, --seed=, --json <path>)
 // plus
@@ -66,18 +69,21 @@ double Percentile(std::vector<double>* sorted_in_place, double p) {
 struct Cell {
   std::string strategy;
   int sessions = 0;
-  double elapsed_sec = 0;
+  double elapsed_sec = 0;  ///< summed over repetitions
   double p50_ms = 0;
   double p99_ms = 0;
-  double qps = 0;
+  CellStats qps;  ///< over repetitions
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   bool ok = true;  ///< every query finished and answers agreed
 };
 
-Cell RunCell(const std::shared_ptr<Catalog>& catalog, int sessions,
-             bool cached, int ops_per_client, size_t workers,
-             const HarnessOptions& harness) {
+/// One repetition of a cell against a fresh server: appends each query's
+/// latency to `latencies_ms` and returns the repetition's qps.
+double RunRepetition(const std::shared_ptr<Catalog>& catalog, int sessions,
+                     bool cached, int ops_per_client, size_t workers,
+                     const HarnessOptions& harness,
+                     std::vector<double>* latencies_ms, Cell* cell) {
   ServeOptions opts;
   opts.worker_threads = workers;
   opts.aip_cache_budget_bytes = cached ? (8ll << 20) : 0;
@@ -88,12 +94,8 @@ Cell RunCell(const std::shared_ptr<Catalog>& catalog, int sessions,
   opts.scan_delay_ms = harness.pace_ms;
   QueryServer server(catalog, opts);
 
-  Cell cell;
-  cell.strategy = cached ? "aip-cache" : "no-cache";
-  cell.sessions = sessions;
-
   std::mutex mu;
-  std::vector<double> latencies_ms;
+  const size_t before = latencies_ms->size();
   // Per-predicate answer agreement: every session's COUNT for an upper
   // must match the first one seen (cheap cross-client correctness net;
   // the test suite carries the reference-equality proofs).
@@ -123,21 +125,36 @@ Cell RunCell(const std::shared_ptr<Catalog>& catalog, int sessions,
         else if (counts[p] != count) { ok.store(false); }
       }
       std::lock_guard<std::mutex> lock(mu);
-      latencies_ms.insert(latencies_ms.end(), local.begin(), local.end());
+      latencies_ms->insert(latencies_ms->end(), local.begin(), local.end());
     });
   }
   for (std::thread& t : clients) t.join();
-  cell.elapsed_sec = wall.ElapsedSeconds();
+  const double elapsed_sec = wall.ElapsedSeconds();
 
-  cell.ok = ok.load();
-  cell.qps = cell.elapsed_sec > 0
-                 ? static_cast<double>(latencies_ms.size()) / cell.elapsed_sec
-                 : 0;
+  cell->elapsed_sec += elapsed_sec;
+  cell->ok = cell->ok && ok.load();
+  const AipCacheStats cs = server.cache_stats();
+  cell->cache_hits += cs.hits;
+  cell->cache_misses += cs.misses;
+  const size_t completed = latencies_ms->size() - before;
+  return elapsed_sec > 0 ? static_cast<double>(completed) / elapsed_sec : 0;
+}
+
+Cell RunCell(const std::shared_ptr<Catalog>& catalog, int sessions,
+             bool cached, int ops_per_client, size_t workers,
+             const HarnessOptions& harness) {
+  Cell cell;
+  cell.strategy = cached ? "aip-cache" : "no-cache";
+  cell.sessions = sessions;
+  std::vector<double> latencies_ms;
+  std::vector<double> qps;
+  for (int rep = 0; rep < harness.repetitions && cell.ok; ++rep) {
+    qps.push_back(RunRepetition(catalog, sessions, cached, ops_per_client,
+                                workers, harness, &latencies_ms, &cell));
+  }
+  cell.qps = Summarize(qps);
   cell.p50_ms = Percentile(&latencies_ms, 0.50);
   cell.p99_ms = Percentile(&latencies_ms, 0.99);
-  const AipCacheStats cs = server.cache_stats();
-  cell.cache_hits = cs.hits;
-  cell.cache_misses = cs.misses;
   return cell;
 }
 
@@ -167,10 +184,10 @@ bool WriteReport(const std::string& path, const HarnessOptions& opts,
         "\"sites\": %d, \"elapsed_sec\": %f, \"p50_ms\": %f, "
         "\"p99_ms\": %f, \"qps\": %f, \"cache_hits\": %lld, "
         "\"cache_misses\": %lld, \"metric_mean\": %f, "
-        "\"metric_ci95\": 0.0}%s\n",
+        "\"metric_ci95\": %f}%s\n",
         c.strategy.c_str(), c.sessions, c.elapsed_sec, c.p50_ms, c.p99_ms,
-        c.qps, static_cast<long long>(c.cache_hits),
-        static_cast<long long>(c.cache_misses), c.qps,
+        c.qps.mean, static_cast<long long>(c.cache_hits),
+        static_cast<long long>(c.cache_misses), c.qps.mean, c.qps.ci95,
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -199,8 +216,9 @@ int main(int argc, char** argv) {
       check = false;
     }
   }
-  if (session_counts.empty() || ops_per_client <= 0) {
-    std::fprintf(stderr, "serve_concurrency: bad --sessions/--ops\n");
+  if (session_counts.empty() || ops_per_client <= 0 ||
+      opts.repetitions <= 0) {
+    std::fprintf(stderr, "serve_concurrency: bad --sessions/--ops/--reps\n");
     return 2;
   }
 
@@ -223,17 +241,20 @@ int main(int argc, char** argv) {
 
   std::printf("serve_concurrency: sf=%g ops/client=%d workers=%zu\n",
               opts.scale_factor, ops_per_client, workers);
-  std::printf("%-10s %9s %10s %10s %10s %8s %8s\n", "strategy", "sessions",
-              "p50_ms", "p99_ms", "qps", "hits", "misses");
+  std::printf("%-10s %9s %10s %10s %16s %8s %8s\n", "strategy", "sessions",
+              "p50_ms", "p99_ms", "qps(mean±ci95)", "hits", "misses");
   std::vector<Cell> cells;
   bool all_ok = true;
   for (const bool cached : {false, true}) {
     for (const int sessions : session_counts) {
-      Cell cell = RunCell(catalog, sessions, cached,
-                          ops_per_client * opts.repetitions, workers, opts);
-      std::printf("%-10s %9d %10.3f %10.3f %10.1f %8lld %8lld%s\n",
+      Cell cell =
+          RunCell(catalog, sessions, cached, ops_per_client, workers, opts);
+      char qps[32];
+      std::snprintf(qps, sizeof(qps), "%.1f±%.1f", cell.qps.mean,
+                    cell.qps.ci95);
+      std::printf("%-10s %9d %10.3f %10.3f %16s %8lld %8lld%s\n",
                   cell.strategy.c_str(), cell.sessions, cell.p50_ms,
-                  cell.p99_ms, cell.qps,
+                  cell.p99_ms, qps,
                   static_cast<long long>(cell.cache_hits),
                   static_cast<long long>(cell.cache_misses),
                   cell.ok ? "" : "  << FAILED");
@@ -254,7 +275,9 @@ int main(int argc, char** argv) {
   if (check) {
     const auto qps_of = [&](const std::string& strategy, int sessions) {
       for (const Cell& c : cells) {
-        if (c.strategy == strategy && c.sessions == sessions) return c.qps;
+        if (c.strategy == strategy && c.sessions == sessions) {
+          return c.qps.mean;
+        }
       }
       return 0.0;
     };

@@ -318,6 +318,21 @@ void GatherInto(std::vector<T>* dst, const std::vector<T>& src,
   for (size_t k = 0; k < n; ++k) out[k] = in[idx[k]];
 }
 
+// dst += (srcs[which[k]]->*lane)[rows[k]] for k in [0, n).
+template <typename T>
+void GatherMultiInto(std::vector<T>* dst,
+                     const std::vector<const Column*>& srcs,
+                     const std::vector<T> Column::*lane,
+                     const uint32_t* which, const uint32_t* rows, size_t n) {
+  std::vector<const T*> bases;
+  bases.reserve(srcs.size());
+  for (const Column* src : srcs) bases.push_back((src->*lane).data());
+  const size_t base = dst->size();
+  dst->resize(base + n);
+  T* out = dst->data() + base;
+  for (size_t k = 0; k < n; ++k) out[k] = bases[which[k]][rows[k]];
+}
+
 }  // namespace
 
 void Column::AppendGather(const Column& src, const uint32_t* idx, size_t n) {
@@ -351,6 +366,40 @@ void Column::AppendGather(const Column& src, const uint32_t* idx, size_t n) {
   GrowBitmap();
 }
 
+void Column::AppendGather(const std::vector<const Column*>& srcs,
+                          const uint32_t* which, const uint32_t* rows,
+                          size_t n) {
+  if (n == 0) return;
+  AdoptIfEmpty(*srcs[which[0]]);
+  bool typed = true;
+  for (const Column* src : srcs) typed = typed && SameLayout(*src);
+  if (!typed) {
+    for (size_t k = 0; k < n; ++k) AppendFrom(*srcs[which[k]], rows[k]);
+    return;
+  }
+  switch (rep_) {
+    case Rep::kI64:
+      GatherMultiInto(&i64_, srcs, &Column::i64_, which, rows, n);
+      break;
+    case Rep::kF64:
+      GatherMultiInto(&f64_, srcs, &Column::f64_, which, rows, n);
+      break;
+    case Rep::kStr:
+      GatherMultiInto(&codes_, srcs, &Column::codes_, which, rows, n);
+      break;
+    default:
+      break;
+  }
+  const size_t old_size = size_;
+  size_ += n;
+  // Carry the sources' null bits for the gathered rows.
+  for (size_t k = 0; k < n; ++k) {
+    const Column& src = *srcs[which[k]];
+    if (!src.nulls_.empty() && src.IsNull(rows[k])) SetNullBit(old_size + k);
+  }
+  GrowBitmap();
+}
+
 void Column::Reserve(size_t n) {
   switch (rep_) {
     case Rep::kI64:
@@ -367,30 +416,6 @@ void Column::Reserve(size_t n) {
       break;
     case Rep::kNone:
       break;
-  }
-}
-
-void Column::PopBack() {
-  PUSHSIP_DCHECK(size_ > 0);
-  --size_;
-  switch (rep_) {
-    case Rep::kI64:
-      i64_.pop_back();
-      break;
-    case Rep::kF64:
-      f64_.pop_back();
-      break;
-    case Rep::kStr:
-      codes_.pop_back();
-      break;
-    case Rep::kVariant:
-      var_.pop_back();
-      return;
-    case Rep::kNone:
-      return;
-  }
-  if (!nulls_.empty()) {
-    nulls_[size_ >> 6] &= ~(uint64_t{1} << (size_ & 63));
   }
 }
 

@@ -130,8 +130,16 @@ class Column {
   /// (type mismatch, a foreign dictionary, variant columns) falls back to
   /// per-row AppendFrom.
   void AppendGather(const Column& src, const uint32_t* idx, size_t n);
+  /// Multi-source gather: appends row rows[k] of *srcs[which[k]], for k in
+  /// [0, n) in order — the build side of a join, whose matches point into
+  /// many retained batches. An empty destination adopts the type and
+  /// dictionary of the first gathered source; when every source then
+  /// shares this column's layout the rows are copied with one typed loop,
+  /// otherwise (a foreign dictionary, variant columns, a type mismatch)
+  /// every row goes through AppendFrom.
+  void AppendGather(const std::vector<const Column*>& srcs,
+                    const uint32_t* which, const uint32_t* rows, size_t n);
   void Reserve(size_t n);
-  void PopBack();
 
   // --- typed appends (wire-decode hot path; no Value construction). The
   // column must already be typed (Column(TypeId) / StringWithDict) and the

@@ -115,26 +115,6 @@ void Batch::AppendGather(const Batch& src, const uint32_t* idx, size_t n) {
   num_rows_ += n;
 }
 
-void Batch::AppendConcatRow(const Batch& left, size_t lr, const Batch& right,
-                            size_t rr) {
-  PUSHSIP_DCHECK(cols_.size() == left.num_cols() + right.num_cols());
-  size_t c = 0;
-  for (size_t i = 0; i < left.num_cols(); ++i) {
-    cols_[c++].AppendFrom(left.cols_[i], lr);
-  }
-  for (size_t i = 0; i < right.num_cols(); ++i) {
-    cols_[c++].AppendFrom(right.cols_[i], rr);
-  }
-  ++num_rows_;
-}
-
-void Batch::PopBackRow() {
-  PUSHSIP_DCHECK(num_rows_ > 0);
-  for (Column& c : cols_) c.PopBack();
-  --num_rows_;
-  ClearKeyHashes();
-}
-
 Batch Batch::FromRows(const std::vector<Tuple>& rows) {
   Batch b;
   if (!rows.empty()) {

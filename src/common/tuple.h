@@ -95,13 +95,6 @@ class Batch {
   /// (Column::AppendGather). Like AppendRowFrom, an arity-less batch first
   /// takes `src`'s arity.
   void AppendGather(const Batch& src, const uint32_t* idx, size_t n);
-  /// Appends one join output row: row `lr` of `left` concatenated with row
-  /// `rr` of `right`. Requires num_cols() == left ++ right (SetArity once).
-  /// Same-dictionary string gathers copy codes, not bytes.
-  void AppendConcatRow(const Batch& left, size_t lr, const Batch& right,
-                       size_t rr);
-  /// Drops the last appended row (join residual rejection).
-  void PopBackRow();
   static Batch FromRows(const std::vector<Tuple>& rows);
 
   // --- row access (compat shim) ---

@@ -426,11 +426,11 @@ Status ExchangeReceiver::SnapshotReplayState(std::string* out) const {
 
 Status ExchangeReceiver::RestoreReplayState(const std::string& blob) {
   serde::Reader reader(blob);
-  uint32_t num_progress;
+  uint32_t num_progress = 0;
   PUSHSIP_RETURN_NOT_OK(reader.ReadU32(&num_progress));
   progress_.clear();
   for (uint32_t i = 0; i < num_progress; ++i) {
-    uint32_t sender;
+    uint32_t sender = 0;
     SenderProgress progress;
     PUSHSIP_RETURN_NOT_OK(reader.ReadU32(&sender));
     PUSHSIP_RETURN_NOT_OK(reader.ReadU32(&progress.epoch));
@@ -441,7 +441,7 @@ Status ExchangeReceiver::RestoreReplayState(const std::string& blob) {
     progress.epoch += 1;
     progress_.emplace(sender, progress);
   }
-  uint64_t num_held;
+  uint64_t num_held = 0;
   PUSHSIP_RETURN_NOT_OK(reader.ReadU64(&num_held));
   held_.clear();
   for (uint64_t i = 0; i < num_held; ++i) {

@@ -279,8 +279,8 @@ class ExchangeReceiver : public SourceOperator {
   };
   /// One buffered frame of an ordered_merge receiver.
   struct HeldFrame {
-    uint32_t sender;
-    uint64_t seq;
+    uint32_t sender = 0;
+    uint64_t seq = 0;
     Batch batch;
   };
 

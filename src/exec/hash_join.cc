@@ -1,5 +1,7 @@
 #include "exec/hash_join.h"
 
+#include <numeric>
+
 #include "util/serde.h"
 
 namespace pushsip {
@@ -34,18 +36,17 @@ std::vector<uint64_t> SymmetricHashJoin::StateColumnHashes(int port,
   std::vector<uint64_t> hashes;
   std::lock_guard<std::mutex> lock(mu_);
   const Side& side = sides_[port];
-  hashes.reserve(side.table.size());
-  for (const auto& [_, ref] : side.table) {
+  hashes.reserve(side.entries.size());
+  for (const Entry& e : side.entries) {
     hashes.push_back(
-        side.batches[ref.first].col(static_cast<size_t>(col)).HashAt(
-            ref.second));
+        side.batches[e.batch].col(static_cast<size_t>(col)).HashAt(e.row));
   }
   return hashes;
 }
 
 int64_t SymmetricHashJoin::StateTupleCount(int port) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(sides_[port].table.size());
+  return static_cast<int64_t>(sides_[port].entries.size());
 }
 
 bool SymmetricHashJoin::StateCompleteAtFinish(int port) const {
@@ -58,9 +59,45 @@ void SymmetricHashJoin::ReleaseSide(Side* side) {
     ctx_->state_tracker().Release(side->state_bytes);
     side->state_bytes = 0;
   }
-  side->table.clear();
+  side->entries.clear();
+  side->heads.clear();
+  side->match_slot.clear();
   side->batches.clear();
   side->buffering = false;
+}
+
+void SymmetricHashJoin::BufferBatch(Side* side, Batch&& batch,
+                                    const std::vector<uint64_t>& hashes) {
+  const size_t n = batch.size();
+  const uint32_t bi = static_cast<uint32_t>(side->batches.size());
+  std::vector<Entry>& entries = side->entries;
+  std::vector<uint32_t>& heads = side->heads;
+  const size_t total = entries.size() + n;
+  if (total > heads.size()) {
+    // Grow to at least one bucket per entry and rebuild every chain by
+    // re-inserting in insertion order: chains stay newest-first.
+    size_t buckets = heads.empty() ? 1024 : heads.size();
+    while (buckets < total) buckets *= 2;
+    heads.assign(buckets, kNoEntry);
+    const uint64_t mask = buckets - 1;
+    for (uint32_t i = 0; i < entries.size(); ++i) {
+      uint32_t& head = heads[entries[i].hash & mask];
+      entries[i].next = head;
+      head = i;
+    }
+  }
+  const uint64_t mask = heads.size() - 1;
+  for (size_t r = 0; r < n; ++r) {
+    uint32_t& head = heads[hashes[r] & mask];
+    const uint32_t idx = static_cast<uint32_t>(entries.size());
+    entries.push_back({hashes[r], bi, static_cast<uint32_t>(r), head});
+    head = idx;
+  }
+  const int64_t bytes = static_cast<int64_t>(batch.FootprintBytes()) +
+                        static_cast<int64_t>(n) * 48 /*table entries*/;
+  side->state_bytes += bytes;
+  ctx_->state_tracker().Add(bytes);
+  side->batches.push_back(std::move(batch));
 }
 
 void SymmetricHashJoin::BumpPeak() {
@@ -111,8 +148,8 @@ Status SymmetricHashJoin::RestoreState(const std::string& meta,
   for (int port = 0; port < 2; ++port) {
     Side& side = sides_[port];
     ReleaseSide(&side);
-    uint8_t finished, buffering, complete;
-    uint32_t count;
+    uint8_t finished = 0, buffering = 0, complete = 0;
+    uint32_t count = 0;
     PUSHSIP_RETURN_NOT_OK(reader.ReadU8(&finished));
     PUSHSIP_RETURN_NOT_OK(reader.ReadU8(&buffering));
     PUSHSIP_RETURN_NOT_OK(reader.ReadU8(&complete));
@@ -132,20 +169,10 @@ Status SymmetricHashJoin::RestoreState(const std::string& meta,
       }
       // Recompute the key hashes and re-insert in the original order: the
       // hash is a pure function of the key values, so the rebuilt table has
-      // the same buckets — and the same chain order — as the original.
+      // the same chains, in the same newest-first order, as the original.
       std::vector<uint64_t> scratch;
       const std::vector<uint64_t>& key_hashes = batch.KeyHashes(keys, &scratch);
-      const size_t n = batch.size();
-      const uint32_t bi = static_cast<uint32_t>(side.batches.size());
-      for (size_t r = 0; r < n; ++r) {
-        side.table.emplace(key_hashes[r],
-                           std::make_pair(bi, static_cast<uint32_t>(r)));
-      }
-      const int64_t bytes = static_cast<int64_t>(batch.FootprintBytes()) +
-                            static_cast<int64_t>(n) * 48;
-      side.state_bytes += bytes;
-      ctx_->state_tracker().Add(bytes);
-      side.batches.push_back(std::move(batch));
+      BufferBatch(&side, std::move(batch), key_hashes);
     }
     side.finished = finished != 0;
     side.buffering = buffering != 0;
@@ -168,50 +195,83 @@ Status SymmetricHashJoin::DoPush(int port, Batch&& batch) {
 
   const size_t n = batch.size();
   Batch out;
-  out.SetArity(output_schema().num_fields());
   {
     std::lock_guard<std::mutex> lock(mu_);
     Side& mine = sides_[port];
     Side& theirs = sides_[other];
-    for (size_t r = 0; r < n; ++r) {
-      const uint64_t h = key_hashes[r];
-      // Probe the opposite side.
-      const auto [lo, hi] = theirs.table.equal_range(h);
-      for (auto it = lo; it != hi; ++it) {
-        const Batch& ob = theirs.batches[it->second.first];
-        const size_t orow = it->second.second;
-        if (!Batch::RowsEqualOn(batch, r, my_keys, ob, orow, other_keys)) {
-          continue;
+    // Probe the opposite side, collecting every match: probe rows in order,
+    // each row's matches newest-first (chain order). Matched build batches
+    // get dense slots so the build-side gather indexes a short list.
+    std::vector<uint32_t> probe_rows, build_slots, build_rows;
+    std::vector<uint32_t> matched;  // slot -> build batch index
+    if (!theirs.heads.empty()) {
+      theirs.match_slot.resize(theirs.batches.size(), kNoEntry);
+      const uint64_t mask = theirs.heads.size() - 1;
+      for (size_t r = 0; r < n; ++r) {
+        const uint64_t h = key_hashes[r];
+        for (uint32_t e = theirs.heads[h & mask]; e != kNoEntry;
+             e = theirs.entries[e].next) {
+          const Entry& entry = theirs.entries[e];
+          if (entry.hash != h ||
+              !Batch::RowsEqualOn(batch, r, my_keys,
+                                  theirs.batches[entry.batch], entry.row,
+                                  other_keys)) {
+            continue;
+          }
+          uint32_t& slot = theirs.match_slot[entry.batch];
+          if (slot == kNoEntry) {
+            slot = static_cast<uint32_t>(matched.size());
+            matched.push_back(entry.batch);
+          }
+          probe_rows.push_back(static_cast<uint32_t>(r));
+          build_slots.push_back(slot);
+          build_rows.push_back(entry.row);
         }
-        // Gather the output row column-wise (string columns copy dictionary
-        // codes); a failing residual pops it right back off.
-        if (port == 0) {
-          out.AppendConcatRow(batch, r, ob, orow);
-        } else {
-          out.AppendConcatRow(ob, orow, batch, r);
+      }
+      for (const uint32_t bi : matched) theirs.match_slot[bi] = kNoEntry;
+    }
+    // One typed gather per output column; output is always left ++ right.
+    const size_t m = probe_rows.size();
+    const auto gather_probe = [&] {
+      for (size_t c = 0; c < batch.num_cols(); ++c) {
+        Column col;
+        col.AppendGather(batch.col(c), probe_rows.data(), m);
+        out.AddColumn(std::move(col));
+      }
+    };
+    const auto gather_build = [&] {
+      std::vector<const Column*> srcs(matched.size());
+      for (size_t c = 0; c < theirs.batches[matched[0]].num_cols(); ++c) {
+        for (size_t s = 0; s < matched.size(); ++s) {
+          srcs[s] = &theirs.batches[matched[s]].col(c);
         }
-        if (residual_) {
-          const Value v = residual_->Eval(out, out.size() - 1);
-          if (v.is_null() || v.AsInt64() == 0) out.PopBackRow();
-        }
+        Column col;
+        col.AppendGather(srcs, build_slots.data(), build_rows.data(), m);
+        out.AddColumn(std::move(col));
+      }
+    };
+    if (m > 0) {
+      if (port == 0) {
+        gather_probe();
+        gather_build();
+      } else {
+        gather_build();
+        gather_probe();
       }
     }
     // Buffer for future probes from the other side — unless that side has
     // already finished (short-circuit: no future probes can arrive). The
     // whole batch is retained as-is; the table rows point into it.
     if (mine.buffering && !theirs.finished && n > 0) {
-      const uint32_t bi = static_cast<uint32_t>(mine.batches.size());
-      for (size_t r = 0; r < n; ++r) {
-        mine.table.emplace(key_hashes[r],
-                           std::make_pair(bi, static_cast<uint32_t>(r)));
-      }
-      const int64_t bytes = static_cast<int64_t>(batch.FootprintBytes()) +
-                            static_cast<int64_t>(n) * 48 /*table entries*/;
-      mine.state_bytes += bytes;
-      ctx_->state_tracker().Add(bytes);
-      mine.batches.push_back(std::move(batch));
+      BufferBatch(&mine, std::move(batch), key_hashes);
     }
     BumpPeak();
+  }
+  if (residual_ && !out.empty()) {
+    std::vector<uint32_t> sel(out.size());
+    std::iota(sel.begin(), sel.end(), 0u);
+    residual_->EvalSelection(out, &sel);
+    if (sel.size() != out.size()) out.CompactInPlace(sel);
   }
   return Emit(std::move(out));
 }

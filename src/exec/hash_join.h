@@ -7,10 +7,23 @@
 // the Q2C discussion): once one input finishes, the other side stops
 // buffering — arriving tuples only probe — and the now-unprobeable table
 // is freed.
+//
+// Each side's table is a flat chained hash table over the side's retained
+// batches (see Side). A pushed batch is joined a batch at a time: the probe
+// collects every match as (probe row, build batch, build row), then each
+// output column is built with one typed gather (Column::AppendGather; the
+// build side's multi-batch form), and a residual predicate becomes one
+// selection plus one compaction.
+//
+// Emission order is part of the contract: probe rows in arrival order, and
+// each probe row's matches newest-first by build insertion order. Answers
+// that sum floating-point values depend on it, so sim, TCP and recovered
+// runs stay bit-identical only because every path reproduces it.
 #ifndef PUSHSIP_EXEC_HASH_JOIN_H_
 #define PUSHSIP_EXEC_HASH_JOIN_H_
 
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "exec/operator.h"
 #include "expr/expression.h"
@@ -58,8 +71,9 @@ class SymmetricHashJoin : public Operator {
   // State checkpointing: `meta` carries each side's flags and batch count;
   // the batches are both sides' retained build batches in insertion order.
   // RestoreState re-inserts rows batch-by-batch, row-by-row — the exact
-  // original insertion sequence — so bucket-chain order (and with it probe
-  // emission order) matches the snapshotted run.
+  // original insertion sequence — so every bucket chain comes back in the
+  // same newest-first order, and a restored run emits its matches in the
+  // order the snapshotted run would have.
   bool SupportsStateSnapshot() const override { return true; }
   Status SnapshotState(std::string* meta,
                        std::vector<Batch>* batches) const override;
@@ -71,21 +85,46 @@ class SymmetricHashJoin : public Operator {
   Status DoFinish(int port) override;
 
  private:
+  /// One buffered row: its key hash, where it lives, and the next-older
+  /// entry in its bucket chain (kNoEntry ends the chain).
+  struct Entry {
+    uint64_t hash;
+    uint32_t batch;
+    uint32_t row;
+    uint32_t next;
+  };
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+
   struct Side {
     // Build state stays columnar: arriving batches are retained whole and
-    // the hash table stores (batch index, row index) references, so builds
-    // are O(1) per batch (no row materialization) and probe hits gather
-    // output columns with code-copying string appends.
+    // the table stores (batch index, row index) references, so builds are
+    // O(1) per row (no row materialization) and probe hits gather output
+    // columns with code-copying string appends.
     std::vector<Batch> batches;
-    // hash(key) -> rows with that key hash (collisions verified by
-    // RowsEqualOn before emitting).
-    std::unordered_multimap<uint64_t, std::pair<uint32_t, uint32_t>> table;
+    // Flat chained hash table. `entries` holds one Entry per buffered row,
+    // in insertion order. `heads` (a power of two, empty until the first
+    // insert, at least one bucket per entry) holds the newest entry of each
+    // bucket, selected by the low bits of the hash. Inserting at the head
+    // makes a chain walk meet rows newest-first, which is the documented
+    // emission order; growth rebuilds every chain by re-inserting the
+    // entries in insertion order, so it never reorders a chain. Chains mix
+    // hashes that share a bucket: the walk skips other hashes, and hash
+    // collisions are verified by RowsEqualOn before emitting.
+    std::vector<Entry> entries;
+    std::vector<uint32_t> heads;
+    // Probe scratch, per batch index: the batch's position in the current
+    // push's list of matched batches, or kNoEntry. Reset after every push.
+    std::vector<uint32_t> match_slot;
     bool finished = false;
     bool buffering = true;
     bool complete_at_finish = false;
     int64_t state_bytes = 0;
   };
 
+  /// Retains `batch` in `side`: inserts each row under its key hash from
+  /// `hashes` (row-parallel) and charges the state tracker.
+  void BufferBatch(Side* side, Batch&& batch,
+                   const std::vector<uint64_t>& hashes);
   void ReleaseSide(Side* side);
   void BumpPeak();
 

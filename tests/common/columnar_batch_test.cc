@@ -198,6 +198,59 @@ TEST(ColumnarBatchTest, AppendGatherMatchesAppendFromLoop) {
   }
 }
 
+// The multi-source gather (a join's build side) against a per-row
+// AppendFrom loop: sources that share one dictionary (slices of one
+// column, the typed path) and sources that bring their own dictionary or
+// another type (the per-row fallback).
+TEST(ColumnarBatchTest, MultiSourceAppendGatherMatchesAppendFromLoop) {
+  Random rng = SeededRandom(105);
+  for (int iter = 0; iter < 300; ++iter) {
+    PUSHSIP_SEED_TRACE(testing::TestSeed());
+    const int64_t kind = rng.UniformInt(0, 4);
+    const Column base =
+        RandomColumn(&rng, static_cast<size_t>(rng.UniformInt(1, 40)), kind);
+    std::vector<Column> owned(static_cast<size_t>(rng.UniformInt(1, 4)));
+    for (Column& src : owned) {
+      if (rng.Bernoulli(0.2)) {
+        src = RandomColumn(&rng, static_cast<size_t>(rng.UniformInt(1, 20)),
+                           rng.Bernoulli(0.5) ? kind : rng.UniformInt(0, 4));
+      } else {
+        const size_t begin =
+            static_cast<size_t>(rng.UniformInt(0, base.size() - 1));
+        src.AppendRange(base, begin, base.size());
+      }
+    }
+    std::vector<const Column*> srcs;
+    for (const Column& src : owned) srcs.push_back(&src);
+    std::vector<uint32_t> which(static_cast<size_t>(rng.UniformInt(0, 60)));
+    std::vector<uint32_t> rows(which.size());
+    for (size_t k = 0; k < which.size(); ++k) {
+      which[k] = static_cast<uint32_t>(rng.UniformInt(0, srcs.size() - 1));
+      rows[k] = static_cast<uint32_t>(
+          rng.UniformInt(0, srcs[which[k]]->size() - 1));
+    }
+
+    Column got;
+    if (rng.Bernoulli(0.3)) got = Column(base.type());
+    Column want = got;
+    got.AppendGather(srcs, which.data(), rows.data(), which.size());
+    for (size_t k = 0; k < which.size(); ++k) {
+      want.AppendFrom(*srcs[which[k]], rows[k]);
+    }
+
+    ASSERT_EQ(got.size(), want.size()) << "iter " << iter;
+    EXPECT_EQ(got.NullCount(), want.NullCount()) << "iter " << iter;
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got.IsNull(r), want.IsNull(r)) << "iter " << iter;
+      EXPECT_EQ(got.CompareAt(r, want, r), 0)
+          << "iter " << iter << " row " << r << ": "
+          << got.GetValue(r).ToString() << " vs "
+          << want.GetValue(r).ToString();
+      EXPECT_EQ(got.HashAt(r), want.HashAt(r)) << "iter " << iter;
+    }
+  }
+}
+
 TEST(ColumnarBatchTest, BatchAppendGatherMatchesAppendRowFromLoop) {
   Random rng = SeededRandom(104);
   for (int iter = 0; iter < 100; ++iter) {
