@@ -6,14 +6,20 @@
 // in closed form — plus the cross-batch
 // dictionary stream encoding vs per-batch dictionaries), the scale-out
 // reshard (PartitionCatalog's typed gathers + typed statistics vs the
-// per-cell row-at-a-time copy and per-cell statistics it replaced), and the
+// per-cell row-at-a-time copy and per-cell statistics it replaced), the
 // join probe (SymmetricHashJoin's flat table and per-column gathers vs the
-// multimap and per-row concatenation it replaced, on the served query's
-// 25-column lineitem-part output).
+// multimap and per-row concatenation it replaced, on a wide lineitem-part
+// join that emits every column of both tables), and the aggregate fold
+// (HashAggregate's typed per-column loops vs the per-row lookup and Eval
+// it replaced, on the served query's ungrouped COUNT/SUM shape).
+//
+// Every cell with a reference strategy checks that both strategies compute
+// the same answer (filter survivors, reshard NDV sum, join output rows,
+// fold totals); a mismatch exits non-zero, with or without --check.
 //
 // Flags: the shared harness flags (--reps=, --seed=, --json <path>) plus
-//   --sf=X      TPC-H scale factor of the partition_catalog and join_probe
-//               cells' tables (default 0.02)
+//   --sf=X      TPC-H scale factor of the partition_catalog, join_probe
+//               and agg_fold cells' tables (default 0.02)
 //   --rows=N    rows per batch            (default 1024)
 //   --batches=N batches per measurement   (default 256)
 //   --check     exit non-zero unless the vectorized filter pipeline is
@@ -29,6 +35,7 @@
 
 #include "bench/figure_harness.h"
 #include "dist/scale_out.h"
+#include "exec/hash_aggregate.h"
 #include "exec/hash_join.h"
 #include "exec/operator.h"
 #include "exec/sink.h"
@@ -46,16 +53,23 @@ using namespace pushsip::bench;
 
 namespace {
 
-/// Terminal operator that drops its input: the measurement isolates the
-/// filter stage in Operator::Push, not result accumulation.
+/// Terminal operator that counts and drops its input: the measurement
+/// isolates the filter stage in Operator::Push, not result accumulation.
 class NullOp : public Operator {
  public:
   NullOp(ExecContext* ctx, Schema schema)
       : Operator(ctx, "null", 1, std::move(schema)) {}
+  int64_t rows() const { return rows_; }
 
  protected:
-  Status DoPush(int, Batch&&) override { return Status::OK(); }
+  Status DoPush(int, Batch&& batch) override {
+    rows_ += static_cast<int64_t>(batch.size());
+    return Status::OK();
+  }
   Status DoFinish(int) override { return Status::OK(); }
+
+ private:
+  int64_t rows_ = 0;
 };
 
 Schema TwoIntSchema() {
@@ -131,6 +145,9 @@ size_t RowAtATimeFilter(
 struct Throughput {
   double rows_per_sec = 0;
   double elapsed_sec = 0;
+  /// What the cell computed, summed over repetitions; a cell's strategies
+  /// must agree on it.
+  uint64_t answer = 0;
 };
 
 /// Filter-pipeline cell: pushes `stream` (copied per repetition) through
@@ -142,6 +159,7 @@ Throughput RunFilterPipeline(const std::vector<Batch>& stream, bool vectorized,
   const auto filters = MakeAipFilters(/*key_range=*/4096, seed);
   double total_sec = 0;
   int64_t total_rows = 0;
+  uint64_t survivors = 0;
   for (int rep = 0; rep < reps; ++rep) {
     std::vector<Batch> copy = stream;
     if (vectorized) {
@@ -155,16 +173,17 @@ Throughput RunFilterPipeline(const std::vector<Batch>& stream, bool vectorized,
         op.Push(0, std::move(b)).CheckOK();
       }
       total_sec += sw.ElapsedSeconds();
+      survivors += static_cast<uint64_t>(op.rows());
     } else {
       Stopwatch sw;
       for (Batch& b : copy) {
         total_rows += static_cast<int64_t>(b.size());
-        RowAtATimeFilter(filters, std::move(b));
+        survivors += RowAtATimeFilter(filters, std::move(b));
       }
       total_sec += sw.ElapsedSeconds();
     }
   }
-  return {static_cast<double>(total_rows) / total_sec, total_sec};
+  return {static_cast<double>(total_rows) / total_sec, total_sec, survivors};
 }
 
 /// Key-hash cell: four consumers (filter probe, shuffle routing, join
@@ -344,7 +363,8 @@ int64_t RowAtATimeReshard(const Table& table, int sites) {
 
 /// Partition-catalog cell: lineitem resharded over `sites` shards with
 /// statistics, either through PartitionCatalog (one typed gather per shard
-/// and column, typed ComputeStats) or the row-at-a-time reference.
+/// and column, typed ComputeStats) or the row-at-a-time reference. The
+/// answer is the NDV summed over every shard and column.
 /// Throughput counts lineitem rows resharded per second; one untimed
 /// warm-up pass first, so the first timed pass does not pay for the
 /// allocator's first touch of shard-sized blocks.
@@ -352,29 +372,34 @@ Throughput RunPartitionCatalog(const Catalog& full, bool gather, int sites,
                                int reps) {
   const TablePtr lineitem = *full.GetTable("lineitem");
   double total_sec = 0;
-  int64_t sink = 0;
+  int64_t ndv_sum = 0;
   for (int rep = -1; rep < reps; ++rep) {
     Stopwatch sw;
     if (gather) {
       const auto parts = PartitionCatalog(full, {"lineitem"}, sites);
-      const TablePtr shard = *parts.back()->GetTable("lineitem");
-      sink += shard->column_stats(0).distinct_count;
+      for (const auto& part : parts) {
+        const TablePtr shard = *part->GetTable("lineitem");
+        for (size_t c = 0; c < shard->num_cols(); ++c) {
+          ndv_sum += shard->column_stats(c).distinct_count;
+        }
+      }
     } else {
-      sink += RowAtATimeReshard(*lineitem, sites);
+      ndv_sum += RowAtATimeReshard(*lineitem, sites);
     }
     if (rep >= 0) total_sec += sw.ElapsedSeconds();
   }
-  if (sink == 0x5ca1ab1e) std::fprintf(stderr, "#\n");
   return {static_cast<double>(lineitem->num_rows()) * reps / total_sec,
-          total_sec};
+          total_sec, static_cast<uint64_t>(ndv_sum)};
 }
 
-/// `table`'s rows in scan-sized slices (Table::SliceRows).
+/// `table`'s rows, every column, in scan-sized slices (Table::SliceRows).
 std::vector<Batch> SliceTable(const Table& table, size_t rows) {
+  std::vector<int> cols(table.num_cols());
+  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
   std::vector<Batch> batches;
   for (size_t begin = 0; begin < table.num_rows(); begin += rows) {
-    batches.push_back(
-        table.SliceRows(begin, std::min(table.num_rows(), begin + rows)));
+    batches.push_back(table.SliceRows(
+        begin, std::min(table.num_rows(), begin + rows), cols));
   }
   return batches;
 }
@@ -421,11 +446,13 @@ size_t RowAtATimeJoin(const std::vector<Batch>& build,
   return out_rows;
 }
 
-/// Join-probe cell: the served query's shape — part rows with p_size < 40
-/// buffered as the build side, then every lineitem row probing it on
-/// l_partkey, 25 output columns — through SymmetricHashJoin (build port
-/// finished first, so the probe side only probes) or the row-at-a-time
-/// reference. Throughput counts build plus probe rows per second.
+/// Join-probe cell: a wide join — part rows with p_size < 40 buffered as
+/// the build side, then every lineitem row probing it on l_partkey, every
+/// column of both tables in the output — through SymmetricHashJoin (build
+/// port finished first, so the probe side only probes) or the row-at-a-time
+/// reference. Served queries now scan only the columns they read, so this
+/// cell measures the wide-row case, not serving. Throughput counts build
+/// plus probe rows per second; the answer is the output row count.
 Throughput RunJoinProbe(const Catalog& catalog, bool batched, int reps) {
   const TablePtr lineitem = *catalog.GetTable("lineitem");
   const TablePtr part = *catalog.GetTable("part");
@@ -448,7 +475,7 @@ Throughput RunJoinProbe(const Catalog& catalog, bool batched, int reps) {
   for (const Batch& b : probe) rows += b.size();
   for (const Batch& b : build) rows += b.size();
   double total_sec = 0;
-  size_t sink = 0;
+  uint64_t out_rows = 0;
   for (int rep = 0; rep < reps; ++rep) {
     std::vector<Batch> probe_copy = probe;
     std::vector<Batch> build_copy = build;
@@ -466,15 +493,105 @@ Throughput RunJoinProbe(const Catalog& catalog, bool batched, int reps) {
       for (Batch& b : probe_copy) join.Push(0, std::move(b)).CheckOK();
       join.Finish(0).CheckOK();
       total_sec += sw.ElapsedSeconds();
-      sink += static_cast<size_t>(join.rows_out());
+      out_rows += static_cast<uint64_t>(join.rows_out());
     } else {
       Stopwatch sw;
-      sink += RowAtATimeJoin(build_copy, probe_copy, build_keys, probe_keys);
+      out_rows +=
+          RowAtATimeJoin(build_copy, probe_copy, build_keys, probe_keys);
       total_sec += sw.ElapsedSeconds();
     }
   }
-  if (sink == 0x5ca1ab1e) std::fprintf(stderr, "#\n");
-  return {static_cast<double>(rows) * reps / total_sec, total_sec};
+  return {static_cast<double>(rows) * reps / total_sec, total_sec, out_rows};
+}
+
+/// Digest of the finalized aggregate values and their types: equal only
+/// when every count and sum is bit-identical.
+uint64_t DigestOf(const std::vector<Value>& values) {
+  uint64_t h = 0;
+  for (const Value& v : values) {
+    h = h * 0x100000001b3ULL ^ (v.Hash() + static_cast<uint64_t>(v.type()));
+  }
+  return h;
+}
+
+/// The fold HashAggregate did before its typed loops, kept as the
+/// reference: per row a group lookup in an unordered_multimap, and per
+/// aggregate a virtual Eval into a Value and AggState::Update.
+std::vector<Value> RowAtATimeFold(const std::vector<Batch>& input,
+                                  const std::vector<AggSpec>& aggs) {
+  std::unordered_multimap<uint64_t, std::vector<AggState>> groups;
+  const std::vector<int> no_keys;
+  for (const Batch& batch : input) {
+    for (size_t r = 0; r < batch.size(); ++r) {
+      const uint64_t h = batch.RowHashColumns(r, no_keys);
+      auto it = groups.find(h);
+      if (it == groups.end()) {
+        std::vector<AggState> states;
+        for (const AggSpec& a : aggs) states.emplace_back(a.func);
+        it = groups.emplace(h, std::move(states));
+      }
+      for (size_t i = 0; i < aggs.size(); ++i) {
+        it->second[i].Update(aggs[i].input ? aggs[i].input->Eval(batch, r)
+                                           : Value::Int64(1));
+      }
+    }
+  }
+  std::vector<Value> out;
+  for (const auto& [_, states] : groups) {
+    for (const AggState& s : states) out.push_back(s.Finalize());
+  }
+  return out;
+}
+
+/// Aggregate-fold cell: the served query's ungrouped shape, COUNT(*) and
+/// SUM(l_quantity), plus SUM and AVG of l_extendedprice so both typed
+/// loops (INT64 and DOUBLE) run, over every lineitem row in scan-sized
+/// slices of those two columns — through HashAggregate's typed fold or
+/// the row-at-a-time reference. Throughput counts input rows per second;
+/// the answer is a digest of the finalized values.
+Throughput RunAggFold(const Catalog& catalog, bool typed, int reps) {
+  const TablePtr lineitem = *catalog.GetTable("lineitem");
+  const int qty = *lineitem->schema().IndexOf("l_quantity");
+  const int price = *lineitem->schema().IndexOf("l_extendedprice");
+  std::vector<Batch> input;
+  for (size_t begin = 0; begin < lineitem->num_rows();
+       begin += kDefaultBatchSize) {
+    input.push_back(lineitem->SliceRows(
+        begin, std::min(lineitem->num_rows(), begin + kDefaultBatchSize),
+        {qty, price}));
+  }
+  const Schema in_schema(
+      {lineitem->schema().field(static_cast<size_t>(qty)),
+       lineitem->schema().field(static_cast<size_t>(price))});
+  const std::vector<AggSpec> aggs = {
+      {AggFunc::kCount, nullptr, "cnt"},
+      {AggFunc::kSum, Col(0, TypeId::kInt64), "qty"},
+      {AggFunc::kSum, Col(1, TypeId::kDouble), "revenue"},
+      {AggFunc::kAvg, Col(1, TypeId::kDouble), "avg_price"}};
+  double total_sec = 0;
+  uint64_t digest = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::vector<Batch> copy = input;
+    std::vector<Value> totals;
+    if (typed) {
+      ExecContext ctx;
+      HashAggregate agg(&ctx, "agg", in_schema, {}, aggs);
+      Sink sink(&ctx, "sink", agg.output_schema());
+      agg.SetOutput(&sink);
+      Stopwatch sw;
+      for (Batch& b : copy) agg.Push(0, std::move(b)).CheckOK();
+      agg.Finish(0).CheckOK();
+      total_sec += sw.ElapsedSeconds();
+      totals = sink.rows().front().values();
+    } else {
+      Stopwatch sw;
+      totals = RowAtATimeFold(copy, aggs);
+      total_sec += sw.ElapsedSeconds();
+    }
+    digest += DigestOf(totals);
+  }
+  return {static_cast<double>(lineitem->num_rows()) * reps / total_sec,
+          total_sec, digest};
 }
 
 }  // namespace
@@ -604,6 +721,36 @@ int main(int argc, char** argv) {
   record_tp("join_probe", "row_at_a_time", join_rows);
   record_tp("join_probe", "batch_gather", join_batched);
 
+  // --- aggregate fold ---
+  const Throughput fold_rows =
+      RunAggFold(tpch_catalog, /*typed=*/false, reps);
+  const Throughput fold_typed =
+      RunAggFold(tpch_catalog, /*typed=*/true, reps);
+  record_tp("agg_fold", "row_eval", fold_rows);
+  record_tp("agg_fold", "typed_fold", fold_typed);
+
+  // Each optimized strategy must compute its reference's answer; timing a
+  // wrong answer means nothing, so this holds without --check too.
+  const struct {
+    const char* cell;
+    const Throughput& reference;
+    const Throughput& measured;
+  } answers[] = {{"filter_pipeline", row_based, vectorized},
+                 {"partition_catalog", reshard_rows, reshard_gather},
+                 {"join_probe", join_rows, join_batched},
+                 {"agg_fold", fold_rows, fold_typed}};
+  bool answers_agree = true;
+  for (const auto& a : answers) {
+    if (a.reference.answer != a.measured.answer) {
+      std::fprintf(stderr,
+                   "ANSWER MISMATCH: %s computes %llu, its reference %llu\n",
+                   a.cell, static_cast<unsigned long long>(a.measured.answer),
+                   static_cast<unsigned long long>(a.reference.answer));
+      answers_agree = false;
+    }
+  }
+  if (!answers_agree) return 1;
+
   std::printf(
       "# filter speedup: %.2fx   hash-reuse speedup: %.2fx   "
       "v2/v1 bytes: %.2f (%.0f%% smaller)\n",
@@ -626,6 +773,8 @@ int main(int argc, char** argv) {
               kShards);
   std::printf("# join_probe batch-gather speedup: %.2fx\n",
               join_batched.rows_per_sec / join_rows.rows_per_sec);
+  std::printf("# agg_fold typed-fold speedup: %.2fx\n",
+              fold_typed.rows_per_sec / fold_rows.rows_per_sec);
 
   if (!opts.json_path.empty() &&
       !WriteJsonReport(opts.json_path, "micro_hotpath",

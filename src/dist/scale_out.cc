@@ -413,9 +413,13 @@ Status BuildQ17(Assembly* a, const Catalog& full) {
   const double li_rows = static_cast<double>(lineitem->num_rows());
   const double part_sel = a->opts->weak_part_filter ? 1.0 / 40 : 1.0 / 1000;
 
-  const Schema p_schema = MakeInstanceSchema(*part, "p", 0);
-  const Schema l1_schema = MakeInstanceSchema(*lineitem, "l1", 1);
-  const Schema l2_schema = MakeInstanceSchema(*lineitem, "l2", 2);
+  // Each scan reads only the columns its filter and project use.
+  const Schema p_schema = MakeInstanceSchema(
+      *part, "p", 0, {"p_partkey", "p_brand", "p_container"});
+  const Schema l1_schema = MakeInstanceSchema(
+      *lineitem, "l1", 1, {"l_partkey", "l_quantity", "l_extendedprice"});
+  const Schema l2_schema =
+      MakeInstanceSchema(*lineitem, "l2", 2, {"l_partkey", "l_quantity"});
 
   auto ch_part = a->ChannelPerSite(/*senders=*/1);
   auto ch_l1 = a->ChannelPerSite(/*senders=*/N);

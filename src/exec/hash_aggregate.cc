@@ -13,7 +13,12 @@ HashAggregate::HashAggregate(ExecContext* ctx, std::string name,
     : Operator(ctx, std::move(name), 1,
                MakeOutputSchema(in_schema, group_cols, aggs)),
       group_cols_(std::move(group_cols)),
-      aggs_(std::move(aggs)) {}
+      key_cols_(group_cols_.size()),
+      aggs_(std::move(aggs)) {
+  for (size_t i = 0; i < key_cols_.size(); ++i) {
+    key_cols_[i] = static_cast<int>(i);
+  }
+}
 
 HashAggregate::~HashAggregate() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -130,10 +135,9 @@ Status HashAggregate::RestoreState(const std::string& meta,
   // column-hash formula DoPush used, and groups are re-emplaced in their
   // original creation order, reproducing the table layout — and with it
   // DoFinish's emission order — exactly.
-  std::vector<int> key_cols(k);
-  for (size_t i = 0; i < k; ++i) key_cols[i] = static_cast<int>(i);
   std::vector<uint64_t> scratch;
-  const std::vector<uint64_t>& key_hashes = state.KeyHashes(key_cols, &scratch);
+  const std::vector<uint64_t>& key_hashes =
+      state.KeyHashes(key_cols_, &scratch);
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t r = 0; r < count; ++r) {
     Group g;
@@ -168,56 +172,105 @@ Status HashAggregate::RestoreState(const std::string& meta,
   return Status::OK();
 }
 
+HashAggregate::Group* HashAggregate::FindOrAddGroup(const Batch& batch,
+                                                    size_t r, uint64_t h) {
+  const auto [lo, hi] = groups_.equal_range(h);
+  for (auto it = lo; it != hi; ++it) {
+    if (batch.RowEqualsTupleOn(r, group_cols_, it->second.key, key_cols_)) {
+      return &it->second;
+    }
+  }
+  // Group keys are state, not flow: materializing one Tuple per group is
+  // bounded by the group cardinality, not the input size.
+  Group g;
+  std::vector<Value> key_values;
+  key_values.reserve(group_cols_.size());
+  for (const int c : group_cols_) {
+    key_values.push_back(batch.ValueAt(r, static_cast<size_t>(c)));
+  }
+  g.key = Tuple(std::move(key_values));
+  g.seq = next_group_seq_++;
+  g.states.reserve(aggs_.size());
+  for (const AggSpec& a : aggs_) g.states.emplace_back(a.func);
+  const int64_t bytes = static_cast<int64_t>(g.key.FootprintBytes()) +
+                        static_cast<int64_t>(aggs_.size()) * 48 + 16;
+  state_bytes_ += bytes;
+  ctx_->state_tracker().Add(bytes);
+  return &groups_.emplace(h, std::move(g))->second;
+}
+
+namespace {
+
+// Folds rows [0, n) of `batch` into aggregate `a`, row r into the state
+// state_of(r), in row order. A bare non-variant INT64 or DOUBLE input
+// column folds its raw slots in one typed loop (AggState::UpdateI64/F64,
+// which match Update exactly); MIN/MAX, computed inputs and variant or
+// other-typed columns take the per-row Eval path.
+template <typename StateOf>
+void FoldAggregate(const AggSpec& a, const Batch& batch, StateOf state_of) {
+  const size_t n = batch.size();
+  if (a.func == AggFunc::kCount && !a.input) {  // COUNT(*): every row
+    for (size_t r = 0; r < n; ++r) state_of(r).UpdateI64(1);
+    return;
+  }
+  const int c = a.input->column_index();
+  if (c >= 0 && a.func != AggFunc::kMin && a.func != AggFunc::kMax) {
+    const Column& col = batch.col(static_cast<size_t>(c));
+    const std::vector<uint64_t>& nulls = col.null_words();
+    const auto is_null = [&nulls](size_t r) {
+      return !nulls.empty() && ((nulls[r >> 6] >> (r & 63)) & 1) != 0;
+    };
+    if (!col.is_variant() && col.type() == TypeId::kInt64) {
+      const int64_t* v = col.i64_data();
+      for (size_t r = 0; r < n; ++r) {
+        if (!is_null(r)) state_of(r).UpdateI64(v[r]);
+      }
+      return;
+    }
+    if (!col.is_variant() && col.type() == TypeId::kDouble) {
+      const double* v = col.f64_data();
+      for (size_t r = 0; r < n; ++r) {
+        if (!is_null(r)) state_of(r).UpdateF64(v[r]);
+      }
+      return;
+    }
+  }
+  for (size_t r = 0; r < n; ++r) state_of(r).Update(a.input->Eval(batch, r));
+}
+
+}  // namespace
+
 Status HashAggregate::DoPush(int, Batch&& batch) {
+  const size_t n = batch.size();
+  if (n == 0) return Status::OK();
   // Group-key hashes come from the batch's cached lane when available
   // (e.g. computed by an AIP filter or shuffle on the same keys), and are
   // computed outside the lock otherwise.
   std::vector<uint64_t> scratch;
-  const std::vector<uint64_t>& key_hashes =
-      batch.KeyHashes(group_cols_, &scratch);
+  const std::vector<uint64_t>* key_hashes =
+      group_cols_.empty() ? nullptr : &batch.KeyHashes(group_cols_, &scratch);
   std::lock_guard<std::mutex> lock(mu_);
-  const std::vector<int> identity = [&] {
-    std::vector<int> v(group_cols_.size());
-    for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<int>(i);
-    return v;
-  }();
-  const size_t n = batch.size();
-  for (size_t r = 0; r < n; ++r) {
-    const uint64_t h = key_hashes[r];
-    Group* group = nullptr;
-    const auto [lo, hi] = groups_.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      if (batch.RowEqualsTupleOn(r, group_cols_, it->second.key, identity)) {
-        group = &it->second;
-        break;
-      }
+  // First each row's group, in row order, so groups are created in the
+  // order a row-at-a-time loop would create them; then each aggregate
+  // folds the batch in row order, so every group accumulates its rows in
+  // the same order as before.
+  if (key_hashes == nullptr) {
+    // Scalar aggregation: every row belongs to the one group.
+    Group* group = FindOrAddGroup(batch, 0, batch.RowHashColumns(0, {}));
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      AggState& state = group->states[i];
+      FoldAggregate(aggs_[i], batch,
+                    [&state](size_t) -> AggState& { return state; });
     }
-    if (group == nullptr) {
-      // Group keys are state, not flow: materializing one Tuple per group
-      // is bounded by the group cardinality, not the input size.
-      Group g;
-      std::vector<Value> key_values;
-      key_values.reserve(group_cols_.size());
-      for (const int c : group_cols_) {
-        key_values.push_back(batch.ValueAt(r, static_cast<size_t>(c)));
-      }
-      g.key = Tuple(std::move(key_values));
-      g.seq = next_group_seq_++;
-      g.states.reserve(aggs_.size());
-      for (const AggSpec& a : aggs_) g.states.emplace_back(a.func);
-      const int64_t bytes = static_cast<int64_t>(g.key.FootprintBytes()) +
-                            static_cast<int64_t>(aggs_.size()) * 48 + 16;
-      state_bytes_ += bytes;
-      ctx_->state_tracker().Add(bytes);
-      group = &groups_.emplace(h, std::move(g))->second;
+  } else {
+    std::vector<Group*> row_group(n);
+    for (size_t r = 0; r < n; ++r) {
+      row_group[r] = FindOrAddGroup(batch, r, (*key_hashes)[r]);
     }
     for (size_t i = 0; i < aggs_.size(); ++i) {
-      const AggSpec& a = aggs_[i];
-      if (a.func == AggFunc::kCount && !a.input) {
-        group->states[i].Update(Value::Int64(1));  // COUNT(*)
-      } else {
-        group->states[i].Update(a.input->Eval(batch, r));
-      }
+      FoldAggregate(aggs_[i], batch, [&row_group, i](size_t r) -> AggState& {
+        return row_group[r]->states[i];
+      });
     }
   }
   const int64_t now = state_bytes_;

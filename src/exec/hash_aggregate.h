@@ -70,7 +70,13 @@ class HashAggregate : public Operator {
     int64_t seq = 0;
   };
 
+  /// The group of row `r` of `batch` (key hash `h`), created — and its
+  /// state bytes charged — when new. Caller holds mu_.
+  Group* FindOrAddGroup(const Batch& batch, size_t r, uint64_t h);
+
   std::vector<int> group_cols_;
+  /// 0..k-1: the positions of the group columns within a Group's key.
+  std::vector<int> key_cols_;
   std::vector<AggSpec> aggs_;
 
   mutable std::mutex mu_;

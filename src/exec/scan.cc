@@ -8,14 +8,59 @@
 
 namespace pushsip {
 
+namespace {
+
+// The table column each field of `schema` names: "alias.col" (or a bare
+// "col") resolves through the table schema's unqualified lookup.
+Result<std::vector<int>> ResolveTableColumns(const Table& table,
+                                             const Schema& schema) {
+  if (schema.num_fields() == 0) {
+    return Status::InvalidArgument("scan of " + table.name() +
+                                   " reads no columns");
+  }
+  std::vector<int> cols;
+  std::vector<bool> used(table.num_cols(), false);
+  for (const Field& f : schema.fields()) {
+    const size_t dot = f.name.find('.');
+    const std::string col =
+        dot == std::string::npos ? f.name : f.name.substr(dot + 1);
+    const Result<int> idx = table.schema().IndexOf(col);
+    if (!idx.ok()) {
+      return Status::InvalidArgument("scan field " + f.name + ": " +
+                                     idx.status().message());
+    }
+    const size_t c = static_cast<size_t>(*idx);
+    if (table.schema().field(c).type != f.type) {
+      return Status::InvalidArgument(
+          "scan field " + f.name + " is " + TypeName(f.type) + " but " +
+          table.name() + "." + col + " is " +
+          TypeName(table.schema().field(c).type));
+    }
+    if (used[c]) {
+      return Status::InvalidArgument("scan reads " + table.name() + "." +
+                                     col + " twice");
+    }
+    used[c] = true;
+    cols.push_back(*idx);
+  }
+  return cols;
+}
+
+}  // namespace
+
 TableScan::TableScan(ExecContext* ctx, std::string name, TablePtr table,
                      Schema schema, ScanOptions options)
     : SourceOperator(ctx, std::move(name), std::move(schema)),
       table_(std::move(table)),
       options_(std::move(options)) {
   PUSHSIP_DCHECK(table_ != nullptr);
-  PUSHSIP_DCHECK(output_schema().num_fields() ==
-                 table_->schema().num_fields());
+  Result<std::vector<int>> cols =
+      ResolveTableColumns(*table_, output_schema());
+  if (cols.ok()) {
+    table_cols_ = std::move(*cols);
+  } else {
+    bind_status_ = cols.status();
+  }
 }
 
 void TableScan::AttachSourceFilter(
@@ -44,6 +89,7 @@ void TableScan::ResetForReplay() {
 }
 
 Status TableScan::Run() {
+  PUSHSIP_RETURN_NOT_OK(bind_status_);
   if (options_.initial_delay_ms > 0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         options_.initial_delay_ms));
@@ -66,9 +112,10 @@ Status TableScan::Run() {
   refresh_filters();
 
   // Both modes stream the table window by window: batch k is a typed
-  // column slice of raw rows [k*B, (k+1)*B) sharing the table columns'
-  // dictionaries (no per-row materialization), narrowed by the source
-  // filters through one selection vector and compacted once.
+  // slice of the scanned columns over raw rows [k*B, (k+1)*B), sharing
+  // the table columns' dictionaries (no per-row materialization),
+  // narrowed by the source filters through one selection vector and
+  // compacted once.
   //
   // With window_batches the window index is the batch's deterministic
   // identity: pruning shrinks a window's batch (possibly to nothing, a
@@ -103,7 +150,7 @@ Status TableScan::Run() {
       }
     }
     refresh_filters();
-    Batch batch = table_->SliceRows(start, end);
+    Batch batch = table_->SliceRows(start, end, table_cols_);
     if (!filters.empty()) {
       const size_t n = batch.size();
       std::vector<uint32_t> sel(n);

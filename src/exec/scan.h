@@ -43,12 +43,26 @@ struct ScanOptions {
 };
 
 /// \brief Streams the rows of a Table, in generation order, as batches.
+///
+/// The scan reads only the table columns its schema names: each batch is a
+/// slice of exactly those columns, in schema order (Table::SliceRows), so
+/// a column no operator above reads is never copied.
 class TableScan : public SourceOperator {
  public:
-  /// `schema` is the query-instance schema: same arity/types as the table,
-  /// fields renamed to the instance alias and tagged with fresh AttrIds.
+  /// `schema` is the query-instance schema (see MakeInstanceSchema): a
+  /// non-empty subset of the table's columns, in any order, renamed to the
+  /// instance alias and tagged with AttrIds. Field "alias.col" resolves to
+  /// the table column "col" and must have its type; no column may appear
+  /// twice. A schema that does not resolve leaves the scan unbound:
+  /// bind_status() says why and Run() fails with it.
   TableScan(ExecContext* ctx, std::string name, TablePtr table, Schema schema,
             ScanOptions options = {});
+
+  /// OK when every schema field resolved to a table column of its type.
+  const Status& bind_status() const { return bind_status_; }
+
+  /// The table column each output field reads (empty when unbound).
+  const std::vector<int>& table_columns() const { return table_cols_; }
 
   /// Reads the whole table, honouring delays and source filters; pushes
   /// batches downstream and then signals Finish. Called on a driver thread.
@@ -87,6 +101,8 @@ class TableScan : public SourceOperator {
  private:
   TablePtr table_;
   ScanOptions options_;
+  Status bind_status_;
+  std::vector<int> table_cols_;
 
   mutable std::mutex filter_mu_;
   std::vector<std::shared_ptr<const TupleFilter>> source_filters_;

@@ -14,11 +14,6 @@ const char* AggFuncName(AggFunc f) {
 }
 
 void AggState::Update(const Value& v) {
-  if (func_ == AggFunc::kCount) {
-    // COUNT(*) passes a non-null dummy; COUNT(expr) skips NULLs upstream.
-    ++count_;
-    return;
-  }
   if (v.is_null()) return;
   ++count_;
   switch (func_) {

@@ -16,13 +16,43 @@ const char* AggFuncName(AggFunc f);
 
 /// \brief Running state of one aggregate over one group.
 ///
-/// NULL inputs are ignored per SQL semantics; an aggregate that saw no
-/// non-NULL input finalizes to NULL (COUNT finalizes to 0).
+/// NULL inputs are ignored per SQL semantics, COUNT(expr) included: it
+/// counts the non-NULL inputs. COUNT(*) has no input expression, so its
+/// caller passes a non-NULL dummy per row and every row counts. An
+/// aggregate that saw no non-NULL input finalizes to NULL (COUNT
+/// finalizes to 0).
+///
+/// UpdateI64 / UpdateF64 are Update for a non-NULL Value::Int64 /
+/// Value::Double without building the Value: the batch fold of
+/// HashAggregate calls them on raw typed column slots. Each leaves exactly
+/// the state Update would (the same integral/double SUM promotion at the
+/// same row), so the two paths can interleave and stay bit-identical.
+/// They serve SUM, AVG and COUNT; MIN/MAX compare Values and take Update.
 class AggState {
  public:
   explicit AggState(AggFunc func) : func_(func) {}
 
   void Update(const Value& v);
+  void UpdateI64(int64_t v) {
+    PUSHSIP_DCHECK(func_ != AggFunc::kMin && func_ != AggFunc::kMax);
+    ++count_;
+    if (func_ == AggFunc::kCount) return;
+    if (sum_integral_) {
+      isum_ += v;
+    } else {
+      sum_ += static_cast<double>(v);
+    }
+  }
+  void UpdateF64(double v) {
+    PUSHSIP_DCHECK(func_ != AggFunc::kMin && func_ != AggFunc::kMax);
+    ++count_;
+    if (func_ == AggFunc::kCount) return;
+    if (sum_integral_) {
+      sum_ = static_cast<double>(isum_);
+      sum_integral_ = false;
+    }
+    sum_ += v;
+  }
   Value Finalize() const;
 
   AggFunc func() const { return func_; }

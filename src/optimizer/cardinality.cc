@@ -44,9 +44,11 @@ void EstimateCardinality(PlanNode* n) {
       for (size_t c = 0; c < schema.num_fields(); ++c) {
         const AttrId attr = schema.field(c).attr;
         if (attr == kInvalidAttr) continue;
+        const size_t col = static_cast<size_t>(n->table_cols[c]);
         const double d =
             n->table->has_stats()
-                ? static_cast<double>(n->table->column_stats(c).distinct_count)
+                ? static_cast<double>(
+                      n->table->column_stats(col).distinct_count)
                 : n->est_rows;
         n->ndv[attr] = d;
       }

@@ -43,6 +43,10 @@ struct PlanNode {
 
   // Kind-specific estimation inputs.
   TablePtr table;            ///< kScan
+  /// kScan: the table column each output field reads (a scan may read a
+  /// subset of the table, so field i's statistics are column_stats of
+  /// table_cols[i], not of column i).
+  std::vector<int> table_cols;
   double selectivity = 1.0;  ///< kFilter / join residual selectivity hint
   std::vector<std::pair<AttrId, AttrId>> join_attrs;  ///< kJoin key pairs
   std::vector<AttrId> group_attrs;                    ///< kAggregate keys

@@ -70,6 +70,27 @@ std::string PredicateFingerprint(const ServeQuery& q) {
   return q.build_filter_col + "<" + std::to_string(q.build_filter_upper);
 }
 
+/// The table columns a served query reads, and so all its scans read: the
+/// build side's join key and filter column, and the probe side's join key
+/// and SUM input. A column named twice is read once.
+struct ServedColumns {
+  std::vector<std::string> build;
+  std::vector<std::string> probe;
+};
+
+ServedColumns ColumnsRead(const ServeQuery& q) {
+  ServedColumns cols;
+  cols.build = {q.build_key};
+  if (q.build_filter_col != q.build_key) {
+    cols.build.push_back(q.build_filter_col);
+  }
+  cols.probe = {q.probe_key};
+  if (!q.probe_agg_col.empty() && q.probe_agg_col != q.probe_key) {
+    cols.probe.push_back(q.probe_agg_col);
+  }
+  return cols;
+}
+
 }  // namespace
 
 struct QueryServer::Session {
@@ -353,8 +374,10 @@ Result<SessionResult> QueryServer::RunLocal(const SessionPtr& s) {
   scan_opts.delay_ms = opts_.scan_delay_ms;
 
   PlanBuilder pb(&ctx, catalog_);
-  const Schema build_schema = MakeInstanceSchema(*build.table, "b", 0);
-  const Schema probe_schema = MakeInstanceSchema(*probe, "r", 1);
+  const ServedColumns cols = ColumnsRead(q);
+  const Schema build_schema =
+      MakeInstanceSchema(*build.table, "b", 0, cols.build);
+  const Schema probe_schema = MakeInstanceSchema(*probe, "r", 1, cols.probe);
   PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId bn,
                            pb.ScanTable(build.table, build_schema, scan_opts));
   PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId rn,
@@ -447,16 +470,16 @@ Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
   scan_opts.delay_every_rows = opts_.scan_delay_every_rows;
   scan_opts.delay_ms = opts_.scan_delay_ms;
 
-  const Schema probe_schema = MakeInstanceSchema(*probe_full, "r", 0);
-  const Schema build_schema = MakeInstanceSchema(*build.table, "b", 1);
+  const ServedColumns cols = ColumnsRead(q);
+  const Schema probe_schema =
+      MakeInstanceSchema(*probe_full, "r", 0, cols.probe);
+  const Schema build_schema =
+      MakeInstanceSchema(*build.table, "b", 1, cols.build);
 
-  // Shard fragments: scan the site's probe shard, project the needed
-  // columns, forward to the coordinator. A cached AIP summary attaches to
+  // Shard fragments: scan the needed columns of the site's probe shard and
+  // forward them to the coordinator. A cached AIP summary attaches to
   // every shard scan, so pruned rows never reach the wire.
   std::vector<TableScan*> probe_scans;
-  std::vector<std::string> ship_cols{"r." + q.probe_key};
-  if (!q.probe_agg_col.empty()) ship_cols.push_back("r." + q.probe_agg_col);
-  Schema probe_out;
   for (int i = 0; i < N; ++i) {
     SiteEngine& site = *dq->sites[static_cast<size_t>(i)];
     PlanBuilder& pb = site.NewFragment();
@@ -465,14 +488,11 @@ Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
         (*shards)[static_cast<size_t>(i)]->GetTable(q.probe_table));
     PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId rn,
                              pb.ScanTable(shard, probe_schema, scan_opts));
-    PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId proj,
-                             pb.Project(rn, ship_cols));
-    probe_out = pb.schema(proj);
     auto sender = std::make_unique<ExchangeSender>(
-        &site.context(), "xsend_probe", probe_out, ExchangeMode::kForward,
+        &site.context(), "xsend_probe", probe_schema, ExchangeMode::kForward,
         std::vector<int>{},
         std::vector<ExchangeDestination>{{ch, mesh_->link(i, 0)}});
-    PUSHSIP_RETURN_NOT_OK(pb.FinishWith(proj, std::move(sender)));
+    PUSHSIP_RETURN_NOT_OK(pb.FinishWith(rn, std::move(sender)));
     probe_scans.push_back(pb.source_scans()[0]);
   }
 
@@ -480,8 +500,8 @@ Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
   // the merged probe stream, global aggregate.
   SiteEngine& coord = *dq->sites[0];
   PlanBuilder& pb = coord.NewFragment();
-  auto recv = std::make_unique<ExchangeReceiver>(&coord.context(),
-                                                 "xrecv_probe", probe_out, ch);
+  auto recv = std::make_unique<ExchangeReceiver>(
+      &coord.context(), "xrecv_probe", probe_schema, ch);
   PUSHSIP_ASSIGN_OR_RETURN(
       const PlanBuilder::NodeId rn,
       pb.Source(std::move(recv),

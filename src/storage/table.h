@@ -88,13 +88,15 @@ class Table {
     return Tuple(std::move(values));
   }
 
-  /// A batch of rows [begin, end): typed column slices sharing this
-  /// table's string dictionaries.
-  Batch SliceRows(size_t begin, size_t end) const {
+  /// A batch of rows [begin, end) of the table columns `cols`, in that
+  /// order: typed column slices sharing this table's string dictionaries.
+  /// Columns not named are never read.
+  Batch SliceRows(size_t begin, size_t end,
+                  const std::vector<int>& cols) const {
     Batch b;
-    for (const Column& c : cols_) {
+    for (const int c : cols) {
       Column out;
-      out.AppendRange(c, begin, end);
+      out.AppendRange(cols_[static_cast<size_t>(c)], begin, end);
       b.AddColumn(std::move(out));
     }
     return b;

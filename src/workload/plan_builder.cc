@@ -3,16 +3,30 @@
 namespace pushsip {
 
 Schema MakeInstanceSchema(const Table& table, const std::string& alias,
-                          int instance) {
-  Schema schema;
-  for (size_t c = 0; c < table.schema().num_fields(); ++c) {
-    const Field& base = table.schema().field(c);
-    std::string short_name = base.name;
+                          int instance, const std::vector<std::string>& cols) {
+  const Schema& base = table.schema();
+  const auto instance_field = [&](size_t c) {
+    std::string short_name = base.field(c).name;
     const size_t dot = short_name.find('.');
     if (dot != std::string::npos) short_name = short_name.substr(dot + 1);
-    schema.AddField(Field{alias + "." + short_name, base.type,
-                          static_cast<AttrId>(instance * 100 +
-                                              static_cast<int>(c))});
+    return Field{alias + "." + short_name, base.field(c).type,
+                 static_cast<AttrId>(instance * 100 + static_cast<int>(c))};
+  };
+  Schema schema;
+  if (cols.empty()) {
+    for (size_t c = 0; c < base.num_fields(); ++c) {
+      schema.AddField(instance_field(c));
+    }
+    return schema;
+  }
+  for (const std::string& name : cols) {
+    const Result<int> c = base.IndexOf(name);
+    // A name that matches no column stays in the schema untyped, so the
+    // scan built from it fails (PlanBuilder::ScanTable) instead of
+    // silently reading fewer columns.
+    schema.AddField(c.ok() ? instance_field(static_cast<size_t>(*c))
+                           : Field{alias + "." + name, TypeId::kNull,
+                                   kInvalidAttr});
   }
   return schema;
 }
@@ -71,21 +85,9 @@ Result<PlanBuilder::NodeId> PlanBuilder::Scan(const std::string& table_name,
   }
   // Build the instance schema: rename "table.col" -> "alias.col" and assign
   // fresh per-instance attribute ids.
-  const Schema schema = MakeInstanceSchema(*table, alias, next_instance_++);
-  auto scan = std::make_unique<TableScan>(ctx_, "scan_" + alias, table,
-                                          schema, std::move(options));
-  TableScan* raw = scan.get();
-  scans_.push_back(raw);
-  sources_.push_back(raw);
-
-  auto pnode = std::make_unique<PlanNode>();
-  pnode->kind = PlanNode::Kind::kScan;
-  pnode->table = table;
-  NodeRec rec;
-  rec.scan = raw;
-  rec.remote = remote;
-  rec.scan_link = raw->options().link;
-  return Register(std::move(scan), std::move(pnode), std::move(rec));
+  Schema schema = MakeInstanceSchema(*table, alias, next_instance_++);
+  return ScanTable(std::move(table), std::move(schema), std::move(options),
+                   remote);
 }
 
 Result<PlanBuilder::NodeId> PlanBuilder::ScanShard(
@@ -101,17 +103,17 @@ Result<PlanBuilder::NodeId> PlanBuilder::ScanTable(TablePtr table,
                                                    ScanOptions options,
                                                    bool remote) {
   if (table == nullptr) return Status::InvalidArgument("null table");
-  if (instance_schema.num_fields() != table->schema().num_fields()) {
-    return Status::InvalidArgument("shard schema arity mismatch for " +
-                                   table->name());
+  // The scan is named after the instance alias, its fields' prefix.
+  std::string alias = table->name();
+  if (instance_schema.num_fields() > 0) {
+    const std::string& name = instance_schema.field(0).name;
+    const size_t dot = name.find('.');
+    if (dot != std::string::npos) alias = name.substr(0, dot);
   }
-  const std::string& name = instance_schema.field(0).name;
-  const size_t dot = name.find('.');
-  const std::string alias =
-      dot != std::string::npos ? name.substr(0, dot) : table->name();
   auto scan = std::make_unique<TableScan>(ctx_, "scan_" + alias, table,
                                           std::move(instance_schema),
                                           std::move(options));
+  PUSHSIP_RETURN_NOT_OK(scan->bind_status());
   TableScan* raw = scan.get();
   scans_.push_back(raw);
   sources_.push_back(raw);
@@ -119,6 +121,7 @@ Result<PlanBuilder::NodeId> PlanBuilder::ScanTable(TablePtr table,
   auto pnode = std::make_unique<PlanNode>();
   pnode->kind = PlanNode::Kind::kScan;
   pnode->table = table;
+  pnode->table_cols = raw->table_columns();
   NodeRec rec;
   rec.scan = raw;
   rec.remote = remote;

@@ -37,8 +37,18 @@ struct AggDesc {
 /// instance*100+column. Exposed so distributed plans can give shard scans
 /// of the same logical table, built in different fragments, identical
 /// attribute ids.
+///
+/// `cols`, when non-empty, names the only table columns to keep (unqualified
+/// names, in the order given); a scan over the result reads just those
+/// columns. A kept column keeps its full-schema AttrId — instance*100 plus
+/// its *table* column index, not its position in the subset — so a narrowed
+/// and a full-width scan of one instance agree on every shared attribute:
+/// AIP correlation and IndexOfAttr lookups see the same ids either way. A
+/// name that matches no column yields an untyped field that ScanTable
+/// rejects.
 Schema MakeInstanceSchema(const Table& table, const std::string& alias,
-                          int instance);
+                          int instance,
+                          const std::vector<std::string>& cols = {});
 
 /// \brief Fluent construction of one executable query plan.
 ///
@@ -72,6 +82,11 @@ class PlanBuilder {
   /// fragment on a site whose catalog does not hold the scanned partition —
   /// the data is the *original* site's shard (a replica, in the simulation
   /// the shared table).
+  ///
+  /// `instance_schema` may name any non-empty subset of the table's columns
+  /// (MakeInstanceSchema's `cols`); the scan reads only those. Returns
+  /// InvalidArgument — in every build type — when a field names no table
+  /// column, has a type other than its column's, or repeats a column.
   Result<NodeId> ScanTable(TablePtr table, Schema instance_schema,
                            ScanOptions options = {}, bool remote = false);
 

@@ -37,7 +37,7 @@ TEST(DistinctOpTest, EmitsFirstOccurrenceImmediately) {
   scan->SetOutput(&distinct);
   distinct.SetOutput(&sink);
   // Push one batch manually without Finish.
-  Batch b = table->SliceRows(0, 1);
+  Batch b = table->SliceRows(0, 1, {0, 1});
   ASSERT_TRUE(distinct.Push(0, std::move(b)).ok());
   EXPECT_EQ(sink.num_rows(), 1);
   EXPECT_FALSE(sink.finished());

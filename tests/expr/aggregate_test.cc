@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 namespace pushsip {
 namespace {
 
@@ -73,6 +76,58 @@ TEST(AggStateTest, CountCountsEverythingPassed) {
   s.Update(Value::Int64(1));
   s.Update(Value::Int64(2));
   EXPECT_EQ(s.Finalize().AsInt64(), 2);
+}
+
+TEST(AggStateTest, CountSkipsNullInputs) {
+  // COUNT(expr) counts the non-NULL inputs; only COUNT(*) (which passes a
+  // non-NULL dummy per row) counts every row.
+  AggState s(AggFunc::kCount);
+  s.Update(Value::Int64(1));
+  s.Update(Value::Null());
+  s.Update(Value::String("x"));
+  s.Update(Value::Null());
+  EXPECT_EQ(s.Finalize().AsInt64(), 2);
+  AggState all_null(AggFunc::kCount);
+  all_null.Update(Value::Null());
+  EXPECT_EQ(all_null.Finalize().AsInt64(), 0);
+}
+
+// The typed updates leave exactly the state Update leaves for the same
+// Value, including where a double first promotes an integral SUM, so the
+// two can interleave.
+TEST(AggStateTest, TypedUpdatesMatchValueUpdates) {
+  const std::vector<Value> inputs = {
+      Value::Int64(3),      Value::Int64(-7), Value::Double(0.1),
+      Value::Int64(1 << 20), Value::Double(2.5), Value::Int64(9)};
+  for (const AggFunc f : {AggFunc::kSum, AggFunc::kAvg, AggFunc::kCount}) {
+    AggState by_value(f), typed(f), mixed(f);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const Value& v = inputs[i];
+      by_value.Update(v);
+      if (v.type() == TypeId::kInt64) {
+        typed.UpdateI64(v.AsInt64());
+      } else {
+        typed.UpdateF64(v.AsDouble());
+      }
+      if (i % 2 == 0) {
+        mixed.Update(v);
+      } else if (v.type() == TypeId::kInt64) {
+        mixed.UpdateI64(v.AsInt64());
+      } else {
+        mixed.UpdateF64(v.AsDouble());
+      }
+    }
+    for (const AggState* s : {&typed, &mixed}) {
+      const AggState::Parts want = by_value.ToParts();
+      const AggState::Parts got = s->ToParts();
+      EXPECT_EQ(got.count, want.count) << AggFuncName(f);
+      EXPECT_EQ(got.sum_integral, want.sum_integral) << AggFuncName(f);
+      EXPECT_EQ(got.isum, want.isum) << AggFuncName(f);
+      EXPECT_EQ(std::memcmp(&got.sum, &want.sum, sizeof(double)), 0)
+          << AggFuncName(f);
+      EXPECT_TRUE(s->Finalize() == by_value.Finalize()) << AggFuncName(f);
+    }
+  }
 }
 
 TEST(AggStateTest, CountOfNothingIsZero) {

@@ -49,6 +49,41 @@ TEST(ServeTest, SingleSessionMatchesReference) {
   EXPECT_EQ(cs.inserts, 1);
 }
 
+// Served plans scan only the columns they use (join keys, the filter
+// column, the SUM input). Narrowing must not move any answer, and it must
+// shrink the join state below the full-width plan's: with the AIP cache
+// off, the narrower rows are the only difference between the two.
+TEST(ServeTest, NarrowedScansMatchFullWidthPlanWithLessState) {
+  auto catalog = TinyTpchCatalog();
+  ServeOptions local;
+  local.worker_threads = 1;
+  local.aip_cache_budget_bytes = 0;
+  ServeOptions mesh = local;
+  mesh.num_sites = 3;
+  mesh.sharded_tables = {"lineitem"};
+  QueryServer local_server(catalog, local);
+  QueryServer mesh_server(catalog, mesh);
+  for (const int64_t upper : {8, 16, 24, 32, 40}) {
+    SCOPED_TRACE("p_size < " + std::to_string(upper));
+    const ServeQuery q = PartQuery(upper);
+    auto want = testing::RunReference(catalog, q);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto id = local_server.Submit(q);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    auto res = local_server.Wait(*id);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ExpectRowsEqual(res->rows, want->rows);
+    EXPECT_GT(res->stats.peak_state_bytes, 0);
+    EXPECT_LT(res->stats.peak_state_bytes, want->stats.peak_state_bytes);
+
+    auto mesh_id = mesh_server.Submit(q);
+    ASSERT_TRUE(mesh_id.ok()) << mesh_id.status().ToString();
+    auto mesh_res = mesh_server.Wait(*mesh_id);
+    ASSERT_TRUE(mesh_res.ok()) << mesh_res.status().ToString();
+    ExpectRowsEqual(mesh_res->rows, want->rows);
+  }
+}
+
 TEST(ServeTest, ManySessionsSameTableMatchSingleQueryRun) {
   auto catalog = TinyTpchCatalog();
   const ServeQuery q = PartQuery(25);

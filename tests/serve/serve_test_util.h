@@ -64,8 +64,15 @@ inline ServeQuery PartsuppQuery(int64_t upper) {
   return q;
 }
 
-/// Runs `q` the plain way and returns the aggregate row(s).
-inline Result<std::vector<Tuple>> ReferenceRows(
+/// The plain run of a served query: its aggregate row(s) and stats.
+struct ReferenceRun {
+  std::vector<Tuple> rows;
+  QueryStats stats;
+};
+
+/// Runs `q` the plain way: full-width scans of both tables (every column
+/// read, buffered and joined), filter, join, aggregate.
+inline Result<ReferenceRun> RunReference(
     const std::shared_ptr<Catalog>& catalog, const ServeQuery& q) {
   ExecContext ctx;
   PUSHSIP_ASSIGN_OR_RETURN(TablePtr build, catalog->GetTable(q.build_table));
@@ -94,9 +101,17 @@ inline Result<std::vector<Tuple>> ReferenceRows(
                            pb.Aggregate(jn, {}, aggs));
   PUSHSIP_RETURN_NOT_OK(pb.Finish(an));
   Driver driver(&ctx, pb.sources(), pb.sink());
-  PUSHSIP_ASSIGN_OR_RETURN(const QueryStats stats, driver.Run());
-  (void)stats;
-  return pb.sink()->TakeRows();
+  ReferenceRun run;
+  PUSHSIP_ASSIGN_OR_RETURN(run.stats, driver.Run());
+  run.rows = pb.sink()->TakeRows();
+  return run;
+}
+
+/// RunReference's aggregate row(s).
+inline Result<std::vector<Tuple>> ReferenceRows(
+    const std::shared_ptr<Catalog>& catalog, const ServeQuery& q) {
+  PUSHSIP_ASSIGN_OR_RETURN(ReferenceRun run, RunReference(catalog, q));
+  return std::move(run.rows);
 }
 
 /// Value-wise equality of two row sets (aggregate rows: order-free not

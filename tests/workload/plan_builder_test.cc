@@ -41,6 +41,79 @@ TEST(PlanBuilderTest, UnknownColumnFails) {
   EXPECT_FALSE(b.Aggregate(p, {"bogus"}, {}).ok());
 }
 
+TEST(PlanBuilderTest, NarrowedInstanceSchemaKeepsTableAttrIds) {
+  const auto catalog = TinyCatalog();
+  const TablePtr part = *catalog->GetTable("part");
+  const Schema full = MakeInstanceSchema(*part, "p", 2);
+  const Schema narrow =
+      MakeInstanceSchema(*part, "p", 2, {"p_size", "p_partkey"});
+  ASSERT_EQ(narrow.num_fields(), 2u);
+  EXPECT_EQ(narrow.field(0).name, "p.p_size");
+  EXPECT_EQ(narrow.field(1).name, "p.p_partkey");
+  for (const Field& f : narrow.fields()) {
+    const Field& in_full = full.field(
+        static_cast<size_t>(*full.IndexOf(f.name)));
+    EXPECT_EQ(f.attr, in_full.attr) << f.name;
+    EXPECT_EQ(f.type, in_full.type) << f.name;
+  }
+  EXPECT_EQ(narrow.field(1).attr, 200);  // instance*100 + table column 0
+}
+
+TEST(PlanBuilderTest, ScanTableRejectsBadSchemas) {
+  ExecContext ctx;
+  const auto catalog = TinyCatalog();
+  const TablePtr part = *catalog->GetTable("part");
+  PlanBuilder b(&ctx, catalog);
+  // A column the table does not have (MakeInstanceSchema keeps the name,
+  // so the scan cannot silently read fewer columns).
+  const auto unknown =
+      b.ScanTable(part, MakeInstanceSchema(*part, "p", 0, {"p_bogus"}));
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  // A field whose type differs from its column's.
+  Schema mistyped = MakeInstanceSchema(*part, "p", 0, {"p_partkey"});
+  mistyped = Schema({Field{mistyped.field(0).name, TypeId::kDouble,
+                           mistyped.field(0).attr}});
+  const auto wrong_type = b.ScanTable(part, mistyped);
+  ASSERT_FALSE(wrong_type.ok());
+  EXPECT_EQ(wrong_type.status().code(), StatusCode::kInvalidArgument);
+  // The same column twice, and no column at all.
+  const Schema twice = MakeInstanceSchema(*part, "p", 0, {"p_size"});
+  EXPECT_FALSE(
+      b.ScanTable(part, Schema::Concat(twice, twice)).ok());
+  EXPECT_FALSE(b.ScanTable(part, Schema()).ok());
+  // Nothing was registered for the failed scans.
+  EXPECT_TRUE(b.source_scans().empty());
+  EXPECT_TRUE(
+      b.ScanTable(part, MakeInstanceSchema(*part, "p", 0, {"p_size"})).ok());
+}
+
+TEST(PlanBuilderTest, NarrowedScanEstimatesFullScanNdv) {
+  const auto catalog = TinyCatalog();
+  const TablePtr lineitem = *catalog->GetTable("lineitem");
+  const auto estimate = [&](const Schema& schema) {
+    ExecContext ctx;
+    PlanBuilder b(&ctx, catalog);
+    const auto scan = b.ScanTable(lineitem, schema);
+    EXPECT_TRUE(scan.ok());
+    EXPECT_TRUE(b.Finish(*scan).ok());
+    return std::make_pair(b.estimated_rows(*scan), b.estimated_ndv(*scan));
+  };
+  const auto [full_rows, full_ndv] =
+      estimate(MakeInstanceSchema(*lineitem, "l", 1));
+  // Out of table order, so field i is not table column i.
+  const auto [rows, ndv] = estimate(MakeInstanceSchema(
+      *lineitem, "l", 1, {"l_receiptdate", "l_quantity", "l_partkey"}));
+  EXPECT_EQ(rows, full_rows);
+  ASSERT_EQ(ndv.size(), 3u);
+  for (const auto& [attr, d] : ndv) {
+    ASSERT_EQ(full_ndv.count(attr), 1u) << attr;
+    EXPECT_EQ(d, full_ndv.at(attr)) << attr;
+  }
+  // The estimates differ per column, so a mis-mapped column would show.
+  EXPECT_NE(ndv.at(101), ndv.at(103));
+}
+
 TEST(PlanBuilderTest, JoinRequiresKeys) {
   ExecContext ctx;
   PlanBuilder b(&ctx, TinyCatalog());
