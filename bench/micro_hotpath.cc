@@ -1,7 +1,7 @@
 // Micro benchmarks for the vectorized hot paths: batch filter throughput
 // (selection vectors over typed columns vs the row-at-a-time reference),
 // one-pass key hashing (the Batch key-hash lane vs recomputing per
-// consumer), and the wire codec (v2 columnar encode/decode time and bytes,
+// consumer), and the wire codec (columnar encode/decode time and bytes,
 // with the compression ratio against the retired v1 row-major size computed
 // in closed form — plus the cross-batch
 // dictionary stream encoding vs per-batch dictionaries), the scale-out
@@ -9,21 +9,26 @@
 // per-cell row-at-a-time copy and per-cell statistics it replaced), the
 // join probe (SymmetricHashJoin's flat table and per-column gathers vs the
 // multimap and per-row concatenation it replaced, on a wide lineitem-part
-// join that emits every column of both tables), and the aggregate fold
+// join that emits every column of both tables), the aggregate fold
 // (HashAggregate's typed per-column loops vs the per-row lookup and Eval
-// it replaced, on the served query's ungrouped COUNT/SUM shape).
+// it replaced, on the served query's ungrouped COUNT/SUM shape), and the
+// Q17 wire stream (the l1 shuffle's lineitem columns through a stream
+// encoder/decoder pair: rows/s and bytes per row).
 //
 // Every cell with a reference strategy checks that both strategies compute
 // the same answer (filter survivors, reshard NDV sum, join output rows,
-// fold totals); a mismatch exits non-zero, with or without --check.
+// fold totals); a mismatch exits non-zero, with or without --check. So
+// does a wire_q17 stream above kMaxQ17WireBytesPerRow bytes per row or
+// one that decodes to other values: its bytes are deterministic, so the
+// gate is not noise.
 //
 // Flags: the shared harness flags (--reps=, --seed=, --json <path>) plus
-//   --sf=X      TPC-H scale factor of the partition_catalog, join_probe
-//               and agg_fold cells' tables (default 0.02)
+//   --sf=X      TPC-H scale factor of the partition_catalog, join_probe,
+//               agg_fold and wire_q17 cells' tables (default 0.02)
 //   --rows=N    rows per batch            (default 1024)
 //   --batches=N batches per measurement   (default 256)
 //   --check     exit non-zero unless the vectorized filter pipeline is
-//               >= 2x the row-at-a-time reference, the v2 encoding is
+//               >= 2x the row-at-a-time reference, the encoding is
 //               >= 30% smaller than v1 would be, and the dictionary
 //               stream encoder re-ships nothing (used to validate
 //               committed numbers; off by default so noisy CI smoke runs
@@ -594,6 +599,76 @@ Throughput RunAggFold(const Catalog& catalog, bool typed, int reps) {
           total_sec, digest};
 }
 
+/// The wire_q17 byte gate. Q17's l1 rows (l_partkey, l_quantity and the
+/// integral l_extendedprice) cost 11 bytes in varint-only columns and
+/// about 4.5 packed.
+constexpr double kMaxQ17WireBytesPerRow = 7.0;
+
+struct WireQ17Result {
+  WireResult wire;  ///< rows/s, and one pass's stream bytes
+  int64_t rows = 0;  ///< rows in one pass
+  /// Digests of the source batches and of the first pass's decoded ones.
+  uint64_t source_digest = 0;
+  uint64_t decoded_digest = 0;
+};
+
+/// Order-sensitive digest of every value of `batch`, column by column.
+uint64_t DigestColumns(const Batch& batch) {
+  uint64_t h = 0;
+  for (size_t c = 0; c < batch.num_cols(); ++c) {
+    for (size_t r = 0; r < batch.size(); ++r) {
+      h = h * 0x100000001b3ULL ^ batch.col(c).HashAt(r);
+    }
+  }
+  return h;
+}
+
+/// Q17 wire cell: lineitem's l_partkey, l_quantity and l_extendedprice —
+/// the columns Q17's l1 shuffle ships — in scan-sized slices, streamed
+/// through one WireStreamEncoder/WireStreamDecoder pair per repetition.
+/// Throughput counts rows encoded and decoded per second.
+WireQ17Result RunWireQ17(const Catalog& catalog, int reps) {
+  const TablePtr lineitem = *catalog.GetTable("lineitem");
+  const std::vector<int> cols = {
+      *lineitem->schema().IndexOf("l_partkey"),
+      *lineitem->schema().IndexOf("l_quantity"),
+      *lineitem->schema().IndexOf("l_extendedprice")};
+  std::vector<Batch> input;
+  WireQ17Result out;
+  for (size_t begin = 0; begin < lineitem->num_rows();
+       begin += kDefaultBatchSize) {
+    input.push_back(lineitem->SliceRows(
+        begin, std::min(lineitem->num_rows(), begin + kDefaultBatchSize),
+        cols));
+    out.rows += static_cast<int64_t>(input.back().size());
+    out.source_digest += DigestColumns(input.back());
+  }
+  double total_sec = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    WireStreamEncoder encoder;
+    WireStreamDecoder decoder;
+    int64_t stream_bytes = 0;
+    uint64_t digest = 0;
+    Stopwatch sw;
+    for (size_t i = 0; i < input.size(); ++i) {
+      const std::string bytes = encoder.SerializeFrame(
+          /*sender=*/0, /*epoch=*/0, /*seq=*/i, /*replayable=*/true,
+          input[i]);
+      stream_bytes += static_cast<int64_t>(bytes.size());
+      auto frame = decoder.DecodeFrame(bytes);
+      frame.status().CheckOK();
+      if (rep == 0) digest += DigestColumns(frame->batch);
+    }
+    total_sec += sw.ElapsedSeconds();
+    if (rep == 0) out.decoded_digest = digest;
+    out.wire.bytes = stream_bytes;
+    out.wire.encode_transposes = encoder.encode_transposes();
+  }
+  out.wire.rows_per_sec = static_cast<double>(out.rows) * reps / total_sec;
+  out.wire.elapsed_sec = total_sec;
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -729,6 +804,12 @@ int main(int argc, char** argv) {
   record_tp("agg_fold", "row_eval", fold_rows);
   record_tp("agg_fold", "typed_fold", fold_typed);
 
+  // --- Q17 wire stream ---
+  const WireQ17Result q17 = RunWireQ17(tpch_catalog, reps);
+  record("wire_q17", "stream", q17.wire);
+  const double q17_bytes_per_row =
+      static_cast<double>(q17.wire.bytes) / static_cast<double>(q17.rows);
+
   // Each optimized strategy must compute its reference's answer; timing a
   // wrong answer means nothing, so this holds without --check too.
   const struct {
@@ -748,6 +829,12 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(a.reference.answer));
       answers_agree = false;
     }
+  }
+  if (q17.decoded_digest != q17.source_digest) {
+    std::fprintf(stderr,
+                 "ANSWER MISMATCH: wire_q17 decodes other values than it "
+                 "encoded\n");
+    answers_agree = false;
   }
   if (!answers_agree) return 1;
 
@@ -775,11 +862,21 @@ int main(int argc, char** argv) {
               join_batched.rows_per_sec / join_rows.rows_per_sec);
   std::printf("# agg_fold typed-fold speedup: %.2fx\n",
               fold_typed.rows_per_sec / fold_rows.rows_per_sec);
+  std::printf("# wire_q17: %.2f bytes per row (gate <= %.1f)\n",
+              q17_bytes_per_row, kMaxQ17WireBytesPerRow);
 
   if (!opts.json_path.empty() &&
       !WriteJsonReport(opts.json_path, "micro_hotpath",
                        "Vectorized hot-path micro benchmarks", opts,
                        records)) {
+    return 1;
+  }
+
+  if (q17_bytes_per_row > kMaxQ17WireBytesPerRow) {
+    std::fprintf(stderr,
+                 "CHECK FAILED: wire_q17 ships %.2f bytes per row (need <= "
+                 "%.1f)\n",
+                 q17_bytes_per_row, kMaxQ17WireBytesPerRow);
     return 1;
   }
 

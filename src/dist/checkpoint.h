@@ -22,7 +22,7 @@
 // already absorbed, so each window is applied exactly once across the
 // failure.
 //
-// State is serialized through the standalone wire-v2 batch encoding:
+// State is serialized through the standalone batch wire encoding:
 // operators (in exec/, below net/) export (meta, batches) pairs and this
 // layer owns the byte format, keeping the layering acyclic.
 #ifndef PUSHSIP_DIST_CHECKPOINT_H_

@@ -70,7 +70,7 @@ struct SiteProcessOptions {
 /// What one site process reports to the coordinator.
 struct SiteReport {
   DistQueryStats stats;
-  /// Root site only: the serialized (standalone v2 SerializeBatch, rows
+  /// Root site only: the serialized (standalone SerializeBatch, rows
   /// sorted) result batch — the bit-comparable answer.
   std::string rows_wire;
   /// The site's serialized Chrome trace events; empty when not tracing.

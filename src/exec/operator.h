@@ -183,10 +183,11 @@ class Operator {
   // `meta` is a small operator-private byte string (flags, counts — the
   // operator owns the encoding) and `batches` carry the bulk state as
   // ordinary columnar batches, which the checkpointing layer serializes
-  // through wire v2 like any exchange payload. RestoreState expects the
-  // operator to be freshly reset (ResetForReplay) and re-inserts the rows
-  // in their serialized order, so hash-table iteration order — and with it
-  // downstream emission order — reproduces the snapshotted run exactly.
+  // through the wire encoding like any exchange payload. RestoreState
+  // expects the operator to be freshly reset (ResetForReplay) and
+  // re-inserts the rows in their serialized order, so hash-table iteration
+  // order — and with it downstream emission order — reproduces the
+  // snapshotted run exactly.
   // Snapshot/Restore are called only while no thread is pushing into the
   // fragment (the checkpoint holds the fragment's exclusive lock, restore
   // runs after every fragment thread exited).

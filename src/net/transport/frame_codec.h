@@ -6,7 +6,7 @@
 //
 // frame_len counts everything after itself (kind + channel + payload), so
 // a reader needs 4 bytes to know the frame size and frame_len + 4 bytes to
-// decode — partial reads simply wait for more. kData payloads are wire-v2
+// decode — partial reads simply wait for more. kData payloads are
 // BatchFrame encodings (WireStreamEncoder frames), passed through opaquely.
 //
 // The decoder is incremental and hostile-input-safe: arbitrary split or

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <string_view>
 
@@ -15,21 +16,39 @@ constexpr char kBloomTag = 'F';
 constexpr char kFilterMsgTag = 'A';
 
 /// Every header's second byte. Decoders reject any other value (version 1
-/// was the retired row-major encoding).
+/// was the retired row-major encoding, version 2 the varint-only columns
+/// and fixed-width frame header).
 constexpr uint8_t kWireVersion =
     static_cast<uint8_t>(WireFormatVersion::kColumnar);
 
-// Batch payload: per-column encodings.
+// Batch payload: per-column encodings. "int payload" is the integer
+// kernel's output (AppendIntPayload).
 enum ColTag : uint8_t {
   kColMixed = 0,            ///< per-value self-describing (mixed types)
-  kColInt64 = 1,            ///< zigzag varints
-  kColDate = 2,             ///< zigzag varints
-  kColDouble = 3,           ///< raw 8-byte doubles
-  kColStringDict = 4,       ///< per-batch dictionary + varint indices
+  kColInt64 = 1,            ///< int payload
+  kColDate = 2,             ///< int payload
+  kColDouble = 3,           ///< scale byte, then int payload or raw doubles
+  kColStringDict = 4,       ///< per-batch dictionary + int payload indices
   kColStringPlain = 5,      ///< varint length + bytes per value
   kColNull = 6,             ///< every value NULL; no payload
-  kColStringDictStream = 7, ///< cross-batch dictionary delta + varint codes
+  kColStringDictStream = 7, ///< cross-batch dictionary delta + payload codes
 };
+
+// Int payload mode byte: a bit width 0..kMaxPackedWidth selects
+// frame-of-reference bit-packing; kIntVarints selects one varint per value.
+// The width cap lets one unaligned 8-byte load cover any packed value
+// (7 bits of in-byte offset + 56 bits of value).
+constexpr uint8_t kMaxPackedWidth = 56;
+constexpr uint8_t kIntVarints = 0xff;
+
+// DOUBLE column scale byte: s in 0..kMaxDecimalScale means every value is
+// exactly k / 10^s and the k ship as an int payload; kRawDoubles means
+// 8 raw bytes per value.
+constexpr uint8_t kMaxDecimalScale = 4;
+constexpr uint8_t kRawDoubles = 0xff;
+constexpr double kPow10[kMaxDecimalScale + 1] = {1, 10, 100, 1000, 10000};
+/// 2^53: below it every integer is an exact double.
+constexpr double kExactIntLimit = 9007199254740992.0;
 
 // Decode-side sanity caps: a corrupt count must not turn into a huge
 // up-front allocation. Growth past the cap happens via push_back, which a
@@ -76,6 +95,26 @@ uint64_t ZigZagEncode(int64_t v) {
 
 int64_t ZigZagDecode(uint64_t u) {
   return static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
+}
+
+size_t VarintSize(uint64_t v) {
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+
+void StoreLE64(uint64_t v, char* p) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+
+uint64_t LoadLE64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
 }
 
 /// Bounds-checked sequential reader over a serialized message.
@@ -138,10 +177,16 @@ class WireReader {
   }
 
   Result<std::string> ReadString(size_t len) {
-    if (pos_ + len > bytes_.size() || pos_ + len < pos_) return Truncated();
-    std::string s = bytes_.substr(pos_, len);
+    PUSHSIP_ASSIGN_OR_RETURN(const char* p, ReadBytes(len));
+    return std::string(p, len);
+  }
+
+  /// Consumes `len` bytes and returns where they start in the message.
+  Result<const char*> ReadBytes(size_t len) {
+    if (len > remaining()) return Truncated();
+    const char* p = bytes_.data() + pos_;
     pos_ += len;
-    return s;
+    return p;
   }
 
   /// Validates the message tag and the wire version byte.
@@ -217,6 +262,173 @@ Result<Value> ReadValue(WireReader* r) {
 }
 
 // ---------------------------------------------------------------------------
+// The integer-payload kernel. Every integer-like column payload (INT64 and
+// DATE values, scaled DOUBLE mantissas, dictionary codes) is one mode byte
+// and then either
+//   * packed (mode = bit width w <= kMaxPackedWidth): varint(zigzag(min)),
+//     then ceil(n*w/8) bytes holding value - min in w bits each, LSB-first;
+//     w = 0 (every value equal) ships no value bytes at all; or
+//   * varints (mode = kIntVarints): one varint per value, zigzagged when
+//     the values are signed.
+// The encoder measures both sizes in one pass and ships the smaller, so a
+// payload is never more than the mode byte larger than plain varints.
+// The reader knows n, so a payload of no values is empty and one of a
+// single value is just its varint, with no mode byte: tiny batches — a
+// pruned stream ships many — pay nothing for the choice.
+
+/// Appends `values[0..n)` as an int payload. `zigzag` marks signed values
+/// (dictionary codes are not, and ship as plain varints).
+void AppendIntPayload(const int64_t* values, size_t n, bool zigzag,
+                      std::string* out) {
+  const auto varint_of = [zigzag](int64_t v) {
+    return zigzag ? ZigZagEncode(v) : static_cast<uint64_t>(v);
+  };
+  if (n <= 1) {
+    if (n == 1) PutVarint(varint_of(values[0]), out);
+    return;
+  }
+  int64_t min = values[0];
+  int64_t max = min;
+  size_t varint_bytes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t v = values[i];
+    min = std::min(min, v);
+    max = std::max(max, v);
+    varint_bytes += VarintSize(varint_of(v));
+  }
+  const uint64_t base = static_cast<uint64_t>(min);
+  const int width = std::bit_width(static_cast<uint64_t>(max) - base);
+  const size_t packed_bytes = (n * static_cast<size_t>(width) + 7) / 8;
+  if (width > kMaxPackedWidth ||
+      VarintSize(ZigZagEncode(min)) + packed_bytes > varint_bytes) {
+    PutU8(kIntVarints, out);
+    for (size_t i = 0; i < n; ++i) PutVarint(varint_of(values[i]), out);
+    return;
+  }
+  PutU8(static_cast<uint8_t>(width), out);
+  PutVarint(ZigZagEncode(min), out);
+  if (width == 0) return;
+  // Pack a 64-bit word at a time; a value straddling two words leaves its
+  // high bits in the next accumulator.
+  const size_t start = out->size();
+  out->resize(start + packed_bytes);
+  char* p = out->data() + start;
+  const unsigned w = static_cast<unsigned>(width);
+  uint64_t acc = 0;
+  unsigned filled = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t d = static_cast<uint64_t>(values[i]) - base;
+    acc |= d << filled;
+    filled += w;
+    if (filled >= 64) {
+      StoreLE64(acc, p);
+      p += 8;
+      filled -= 64;
+      acc = filled > 0 ? d >> (w - filled) : 0;
+    }
+  }
+  for (; filled > 0; filled -= std::min(filled, 8u)) {
+    *p++ = static_cast<char>(acc);
+    acc >>= 8;
+  }
+}
+
+/// Reads an int payload of `n` values, calling `emit(int64_t)` for each in
+/// order. Fails closed on truncation and on unknown mode bytes; never
+/// reads past the message.
+template <typename Emit>
+Status ReadIntPayload(WireReader* r, size_t n, bool zigzag, Emit&& emit) {
+  if (n == 0) return Status::OK();
+  uint8_t mode = kIntVarints;  // a single value is a bare varint
+  if (n > 1) {
+    PUSHSIP_ASSIGN_OR_RETURN(mode, r->ReadU8());
+  }
+  if (mode == kIntVarints) {
+    for (size_t i = 0; i < n; ++i) {
+      PUSHSIP_ASSIGN_OR_RETURN(const uint64_t u, r->ReadVarint());
+      emit(zigzag ? ZigZagDecode(u) : static_cast<int64_t>(u));
+    }
+    return Status::OK();
+  }
+  if (mode > kMaxPackedWidth) {
+    return Status::InvalidArgument("unknown integer payload mode on the wire");
+  }
+  PUSHSIP_ASSIGN_OR_RETURN(const uint64_t zz_min, r->ReadVarint());
+  const uint64_t base = static_cast<uint64_t>(ZigZagDecode(zz_min));
+  const size_t w = mode;
+  if (w == 0) {
+    for (size_t i = 0; i < n; ++i) emit(static_cast<int64_t>(base));
+    return Status::OK();
+  }
+  // n is bounded by the row-count budget, far below SIZE_MAX / 56.
+  const size_t nbytes = (n * w + 7) / 8;
+  PUSHSIP_ASSIGN_OR_RETURN(const char* p, r->ReadBytes(nbytes));
+  const uint64_t mask = (uint64_t{1} << w) - 1;
+  // Value i starts at bit i*w; its 8-byte load stays inside the payload
+  // for every i up to `fast`. The last few values copy what is left.
+  const size_t fast =
+      nbytes >= 8 ? std::min(n, (nbytes - 8) * 8 / w + 1) : 0;
+  size_t bit = 0;
+  for (size_t i = 0; i < fast; ++i, bit += w) {
+    const uint64_t word = LoadLE64(p + (bit >> 3));
+    emit(static_cast<int64_t>(base + ((word >> (bit & 7)) & mask)));
+  }
+  for (size_t i = fast; i < n; ++i, bit += w) {
+    char tail[8] = {};
+    const size_t at = bit >> 3;
+    std::memcpy(tail, p + at, std::min<size_t>(8, nbytes - at));
+    const uint64_t word = LoadLE64(tail);
+    emit(static_cast<int64_t>(base + ((word >> (bit & 7)) & mask)));
+  }
+  return Status::OK();
+}
+
+/// The smallest scale s in 0..kMaxDecimalScale at which every value is
+/// exactly k / 10^s: v*10^s is below 2^53 in magnitude, and with
+/// k = nearbyint(v*10^s) the decoder's expression (s == 0 ? double(k) :
+/// double(k) / 10^s) reproduces v's bit pattern, so -0.0, NaNs and
+/// infinities never qualify. Fills `mantissas` with the k; returns -1
+/// when no scale works. Arbitrary doubles fail on their first value at
+/// every scale.
+int FindDecimalScale(const double* values, size_t n,
+                     std::vector<int64_t>* mantissas) {
+  mantissas->resize(n);
+  for (int s = 0; s <= kMaxDecimalScale; ++s) {
+    size_t i = 0;
+    for (; i < n; ++i) {
+      const double scaled = values[i] * kPow10[s];
+      if (!(std::fabs(scaled) < kExactIntLimit)) break;
+      // Through int64_t, as the decoder sees k: -0.0 becomes +0.0 here.
+      const int64_t k = static_cast<int64_t>(std::nearbyint(scaled));
+      const double back = s == 0 ? static_cast<double>(k)
+                                 : static_cast<double>(k) / kPow10[s];
+      if (std::bit_cast<uint64_t>(back) !=
+          std::bit_cast<uint64_t>(values[i])) {
+        break;
+      }
+      (*mantissas)[i] = k;
+    }
+    if (i == n) return s;
+  }
+  return -1;
+}
+
+/// The non-NULL slots of `data` (`col`'s typed vector), in row order:
+/// `data` itself when the column has no NULLs, else a gather into
+/// `scratch`.
+template <typename T>
+const T* NonNullValues(const Column& col, const T* data, size_t n,
+                       size_t null_count, std::vector<T>* scratch) {
+  if (null_count == 0) return data;
+  scratch->clear();
+  scratch->reserve(n - null_count);
+  for (size_t r = 0; r < n; ++r) {
+    if (!col.IsNull(r)) scratch->push_back(data[r]);
+  }
+  return scratch->data();
+}
+
+// ---------------------------------------------------------------------------
 // Batch payload: column-major with per-column compression, encoded
 // directly from the Batch's typed column vectors (no row materialization).
 
@@ -245,29 +457,32 @@ bool AppendTypedColumn(const Column& col, size_t n, std::string* out) {
     PutU8(kColNull, out);
     return true;
   }
+  const size_t non_null = n - null_count;
   switch (col.type()) {
     case TypeId::kInt64:
     case TypeId::kDate: {
       PutU8(col.type() == TypeId::kInt64 ? kColInt64 : kColDate, out);
       AppendNullBitmapCol(col, n, null_count, out);
-      const int64_t* data = col.i64_data();
-      if (null_count == 0) {
-        for (size_t r = 0; r < n; ++r) {
-          PutVarint(ZigZagEncode(data[r]), out);
-        }
-      } else {
-        for (size_t r = 0; r < n; ++r) {
-          if (!col.IsNull(r)) PutVarint(ZigZagEncode(data[r]), out);
-        }
-      }
+      std::vector<int64_t> scratch;
+      AppendIntPayload(
+          NonNullValues(col, col.i64_data(), n, null_count, &scratch),
+          non_null, /*zigzag=*/true, out);
       return true;
     }
     case TypeId::kDouble: {
       PutU8(kColDouble, out);
       AppendNullBitmapCol(col, n, null_count, out);
-      const double* data = col.f64_data();
-      for (size_t r = 0; r < n; ++r) {
-        if (null_count == 0 || !col.IsNull(r)) PutDouble(data[r], out);
+      std::vector<double> scratch;
+      const double* values =
+          NonNullValues(col, col.f64_data(), n, null_count, &scratch);
+      std::vector<int64_t> mantissas;
+      const int scale = FindDecimalScale(values, non_null, &mantissas);
+      if (scale >= 0) {
+        PutU8(static_cast<uint8_t>(scale), out);
+        AppendIntPayload(mantissas.data(), non_null, /*zigzag=*/true, out);
+      } else {
+        PutU8(kRawDoubles, out);
+        for (size_t i = 0; i < non_null; ++i) PutDouble(values[i], out);
       }
       return true;
     }
@@ -298,13 +513,16 @@ void AppendStringColumnPerBatch(const Column& col, size_t n,
   // Remap referenced dictionary codes to dense batch-local indices.
   std::unordered_map<uint32_t, uint32_t> remap;
   std::vector<std::string_view> order;
+  std::vector<int64_t> indices;
   remap.reserve(64);
+  indices.reserve(non_null);
   for (size_t r = 0; r < n; ++r) {
     if (col.IsNull(r)) continue;
     const uint32_t code = col.CodeAt(r);
-    if (remap.emplace(code, static_cast<uint32_t>(order.size())).second) {
-      order.push_back(col.dict()->entry(code));
-    }
+    const auto [it, added] =
+        remap.emplace(code, static_cast<uint32_t>(order.size()));
+    if (added) order.push_back(col.dict()->entry(code));
+    indices.push_back(it->second);
   }
   if (order.size() * 2 <= non_null) {
     PutU8(kColStringDict, out);
@@ -314,9 +532,7 @@ void AppendStringColumnPerBatch(const Column& col, size_t n,
       PutVarint(s.size(), out);
       out->append(s);
     }
-    for (size_t r = 0; r < n; ++r) {
-      if (!col.IsNull(r)) PutVarint(remap.at(col.CodeAt(r)), out);
-    }
+    AppendIntPayload(indices.data(), indices.size(), /*zigzag=*/false, out);
     if (order_out != nullptr) *order_out = std::move(order);
   } else {
     PutU8(kColStringPlain, out);
@@ -379,6 +595,27 @@ Status ReadNullBitmap(WireReader* r, size_t n,
   return Status::OK();
 }
 
+/// Reads the int payload of an `n`-row column whose NULL rows `is_null`
+/// flags (empty: none): `put(v)` appends each non-NULL value to `col` in
+/// row order, and NULL rows get AppendNull.
+template <typename Put>
+Status ReadIntColumn(WireReader* r, size_t n,
+                     const std::vector<uint8_t>& is_null, bool zigzag,
+                     Column* col, Put&& put) {
+  if (is_null.empty()) return ReadIntPayload(r, n, zigzag, put);
+  size_t non_null = 0;
+  for (const uint8_t b : is_null) non_null += b == 0;
+  size_t row = 0;
+  PUSHSIP_RETURN_NOT_OK(ReadIntPayload(r, non_null, zigzag, [&](int64_t v) {
+    // The k-th value belongs to the k-th non-NULL row, so this stays < n.
+    for (; is_null[row]; ++row) col->AppendNull();
+    ++row;
+    put(v);
+  }));
+  for (; row < n; ++row) col->AppendNull();
+  return Status::OK();
+}
+
 /// `stream_dicts` holds the per-(sender, column) dictionaries a stream
 /// decoder threads through the body decode; nullptr for standalone batches
 /// (then only self-contained stream columns — base 0 — decode).
@@ -408,20 +645,29 @@ Result<Column> ReadColumn(
       PUSHSIP_RETURN_NOT_OK(ReadNullBitmap(r, n, &is_null));
       Column col(tag == kColInt64 ? TypeId::kInt64 : TypeId::kDate);
       col.Reserve(reserve);
-      for (size_t i = 0; i < n; ++i) {
-        if (!is_null.empty() && is_null[i]) {
-          col.AppendNull();
-          continue;
-        }
-        PUSHSIP_ASSIGN_OR_RETURN(const uint64_t u, r->ReadVarint());
-        col.AppendI64(ZigZagDecode(u));
-      }
+      PUSHSIP_RETURN_NOT_OK(ReadIntColumn(
+          r, n, is_null, /*zigzag=*/true, &col,
+          [&col](int64_t v) { col.AppendI64(v); }));
       return col;
     }
     case kColDouble: {
       PUSHSIP_RETURN_NOT_OK(ReadNullBitmap(r, n, &is_null));
+      PUSHSIP_ASSIGN_OR_RETURN(const uint8_t scale, r->ReadU8());
       Column col(TypeId::kDouble);
       col.Reserve(reserve);
+      if (scale <= kMaxDecimalScale) {
+        // Exactly the encoder's check expression (FindDecimalScale).
+        const double pow10 = kPow10[scale];
+        PUSHSIP_RETURN_NOT_OK(ReadIntColumn(
+            r, n, is_null, /*zigzag=*/true, &col, [&](int64_t k) {
+              col.AppendF64(scale == 0 ? static_cast<double>(k)
+                                       : static_cast<double>(k) / pow10);
+            }));
+        return col;
+      }
+      if (scale != kRawDoubles) {
+        return Status::InvalidArgument("unknown double scale on the wire");
+      }
       for (size_t i = 0; i < n; ++i) {
         if (!is_null.empty() && is_null[i]) {
           col.AppendNull();
@@ -447,17 +693,15 @@ Result<Column> ReadColumn(
       }
       Column col = Column::StringWithDict(std::move(dict));
       col.Reserve(reserve);
-      for (size_t i = 0; i < n; ++i) {
-        if (!is_null.empty() && is_null[i]) {
-          col.AppendNull();
-          continue;
-        }
-        PUSHSIP_ASSIGN_OR_RETURN(const uint64_t idx, r->ReadVarint());
-        if (idx >= dict_size) {
-          return Status::InvalidArgument(
-              "string dictionary index out of range");
-        }
-        col.AppendCode(static_cast<uint32_t>(idx));
+      bool out_of_range = false;
+      PUSHSIP_RETURN_NOT_OK(ReadIntColumn(
+          r, n, is_null, /*zigzag=*/false, &col, [&](int64_t idx) {
+            const bool ok = static_cast<uint64_t>(idx) < dict_size;
+            out_of_range |= !ok;
+            col.AppendCode(ok ? static_cast<uint32_t>(idx) : 0);
+          }));
+      if (out_of_range) {
+        return Status::InvalidArgument("string dictionary index out of range");
       }
       return col;
     }
@@ -498,17 +742,15 @@ Result<Column> ReadColumn(
       const uint64_t limit = base + num_new;
       Column col = Column::StringWithDict(std::move(dict));
       col.Reserve(reserve);
-      for (size_t i = 0; i < n; ++i) {
-        if (!is_null.empty() && is_null[i]) {
-          col.AppendNull();
-          continue;
-        }
-        PUSHSIP_ASSIGN_OR_RETURN(const uint64_t code, r->ReadVarint());
-        if (code >= limit) {
-          return Status::InvalidArgument(
-              "stream dictionary code out of range");
-        }
-        col.AppendCode(static_cast<uint32_t>(code));
+      bool out_of_range = false;
+      PUSHSIP_RETURN_NOT_OK(ReadIntColumn(
+          r, n, is_null, /*zigzag=*/false, &col, [&](int64_t code) {
+            const bool ok = static_cast<uint64_t>(code) < limit;
+            out_of_range |= !ok;
+            col.AppendCode(ok ? static_cast<uint32_t>(code) : 0);
+          }));
+      if (out_of_range) {
+        return Status::InvalidArgument("stream dictionary code out of range");
       }
       return col;
     }
@@ -547,11 +789,14 @@ Result<Batch> ReadBatchBody(
   if (num_cols == 0 || num_cols > kMaxPlausibleCols) {
     return Status::InvalidArgument("implausible column count on the wire");
   }
-  // Row count must be bounded by the input actually present: every encoded
-  // column costs at least ceil(rows/8) payload bytes (null bitmap /
-  // varints / values) except all-NULL columns, which the slack term covers
-  // for any realistically sized batch. A corrupt varint row count can
-  // therefore never force a large allocation from a tiny frame.
+  // The row count must be bounded by the input actually present, or a
+  // corrupt varint row count could force a huge allocation from a tiny
+  // frame. Column cost cannot bound it: an all-NULL column and a width-0
+  // packed column (every value equal) cost O(1) bytes whatever the row
+  // count. So the bound is on the values the decoder will materialize:
+  // rows x columns may not exceed 64 per remaining byte plus a fixed
+  // slack, which caps the allocation at a constant multiple of the input.
+  // A batch of mostly constant columns beyond that size is refused.
   const uint64_t value_budget =
       64 * static_cast<uint64_t>(r->remaining()) + 4096;
   if (num_rows > value_budget || num_rows * num_cols > value_budget) {
@@ -653,12 +898,21 @@ void AppendHeader(char tag, std::string* out) {
   PutU8(kWireVersion, out);
 }
 
+/// Frame header: tag, version, varint sender, epoch and seq, then the
+/// replayable flag byte — 7 bytes for small values, at most 23.
+constexpr size_t kMaxFrameHeaderBytes = 2 + 5 + 5 + 10 + 1;
+/// Batch body prefix: varint row count, layout byte, varint column count.
+constexpr size_t kMaxBodyPrefixBytes = 10 + 1 + 3;
+/// Encoder pre-size per row: a guess, not a bound. A Q17 row packs to
+/// about 4.5 bytes; wider rows grow the buffer.
+constexpr size_t kReserveBytesPerRow = 8;
+
 void AppendBatchFrameHeader(uint32_t sender, uint32_t epoch, uint64_t seq,
                             bool replayable, std::string* out) {
   AppendHeader(kBatchFrameTag, out);
-  PutU32(sender, out);
-  PutU32(epoch, out);
-  PutU64(seq, out);
+  PutVarint(sender, out);
+  PutVarint(epoch, out);
+  PutVarint(seq, out);
   PutU8(replayable ? 1 : 0, out);
 }
 
@@ -666,8 +920,7 @@ void AppendBatchFrameHeader(uint32_t sender, uint32_t epoch, uint64_t seq,
 
 std::string SerializeBatch(const Batch& batch, WireFormatVersion) {
   std::string out;
-  // Rough pre-size: header + ~16 bytes per value.
-  out.reserve(10 + batch.size() * 32);
+  out.reserve(2 + kMaxBodyPrefixBytes + batch.size() * kReserveBytesPerRow);
   AppendHeader(kBatchTag, &out);
   AppendBatchBody(
       batch,
@@ -691,7 +944,7 @@ Result<Batch> DeserializeBatch(const std::string& bytes) {
 std::string AssembleBatchFrame(uint32_t sender, uint32_t epoch, uint64_t seq,
                                bool replayable, const std::string& body) {
   std::string out;
-  out.reserve(19 + body.size());
+  out.reserve(kMaxFrameHeaderBytes + body.size());
   AppendBatchFrameHeader(sender, epoch, seq, replayable, &out);
   out.append(body);
   return out;
@@ -705,12 +958,14 @@ struct WireStreamEncoder::ColState {
   /// entries of each frame's update are exactly the contiguous tail
   /// [shipped, size) and ship without explicit codes.
   std::shared_ptr<StringDict> stream_dict = std::make_shared<StringDict>();
-  /// Identity of the last source dictionary, for the code-to-code cache.
-  const StringDict* src_dict = nullptr;
+  /// The last source dictionary, for the code-to-code cache. Holding it
+  /// keeps its address from being reused by a later batch's dictionary,
+  /// which would otherwise pass for the cached one.
+  std::shared_ptr<const StringDict> src_dict;
   std::vector<uint32_t> src_to_stream;
   uint32_t shipped = 0;
-  /// Scratch: per-row stream codes of the batch being encoded.
-  std::vector<uint32_t> row_codes;
+  /// Scratch: the stream codes of the encoded batch's non-NULL rows.
+  std::vector<int64_t> codes;
 };
 
 WireStreamEncoder::WireStreamEncoder(bool stream_dicts)
@@ -755,13 +1010,14 @@ void WireStreamEncoder::EncodeStringColumn(const Column& col,
   // dictionary identity does (a changed source just re-warms the cache —
   // stream codes, and therefore the bytes already shipped, stay valid).
   const StringDict* src = col.dict().get();
-  if (src != st.src_dict) {
-    st.src_dict = src;
+  if (src != st.src_dict.get()) {
+    st.src_dict = col.dict();
     st.src_to_stream.assign(src->size(), kNoStreamCode);
   } else if (st.src_to_stream.size() < src->size()) {
     st.src_to_stream.resize(src->size(), kNoStreamCode);
   }
-  st.row_codes.resize(n);
+  st.codes.clear();
+  st.codes.reserve(n - null_count);
   for (size_t r = 0; r < n; ++r) {
     if (null_count > 0 && col.IsNull(r)) continue;
     const uint32_t sc = col.CodeAt(r);
@@ -770,7 +1026,7 @@ void WireStreamEncoder::EncodeStringColumn(const Column& col,
       mapped = st.stream_dict->Intern(src->entry(sc));
       st.src_to_stream[sc] = mapped;
     }
-    st.row_codes[r] = mapped;
+    st.codes.push_back(mapped);
   }
 
   PutU8(kColStringDictStream, out);
@@ -785,9 +1041,7 @@ void WireStreamEncoder::EncodeStringColumn(const Column& col,
   }
   dict_entries_shipped_ += static_cast<int64_t>(size_now - st.shipped);
   st.shipped = size_now;
-  for (size_t r = 0; r < n; ++r) {
-    if (null_count == 0 || !col.IsNull(r)) PutVarint(st.row_codes[r], out);
-  }
+  AppendIntPayload(st.codes.data(), st.codes.size(), /*zigzag=*/false, out);
 }
 
 void WireStreamEncoder::AppendBody(const Batch& batch, std::string* out) {
@@ -801,7 +1055,7 @@ void WireStreamEncoder::AppendBody(const Batch& batch, std::string* out) {
 
 std::string WireStreamEncoder::SerializeBody(const Batch& batch) {
   std::string out;
-  out.reserve(8 + batch.size() * 32);
+  out.reserve(kMaxBodyPrefixBytes + batch.size() * kReserveBytesPerRow);
   AppendBody(batch, &out);
   return out;
 }
@@ -810,7 +1064,8 @@ std::string WireStreamEncoder::SerializeFrame(uint32_t sender, uint32_t epoch,
                                               uint64_t seq, bool replayable,
                                               const Batch& batch) {
   std::string out;
-  out.reserve(27 + batch.size() * 32);
+  out.reserve(kMaxFrameHeaderBytes + kMaxBodyPrefixBytes +
+              batch.size() * kReserveBytesPerRow);
   AppendBatchFrameHeader(sender, epoch, seq, replayable, &out);
   AppendBody(batch, &out);
   return out;
@@ -820,9 +1075,14 @@ Result<BatchFrame> WireStreamDecoder::DecodeFrame(const std::string& bytes) {
   WireReader r(bytes);
   PUSHSIP_RETURN_NOT_OK(r.ExpectHeader(kBatchFrameTag));
   BatchFrame frame;
-  PUSHSIP_ASSIGN_OR_RETURN(frame.sender, r.ReadU32());
-  PUSHSIP_ASSIGN_OR_RETURN(frame.epoch, r.ReadU32());
-  PUSHSIP_ASSIGN_OR_RETURN(frame.seq, r.ReadU64());
+  PUSHSIP_ASSIGN_OR_RETURN(const uint64_t sender, r.ReadVarint());
+  PUSHSIP_ASSIGN_OR_RETURN(const uint64_t epoch, r.ReadVarint());
+  if (sender > UINT32_MAX || epoch > UINT32_MAX) {
+    return Status::InvalidArgument("batch frame sender or epoch too large");
+  }
+  frame.sender = static_cast<uint32_t>(sender);
+  frame.epoch = static_cast<uint32_t>(epoch);
+  PUSHSIP_ASSIGN_OR_RETURN(frame.seq, r.ReadVarint());
   PUSHSIP_ASSIGN_OR_RETURN(const uint8_t replayable, r.ReadU8());
   if (replayable > 1) {
     return Status::InvalidArgument("bad replayable flag in batch frame");
@@ -851,7 +1111,8 @@ Result<BatchFrame> WireStreamDecoder::DecodeFrame(const std::string& bytes) {
 
 std::string SerializeBloomFilter(const BloomFilter& filter) {
   std::string out;
-  out.reserve(22 + filter.SizeBytes());
+  // Header, geometry (8 + 4 + 8) and encoding byte; dense words at most.
+  out.reserve(2 + 20 + 1 + filter.SizeBytes());
   AppendHeader(kBloomTag, &out);
   AppendBloomBody(filter, &out);
   return out;
@@ -869,7 +1130,7 @@ Result<BloomFilter> DeserializeBloomFilter(const std::string& bytes) {
 
 std::string SerializeFilterMessage(AttrId attr, const BloomFilter& filter) {
   std::string out;
-  out.reserve(26 + filter.SizeBytes());
+  out.reserve(2 + 4 + 20 + 1 + filter.SizeBytes());
   AppendHeader(kFilterMsgTag, &out);
   PutU32(static_cast<uint32_t>(attr), &out);
   AppendBloomBody(filter, &out);

@@ -3,25 +3,41 @@
 // strings, moved across a SimLink or a TCP connection, and deserialized at
 // the receiving site.
 //
-// Every message starts with a one-byte tag plus a version byte (always 2)
+// Every message starts with a one-byte tag plus a version byte (always 3)
 // so a receiver can reject garbage, or bytes of another encoding, instead
 // of crashing. Sizes reported by the serializers are what the link is
 // charged — the same bytes a real socket carries.
 //
 // There is one batch encoding, column-major: one type tag per column, a
-// null bitmap only when the column has NULLs, zigzag-varint ints and
-// dates, and dictionary encoding for low-cardinality string columns. Since
-// the in-memory Batch is itself columnar, encode/decode walks each
-// column's typed vector directly — no row materialization ("zero
-// transpose"); only mixed-type variant columns fall back to per-value
-// encoding (counted by the encoder's encode_transposes()). It has two
-// entry points:
+// null bitmap only when the column has NULLs, and dictionary encoding for
+// low-cardinality string columns. Since the in-memory Batch is itself
+// columnar, encode/decode walks each column's typed vector directly — no
+// row materialization ("zero transpose"); only mixed-type variant columns
+// fall back to per-value encoding (counted by the encoder's
+// encode_transposes()).
+//
+// Every integer-like payload — INT64 and DATE values, the mantissas of
+// decimal DOUBLE columns, per-batch and stream dictionary codes — goes
+// through one integer kernel. Per column and batch it ships the non-NULL
+// values either frame-of-reference bit-packed (the minimum, then each
+// value minus it in w <= 56 bits; w = 0 when every value is equal costs
+// O(1) bytes) or as varints (zigzagged when signed), whichever is smaller;
+// one mode byte says which. A DOUBLE column ships as mantissas k at the
+// smallest scale s in 0..4 for which every value v satisfies |v*10^s| <
+// 2^53 and, with k = nearbyint(v*10^s), the bits of (s == 0 ? double(k) :
+// double(k) / 10^s) equal v's — the decoder evaluates exactly that
+// expression. Otherwise (any -0.0, NaN, infinity or inexact decimal) the
+// column keeps 8 raw bytes per value.
+//
+// Batches have two entry points:
 //   * Exchange frames: WireStreamEncoder/WireStreamDecoder pairs add
 //     *cross-batch* string dictionaries — the encoder ships each distinct
 //     string once per (stream, column) and later frames carry only
 //     dictionary codes. Stream state is keyed by the frame's (sender,
 //     epoch): a fragment restart or migration bumps the epoch, which
 //     resets both sides. A fresh encoder's first frame is self-contained.
+//     The frame header carries sender, epoch and seq as varints (7 bytes
+//     for small values); a sender or epoch above UINT32_MAX is refused.
 //   * Standalone batches: SerializeBatch/DeserializeBatch, where every
 //     batch carries its own dictionary. Checkpoint snapshots, held-frame
 //     snapshots and canonical answer bytes use this form.
@@ -42,7 +58,7 @@ namespace pushsip {
 
 /// The wire version carried in every message header's version byte.
 enum class WireFormatVersion : uint8_t {
-  kColumnar = 2,  ///< column-major, varint + dictionary compressed
+  kColumnar = 3,  ///< column-major, bit-packed / varint + dictionary
 };
 
 /// Serializes a whole standalone batch (tag + version + payload).

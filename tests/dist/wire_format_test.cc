@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <optional>
+
 #include "dist/multi_process.h"
 #include "tests/testing/test_rng.h"
 
@@ -225,30 +229,34 @@ TEST(WireFormatTest, BatchFrameRejectsTruncationAndCorruption) {
           .ok());
 }
 
-// Version 1 (the retired row-major encoding) is refused by every decoder,
-// whatever follows the header.
+// Version 1 (the retired row-major encoding) and version 2 (varint-only
+// columns, fixed-width frame header) are refused by every decoder, whatever
+// follows the header.
 TEST(WireFormatTest, VersionOneHeaderIsRejectedEverywhere) {
   Batch batch;
   batch.SetArity(2);
   batch.AppendRow(std::vector<Value>{Value::Int64(1), Value::String("a")});
   BloomFilter filter = BloomFilter::WithBitCount(128, 1);
   filter.Insert(0x9E3779B97F4A7C15ULL);
-  const auto as_v1 = [](std::string bytes) {
-    EXPECT_EQ(bytes[1], 2);
-    bytes[1] = 1;
-    return bytes;
-  };
-  EXPECT_FALSE(DeserializeBatch(as_v1(SerializeBatch(batch))).ok());
-  EXPECT_FALSE(DeserializeBatch(as_v1(SerializeBatch(Batch{}))).ok());
-  EXPECT_FALSE(
-      WireStreamDecoder()
-          .DecodeFrame(as_v1(WireStreamEncoder().SerializeFrame(
-              0, 0, 0, true, batch)))
-          .ok());
-  EXPECT_FALSE(
-      DeserializeBloomFilter(as_v1(SerializeBloomFilter(filter))).ok());
-  EXPECT_FALSE(
-      DeserializeFilterMessage(as_v1(SerializeFilterMessage(7, filter))).ok());
+  for (const char old_version : {1, 2}) {
+    const auto as_old = [old_version](std::string bytes) {
+      EXPECT_EQ(bytes[1], 3);
+      bytes[1] = old_version;
+      return bytes;
+    };
+    EXPECT_FALSE(DeserializeBatch(as_old(SerializeBatch(batch))).ok());
+    EXPECT_FALSE(DeserializeBatch(as_old(SerializeBatch(Batch{}))).ok());
+    EXPECT_FALSE(
+        WireStreamDecoder()
+            .DecodeFrame(as_old(WireStreamEncoder().SerializeFrame(
+                0, 0, 0, true, batch)))
+            .ok());
+    EXPECT_FALSE(
+        DeserializeBloomFilter(as_old(SerializeBloomFilter(filter))).ok());
+    EXPECT_FALSE(
+        DeserializeFilterMessage(as_old(SerializeFilterMessage(7, filter)))
+            .ok());
+  }
 
   // A hand-built v1 batch (one row of one NULL) is refused as well.
   std::string v1_batch("B\x01", 2);
@@ -373,7 +381,7 @@ TEST(WireFormatTest, ColumnarBatchRejectsTruncationAndCorruption) {
 TEST(WireFormatTest, ColumnarRejectsImplausibleRowCount) {
   std::string bytes;
   bytes.push_back('B');  // batch tag
-  bytes.push_back(2);    // v2
+  bytes.push_back(3);    // version 3
   // varint num_rows = 2^50
   uint64_t v = 1ULL << 50;
   while (v >= 0x80) {
@@ -471,44 +479,39 @@ TEST(WireFormatTest, GoldenBytesPinTheEncoding) {
   const Batch batch = GoldenBatch(0);
   ASSERT_TRUE(batch.col(5).is_variant());
   EXPECT_EQ(HexEncode(SerializeBatch(batch)),
-            "4202060108010000cf0fa01fef2ec03e8f4e0200d08c01d28c01d48c01d68c01"
-            "d88c01da8c01030109000000000000f43f000000000000024000000000000011"
-            "400000000000001540040002044d41494c034149520001000100010500056b65"
-            "792d30056b65792d31056b65792d32056b65792d33056b65792d34056b65792d"
-            "3500030100000076010100000000000000030100000076010300000000000000"
-            "0301000000760105000000000000000604010101035245470000000000");
+            "42030601080100ff00cf0fa01fef2ec03e8f4e020003d08c0188c60203010902"
+            "09fa0100c8b0840c040002044d41494c0341495201002a0500056b65792d3005"
+            "6b65792d31056b65792d32056b65792d33056b65792d34056b65792d35000301"
+            "0000007601010000000000000003010000007601030000000000000003010000"
+            "00760105000000000000000604010101035245470000");
 
   WireStreamEncoder stream;
   EXPECT_EQ(HexEncode(stream.SerializeFrame(/*sender=*/1, /*epoch=*/2,
                                             /*seq=*/3, /*replayable=*/true,
                                             batch)),
-            "58020100000002000000030000000000000001060108010000cf0fa01fef2ec0"
-            "3e8f4e0200d08c01d28c01d48c01d68c01d88c01da8c01030109000000000000"
-            "f43f00000000000002400000000000001140000000000000154007000002044d"
-            "41494c0341495200010001000107000006056b65792d30056b65792d31056b65"
-            "792d32056b65792d33056b65792d34056b65792d350001020304050003010000"
-            "0076010100000000000000030100000076010300000000000000030100000076"
-            "010500000000000000060701010001035245470000000000");
+            "5803010203010601080100ff00cf0fa01fef2ec03e8f4e020003d08c0188c602"
+            "0301090209fa0100c8b0840c07000002044d41494c0341495201002a07000006"
+            "056b65792d30056b65792d31056b65792d32056b65792d33056b65792d34056b"
+            "65792d35030088c6020003010000007601010000000000000003010000007601"
+            "0300000000000000030100000076010500000000000000060701010001035245"
+            "470000");
   EXPECT_EQ(HexEncode(stream.SerializeFrame(1, 2, 4, true, GoldenBatch(4))),
-            "580201000000020000000400000000000000010601080100c03e8f4ee05daf6d"
-            "807dcf8c010200d88c01da8c01dc8c01de8c01e08c01e28c0103012400000000"
-            "0000114000000000000015400000000000001d40000000000080204007000200"
-            "00010001000107000604056b65792d36056b65792d37056b65792d38056b6579"
-            "2d39040506070809000301000000760105000000000000000301000000760107"
-            "0000000000000003010000007601090000000000000006070101010000000000"
-            "00");
+            "5803010204010601080100ffc03e8f4ee05daf6d807dcf8c01020003d88c0188"
+            "c6020301240209d20600c8b0840c0700020001002a07000604056b65792d3605"
+            "6b65792d37056b65792d38056b65792d39030888c60200030100000076010500"
+            "0000000000000301000000760107000000000000000301000000760109000000"
+            "000000000607010101000000");
 
   WireStreamEncoder broadcast;
   EXPECT_EQ(HexEncode(AssembleBatchFrame(/*sender=*/5, /*epoch=*/0,
                                          /*seq=*/9, /*replayable=*/false,
                                          broadcast.SerializeBody(batch))),
-            "58020500000000000000090000000000000000060108010000cf0fa01fef2ec0"
-            "3e8f4e0200d08c01d28c01d48c01d68c01d88c01da8c01030109000000000000"
-            "f43f00000000000002400000000000001140000000000000154007000002044d"
-            "41494c0341495200010001000107000006056b65792d30056b65792d31056b65"
-            "792d32056b65792d33056b65792d34056b65792d350001020304050003010000"
-            "0076010100000000000000030100000076010300000000000000030100000076"
-            "010500000000000000060701010001035245470000000000");
+            "5803050009000601080100ff00cf0fa01fef2ec03e8f4e020003d08c0188c602"
+            "0301090209fa0100c8b0840c07000002044d41494c0341495201002a07000006"
+            "056b65792d30056b65792d31056b65792d32056b65792d33056b65792d34056b"
+            "65792d35030088c6020003010000007601010000000000000003010000007601"
+            "0300000000000000030100000076010500000000000000060701010001035245"
+            "470000");
 
   // Insert takes hashes, so spread the keys over all 64 bits.
   constexpr uint64_t kSpread = 0x9E3779B97F4A7C15ULL;
@@ -517,17 +520,380 @@ TEST(WireFormatTest, GoldenBytesPinTheEncoding) {
   BloomFilter dense = BloomFilter::WithBitCount(128, 1);
   for (uint64_t k = 1; k <= 40; ++k) dense.Insert(k * kSpread);
   EXPECT_EQ(HexEncode(SerializeBloomFilter(sparse)),
-            "460200040000000000000200000004000000000000000108668b018601660695"
+            "460300040000000000000200000004000000000000000108668b018601660695"
             "01767c");
   EXPECT_EQ(HexEncode(SerializeBloomFilter(dense)),
-            "460280000000000000000100000028000000000000000012a990c884422452a1"
+            "460380000000000000000100000028000000000000000012a990c884422452a1"
             "90899448a44221");
   EXPECT_EQ(HexEncode(SerializeFilterMessage(AttrId{204}, sparse)),
-            "4102cc00000000040000000000000200000004000000000000000108668b0186"
+            "4103cc00000000040000000000000200000004000000000000000108668b0186"
             "0166069501767c");
   EXPECT_EQ(HexEncode(SerializeFilterMessage(AttrId{204}, dense)),
-            "4102cc00000080000000000000000100000028000000000000000012a990c884"
+            "4103cc00000080000000000000000100000028000000000000000012a990c884"
             "422452a190899448a44221");
+}
+
+/// One column per call: `values` in a fresh batch, NULL where unset.
+Batch OneColumn(TypeId type, const std::vector<std::optional<Value>>& values) {
+  Column col(type);
+  for (const std::optional<Value>& v : values) {
+    if (v.has_value()) {
+      col.AppendValue(*v);
+    } else {
+      col.AppendNull();
+    }
+  }
+  Batch batch;
+  batch.AddColumn(std::move(col));
+  return batch;
+}
+
+// The integer kernel's layouts, the decimal rule and the varint frame
+// header, pinned one column at a time.
+TEST(WireFormatTest, GoldenBytesPinTheCompactColumns) {
+  // Packed INT64: 100000..100175 ships the minimum, then 8 bits a value.
+  std::vector<std::optional<Value>> packed;
+  for (int r = 0; r < 8; ++r) packed.push_back(Value::Int64(100000 + r * 25));
+  EXPECT_EQ(HexEncode(SerializeBatch(OneColumn(TypeId::kInt64, packed))),
+            "4203080101010008c09a0c0019324b647d96af");
+  // Width 0: every value equal costs the mode byte and the minimum.
+  std::vector<std::optional<Value>> constant(
+      64, std::optional<Value>(Value::Date(10957)));
+  EXPECT_EQ(HexEncode(SerializeBatch(OneColumn(TypeId::kDate, constant))),
+            "42034001010200009aab01");
+  // DOUBLE at s = 0 (integral prices, one NULL) and at s = 2 (cents).
+  std::vector<std::optional<Value>> prices;
+  for (int r = 0; r < 16; ++r) {
+    prices.push_back(r == 5 ? std::nullopt
+                            : std::optional<Value>(Value::Double(
+                                  (r + 1) * 1000.0 + r % 3)));
+  }
+  EXPECT_EQ(HexEncode(SerializeBatch(OneColumn(TypeId::kDouble, prices))),
+            "420310010103012000000ed00f0040fa207de02ea10fdc95b5097d2863c4a9af"
+            "82bbc9b2ac8da903");
+  EXPECT_EQ(HexEncode(SerializeBatch(OneColumn(
+                TypeId::kDouble, {Value::Double(1.25), Value::Double(10.5),
+                                  Value::Double(99.99), Value::Double(0.01)}))),
+            "42030401010300020e027c4006e1700200");
+  // No scale reproduces these bits: the column stays raw.
+  EXPECT_EQ(
+      HexEncode(SerializeBatch(OneColumn(
+          TypeId::kDouble,
+          {Value::Double(0.1 + 0.2), Value::Double(-0.0),
+           Value::Double(std::numeric_limits<double>::quiet_NaN()),
+           Value::Double(std::numeric_limits<double>::infinity()),
+           Value::Double(-std::numeric_limits<double>::infinity())}))),
+      "42030501010300ff343333333333d33f0000000000000080000000000000f87f"
+      "000000000000f07f000000000000f0ff");
+  // Dictionary codes: per-batch indices and stream codes both pack.
+  std::vector<std::optional<Value>> brands;
+  for (int r = 0; r < 12; ++r) {
+    static const char* kModes[] = {"MAIL", "AIR", "SHIP"};
+    brands.push_back(Value::String(kModes[r % 3]));
+  }
+  const Batch brand_batch = OneColumn(TypeId::kString, brands);
+  EXPECT_EQ(HexEncode(SerializeBatch(brand_batch)),
+            "42030c0101040003044d41494c0341495204534849500200244992");
+  WireStreamEncoder stream;
+  EXPECT_EQ(HexEncode(stream.SerializeFrame(0, 0, 0, true, brand_batch)),
+            "5803000000010c010107000003044d41494c0341495204534849500200244992");
+  // Continuation: codes only, no dictionary entries.
+  EXPECT_EQ(HexEncode(stream.SerializeFrame(0, 0, 1, true, brand_batch)),
+            "5803000001010c0101070003000200244992");
+  // Header varints at their extremes.
+  EXPECT_EQ(HexEncode(WireStreamEncoder().SerializeFrame(
+                /*sender=*/UINT32_MAX - 1, /*epoch=*/UINT32_MAX,
+                /*seq=*/(uint64_t{1} << 63) + 5, /*replayable=*/false,
+                Batch{})),
+            "5803feffffff0fffffffff0f858080808080808080010000");
+}
+
+/// Exact equality, column by column: same type and NULL rows, INT64/DATE
+/// values and dictionary strings equal, doubles equal bit for bit (memcmp,
+/// so -0.0 and NaN payloads count).
+void ExpectBitIdentical(const Batch& got, const Batch& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.num_cols(), want.num_cols());
+  for (size_t c = 0; c < want.num_cols(); ++c) {
+    const Column& g = got.col(c);
+    const Column& w = want.col(c);
+    // An all-NULL column ships as kColNull and decodes untyped.
+    if (w.NullCount() < w.size()) {
+      ASSERT_EQ(g.type(), w.type()) << "col " << c;
+    }
+    for (size_t r = 0; r < want.size(); ++r) {
+      ASSERT_EQ(g.IsNull(r), w.IsNull(r)) << "row " << r << " col " << c;
+      if (w.IsNull(r)) continue;
+      switch (w.type()) {
+        case TypeId::kInt64:
+        case TypeId::kDate:
+          ASSERT_EQ(g.I64At(r), w.I64At(r)) << "row " << r << " col " << c;
+          break;
+        case TypeId::kDouble: {
+          const double gv = g.F64At(r);
+          const double wv = w.F64At(r);
+          ASSERT_EQ(std::memcmp(&gv, &wv, sizeof(double)), 0)
+              << "row " << r << " col " << c << ": " << gv << " vs " << wv;
+          break;
+        }
+        case TypeId::kString:
+          ASSERT_EQ(g.StringAt(r), w.StringAt(r))
+              << "row " << r << " col " << c;
+          break;
+        case TypeId::kNull:
+          break;
+      }
+    }
+  }
+}
+
+/// One INT64 value of a column drawn in `shape`: a constant, a narrow
+/// range above a large base, both int64 extremes (a range the width cap
+/// sends to varints), or anything.
+int64_t ShapedInt(Random* rng, int shape, int64_t base) {
+  switch (shape) {
+    case 0: return base;
+    case 1: return base + rng->UniformInt(0, 300);
+    case 2: {
+      const int64_t extremes[] = {std::numeric_limits<int64_t>::min(),
+                                  std::numeric_limits<int64_t>::max(), 0, -1};
+      return extremes[rng->UniformInt(0, 3)];
+    }
+    default: return static_cast<int64_t>(rng->NextUint64());
+  }
+}
+
+/// One DOUBLE value of a column drawn in `shape`: integral prices, cents,
+/// four decimals, values around 2^53, denormals, IEEE specials, or
+/// arbitrary bits.
+double ShapedDouble(Random* rng, int shape) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  switch (shape) {
+    case 0: return static_cast<double>(rng->UniformInt(-100000, 100000));
+    case 1: return static_cast<double>(rng->UniformInt(0, 9999999)) / 100;
+    case 2: return static_cast<double>(rng->UniformInt(-99999, 99999)) / 10000;
+    case 3: {
+      const double near[] = {kTwo53, -kTwo53, kTwo53 - 1, kTwo53 + 2,
+                             kTwo53 / 10, kTwo53 / 10000 + 0.5};
+      return near[rng->UniformInt(0, 5)];
+    }
+    case 4: {
+      const double tiny[] = {std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min() / 3, 0.0};
+      return tiny[rng->UniformInt(0, 3)];
+    }
+    case 5: {
+      const double special[] = {-0.0, std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(),
+                                0.1 + 0.2, 1.0};
+      return special[rng->UniformInt(0, 5)];
+    }
+    default: {
+      const uint64_t bits = rng->NextUint64();
+      double v;
+      std::memcpy(&v, &bits, sizeof(v));
+      return v;
+    }
+  }
+}
+
+/// A typed batch exercising every compact layout: INT64, DATE and DOUBLE
+/// columns of a random shape and a low-cardinality string column, each
+/// with no, some, or only NULLs.
+Batch RandomCompactBatch(Random* rng, size_t rows) {
+  Batch batch;
+  for (int c = 0; c < 6; ++c) {
+    const int null_mode = static_cast<int>(rng->UniformInt(0, 2));
+    const auto is_null = [&] {
+      return null_mode == 2 || (null_mode == 1 && rng->UniformInt(0, 4) == 0);
+    };
+    const int int_shape = static_cast<int>(rng->UniformInt(0, 3));
+    const int double_shape = static_cast<int>(rng->UniformInt(0, 6));
+    const int64_t base = ShapedInt(rng, 3, 0) / 2;
+    Column col(c == 0 || c == 4 ? TypeId::kInt64
+               : c == 1         ? TypeId::kDate
+               : c == 5         ? TypeId::kString
+                                : TypeId::kDouble);
+    for (size_t r = 0; r < rows; ++r) {
+      if (is_null()) {
+        col.AppendNull();
+      } else if (col.type() == TypeId::kString) {
+        col.AppendValue(Value::String(std::to_string(rng->UniformInt(0, 40))));
+      } else if (col.type() == TypeId::kDouble) {
+        col.AppendF64(ShapedDouble(rng, double_shape));
+      } else {
+        col.AppendI64(ShapedInt(rng, int_shape, base));
+      }
+    }
+    batch.AddColumn(std::move(col));
+  }
+  return batch;
+}
+
+// Every compact layout round-trips bit for bit, standalone and through a
+// stream whose dictionary carries over between frames.
+TEST(WireFormatTest, CompactColumnsRoundTripBitIdentical) {
+  PUSHSIP_SEED_TRACE(TestSeed());
+  Random rng = SeededRandom(31);
+  WireStreamEncoder encoder;
+  WireStreamDecoder decoder;
+  for (int round = 0; round < 80; ++round) {
+    const size_t sizes[] = {1, 2, 3, 17, 1024};
+    const size_t rows = round % 2 == 0
+                            ? sizes[rng.UniformInt(0, 4)]
+                            : static_cast<size_t>(rng.UniformInt(1, 300));
+    const Batch batch = RandomCompactBatch(&rng, rows);
+    SCOPED_TRACE("round " + std::to_string(round));
+
+    auto standalone = DeserializeBatch(SerializeBatch(batch));
+    ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
+    {
+      SCOPED_TRACE("standalone");
+      ExpectBitIdentical(*standalone, batch);
+    }
+
+    auto frame = decoder.DecodeFrame(encoder.SerializeFrame(
+        /*sender=*/1, /*epoch=*/0, static_cast<uint64_t>(round), true, batch));
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    SCOPED_TRACE("stream frame");
+    ExpectBitIdentical(frame->batch, batch);
+  }
+}
+
+// The int64 extremes in one column overflow the width cap and take
+// varints; a column of equal values costs O(1) bytes whatever its length.
+TEST(WireFormatTest, CompactColumnsSizeFollowsTheValues) {
+  const Batch extremes =
+      OneColumn(TypeId::kInt64, {Value::Int64(INT64_MIN), Value::Int64(0),
+                                 Value::Int64(INT64_MAX)});
+  auto decoded = DeserializeBatch(SerializeBatch(extremes));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectBitIdentical(*decoded, extremes);
+
+  std::vector<std::optional<Value>> few(2, Value::Int64(-77));
+  std::vector<std::optional<Value>> many(1024, Value::Int64(-77));
+  EXPECT_EQ(SerializeBatch(OneColumn(TypeId::kInt64, many)).size(),
+            SerializeBatch(OneColumn(TypeId::kInt64, few)).size() + 1);
+}
+
+// Every truncation and bit flip of frames in each compact layout fails
+// closed — packed and varint int payloads, width 0, scaled and raw
+// doubles, per-batch and stream dictionary codes, and a continuation frame
+// of a stream dictionary at a decoder with and without the first frame.
+TEST(WireFormatTest, CompactColumnsFailClosed) {
+  const auto make_batch = [](int first) {
+    Batch batch;
+    Column packed(TypeId::kInt64);
+    Column extremes(TypeId::kInt64);
+    Column constant(TypeId::kDate);
+    Column cents(TypeId::kDouble);
+    Column raw(TypeId::kDouble);
+    Column brands = Column::StringWithDict(nullptr);
+    for (int r = first; r < first + 9; ++r) {
+      packed.AppendI64(5000 + r * 3);
+      extremes.AppendI64(r % 2 ? INT64_MIN : INT64_MAX - r);
+      constant.AppendI64(10957);
+      if (r % 4 == 1) {
+        cents.AppendNull();
+      } else {
+        cents.AppendF64(r + 0.25);
+      }
+      raw.AppendF64(r % 3 == 0 ? -0.0 : r + 0.1);
+      brands.AppendValue(
+          Value::String(r % 3 ? std::string("AIR") : std::to_string(r)));
+    }
+    for (Column* col : {&packed, &extremes, &constant, &cents, &raw, &brands}) {
+      batch.AddColumn(std::move(*col));
+    }
+    return batch;
+  };
+  WireStreamEncoder encoder;
+  const std::string first =
+      encoder.SerializeFrame(/*sender=*/9, /*epoch=*/4, /*seq=*/70000,
+                             /*replayable=*/true, make_batch(0));
+  const std::string continuation =
+      encoder.SerializeFrame(9, 4, 70001, true, make_batch(9));
+  EXPECT_TRUE(DecodeAfter({}, first).ok());
+  ExpectFrameFailsClosed({}, first);
+  EXPECT_TRUE(DecodeAfter({first}, continuation).ok());
+  ExpectFrameFailsClosed({first}, continuation);
+  ExpectFrameFailsClosed({}, continuation);
+
+  const std::string standalone = SerializeBatch(make_batch(0));
+  for (size_t cut = 0; cut < standalone.size(); ++cut) {
+    EXPECT_FALSE(DeserializeBatch(standalone.substr(0, cut)).ok())
+        << "cut at " << cut;
+  }
+  for (size_t pos = 0; pos < standalone.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = standalone;
+      corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 << bit));
+      auto decoded = DeserializeBatch(corrupt);  // must not crash
+      if (decoded.ok()) {
+        EXPECT_LE(decoded->size(), corrupt.size());
+      }
+    }
+  }
+}
+
+// A 20-byte frame claiming 2^40 rows of a width-0 column (which would
+// cost no more bytes at any row count) is refused by the row-count budget
+// before any column is decoded.
+TEST(WireFormatTest, WidthZeroColumnsCannotClaimHugeRowCounts) {
+  std::string frame("X\x03", 2);
+  frame.append({0, 0, 0, 0});  // sender, epoch, seq, replayable
+  uint64_t rows = uint64_t{1} << 40;
+  for (; rows >= 0x80; rows >>= 7) {
+    frame.push_back(static_cast<char>((rows & 0x7f) | 0x80));
+  }
+  frame.push_back(static_cast<char>(rows));
+  frame.append({1, 1});        // columnar layout, one column
+  frame.append({1, 0, 0});     // INT64, no NULLs, width 0
+  frame.append("\xc0\x9a\x0c");  // minimum: zigzag(100000)
+  ASSERT_EQ(frame.size(), 20u);
+  auto decoded = WireStreamDecoder().DecodeFrame(frame);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().ToString().find("row count implausible"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
+// Mode bytes above the width cap (other than the varint mode) and scale
+// bytes above 4 (other than raw) are refused, as are frame headers whose
+// sender or epoch overflows 32 bits.
+TEST(WireFormatTest, UnknownModeWidthAndScaleAreRejected) {
+  // Two INT64 values 5 and 6: width 1, minimum zigzag(5) = 10, bits 0b10.
+  const std::string ints("B\x03\x02\x01\x01\x01\x00\x01\x0a\x02", 10);
+  ASSERT_EQ(SerializeBatch(OneColumn(TypeId::kInt64,
+                                     {Value::Int64(5), Value::Int64(6)})),
+            ints);
+  for (const int mode : {57, 64, 100, 0xfe}) {
+    std::string bad = ints;
+    bad[7] = static_cast<char>(mode);
+    EXPECT_FALSE(DeserializeBatch(bad).ok()) << "mode " << mode;
+  }
+  // Two DOUBLEs 1.5 and 2.5: scale 1, mantissas 15 and 25 at width 4.
+  const std::string doubles("B\x03\x02\x01\x01\x03\x00\x01\x04\x1e\xa0", 11);
+  ASSERT_EQ(SerializeBatch(OneColumn(TypeId::kDouble, {Value::Double(1.5),
+                                                       Value::Double(2.5)})),
+            doubles);
+  for (const int scale : {5, 6, 0x80, 0xfe}) {
+    std::string bad = doubles;
+    bad[7] = static_cast<char>(scale);
+    EXPECT_FALSE(DeserializeBatch(bad).ok()) << "scale " << scale;
+  }
+  // Sender, then epoch, one past UINT32_MAX.
+  const std::string too_big("\x80\x80\x80\x80\x10", 5);
+  for (const std::string& header :
+       {std::string("X\x03", 2) + too_big + std::string(3, '\0'),
+        std::string("X\x03\x00", 3) + too_big + std::string(2, '\0')}) {
+    auto decoded = WireStreamDecoder().DecodeFrame(header + '\0');
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_NE(decoded.status().ToString().find("too large"),
+              std::string::npos);
+  }
 }
 
 TEST(WireFormatTest, FilterMessageRoundTrip) {

@@ -1,4 +1,4 @@
-// Stream-encoded exchange wire format: null bitmaps over wire v2,
+// Stream-encoded exchange wire format: null bitmaps,
 // cross-batch dictionary carryover, and epoch resets (reconnect/replay)
 // leaving already-decoded batches intact.
 #include <optional>
@@ -173,6 +173,23 @@ TEST(WireStreamTest, ReplayAfterResetShipsTheDictionaryAgain) {
   ExpectSameContent(frame->batch, batch);
   EXPECT_EQ(enc.dict_entries_shipped(), 4);  // both entries shipped again
   EXPECT_EQ(enc.dict_reships(), 0);  // post-reset shipments are not re-ships
+}
+
+TEST(WireStreamTest, FreshSourceDictionaryPerBatchIsNotConfused) {
+  // Batches built row by row each own a fresh dictionary, freed with the
+  // batch; the next one may reuse its address. The encoder's code cache
+  // must not mistake the new dictionary for the old one.
+  WireStreamEncoder enc;
+  WireStreamDecoder dec;
+  for (uint64_t seq = 0; seq < 50; ++seq) {
+    const Batch batch =
+        BatchBuilder().Str({std::to_string(seq), "shared"}).Build();
+    Result<BatchFrame> frame =
+        dec.DecodeFrame(enc.SerializeFrame(0, 0, seq, true, batch));
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ExpectSameContent(frame->batch, batch);
+  }
+  EXPECT_EQ(enc.dict_entries_shipped(), 51);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "storage/tpch_generator.h"
 #include "workload/plan_builder.h"
 
@@ -16,8 +18,10 @@ std::shared_ptr<Catalog> TinyCatalog() {
 }
 
 struct SelectiveJoinPlan {
+  /// `ps_remote` puts the partsupp scan behind a (simulated) link.
   SelectiveJoinPlan(std::shared_ptr<Catalog> catalog, int64_t key_cut,
-                    double part_delay_ms = 0, double ps_delay_ms = 0)
+                    double part_delay_ms = 0, double ps_delay_ms = 0,
+                    bool ps_remote = false)
       : builder(&ctx, std::move(catalog)) {
     ScanOptions p_opts;
     p_opts.initial_delay_ms = part_delay_ms;
@@ -27,7 +31,7 @@ struct SelectiveJoinPlan {
     auto pf = *builder.Filter(p, pred, 0.05);
     ScanOptions ps_opts;
     ps_opts.initial_delay_ms = ps_delay_ms;
-    auto ps = *builder.Scan("partsupp", "ps", ps_opts);
+    auto ps = *builder.Scan("partsupp", "ps", ps_opts, ps_remote);
     auto j1 = *builder.Join(pf, ps, {{"p.p_partkey", "ps.ps_partkey"}});
     auto s = *builder.Scan("supplier", "s");
     auto top = *builder.Join(j1, s, {{"ps.ps_suppkey", "s.s_suppkey"}});
@@ -115,6 +119,47 @@ TEST(AipManagerTest, ShortCircuitedSideNotUsedAsSource) {
   ASSERT_TRUE(manager.Install(plan.builder.sip_info()).ok());
   ASSERT_TRUE(plan.builder.Run().ok());
   EXPECT_EQ(plan.builder.sink()->num_rows(), expected);
+}
+
+/// Predicted savings per considered (source, attribute) when every shipped
+/// row is observed to cost `wire_bytes_per_row` on the wire.
+std::map<std::string, double> PredictedSavings(
+    const std::shared_ptr<Catalog>& catalog, bool ps_remote,
+    int64_t wire_bytes_per_row) {
+  // partsupp starts long after part finishes, so every decision sees all
+  // of it still to come.
+  SelectiveJoinPlan plan(catalog, 20, 0, 150, ps_remote);
+  plan.ctx.RecordWireSample(1000, 1000 * wire_bytes_per_row);
+  AipManager manager(&plan.ctx);
+  EXPECT_TRUE(manager.Install(plan.builder.sip_info()).ok());
+  EXPECT_TRUE(plan.builder.Run().ok());
+  std::map<std::string, double> savings;
+  for (const AipDecision& d : manager.decisions()) {
+    savings[d.source + "/" + d.attr_name] = d.savings;
+  }
+  return savings;
+}
+
+// Link savings are priced at the observed wire bytes per row, so a more
+// compact wire encoding predicts smaller savings for a remote target —
+// and changes nothing for a local one.
+TEST(AipManagerTest, SmallerWireRowsLowerOnlyRemoteSavings) {
+  auto catalog = TinyCatalog();
+  const auto remote_full = PredictedSavings(catalog, true, 20);
+  const auto remote_half = PredictedSavings(catalog, true, 10);
+  ASSERT_FALSE(remote_full.empty());
+  int lowered = 0;
+  for (const auto& [key, full] : remote_full) {
+    ASSERT_TRUE(remote_half.count(key)) << key;
+    EXPECT_LE(remote_half.at(key), full) << key;
+    lowered += remote_half.at(key) < full;
+  }
+  EXPECT_GT(lowered, 0);
+
+  const auto local_full = PredictedSavings(catalog, false, 20);
+  const auto local_half = PredictedSavings(catalog, false, 10);
+  ASSERT_FALSE(local_full.empty());
+  EXPECT_EQ(local_half, local_full);
 }
 
 }  // namespace
