@@ -90,6 +90,12 @@ class FragmentCheckpointer {
   /// falls back to a from-scratch replay via ClearReplayState.
   Status RestoreInto(PlanBuilder* fragment);
 
+  /// Receivers the last Bind() registered with this checkpointer.
+  size_t bound_receivers() const {
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    return receivers_.size();
+  }
+
   int64_t checkpoints_taken() const { return checkpoints_taken_.load(); }
   /// Serialized size of the latest snapshot (bytes); 0 before the first.
   int64_t checkpoint_bytes() const { return checkpoint_bytes_.load(); }

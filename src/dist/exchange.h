@@ -108,6 +108,8 @@ class ExchangeSender : public Operator {
   void AdoptStream(const ExchangeSender& prev);
 
   ExchangeMode mode() const { return mode_; }
+  /// Output-schema indexes the kHashPartition route hashes (else empty).
+  const std::vector<int>& hash_cols() const { return hash_cols_; }
   uint32_t epoch() const { return epoch_.load(); }
   int64_t bytes_sent() const { return bytes_sent_.load(); }
   int64_t batches_sent() const { return batches_sent_.load(); }
@@ -229,6 +231,8 @@ class ExchangeReceiver : public SourceOperator {
   /// Dequeues, deduplicates, deserializes, and pushes batches until end of
   /// stream, a timeout, or cancellation.
   Status Run() override;
+
+  const ReceiverOptions& options() const { return options_; }
 
   /// Registers this receiver with its fragment's checkpointer. Frame
   /// incorporation (dedup bookkeeping + emit/hold) then runs under the

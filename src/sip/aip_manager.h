@@ -74,6 +74,9 @@ class AipManager {
   /// Shipments still waiting for a reachable producer.
   int64_t pending_reships() const;
 
+  /// The estimated plan Install() bound this manager to (null before).
+  const Plan* plan() const { return plan_; }
+
   // --- statistics ---
   int64_t sets_built() const { return sets_built_.load(); }
   int64_t filters_attached() const { return filters_attached_.load(); }
