@@ -655,7 +655,9 @@ int main(int argc, char** argv) {
         record.peak_state_mb /= reps;
         record.rows_pruned /= reps;
         record.bytes_shipped /= reps;
-        record.metric_mean = record.elapsed_sec;
+        const CellStats cell = Summarize(times);
+        record.metric_mean = cell.mean;
+        record.metric_ci95 = cell.ci95;
         records.push_back(std::move(record));
       }
       std::printf("%-18s %5d %12.1f %12.1f %14.3f %14.3f %12lld\n",

@@ -46,23 +46,6 @@ bool EnableFragmentReplay(PlanBuilder& fragment) {
   return true;
 }
 
-Result<RebuiltFragment> FinishRebuiltFragment(
-    SiteEngine& host, std::unique_ptr<PlanBuilder> fragment,
-    PlanBuilder::NodeId root, std::unique_ptr<ExchangeSender> sender) {
-  PlanBuilder& pb = *fragment;
-  ExchangeSender* sender_raw = sender.get();
-  PUSHSIP_RETURN_NOT_OK(pb.FinishWith(root, std::move(sender)));
-  if (!EnableFragmentReplay(pb)) {
-    return Status::Internal("rebuilt fragment lost its replayable shape");
-  }
-  host.PublishFragment(std::move(fragment));
-  RebuiltFragment built;
-  built.fragment = &pb;
-  built.scan = pb.source_scans()[0];
-  built.sender = sender_raw;
-  return built;
-}
-
 void DistributedQuery::Cancel() {
   for (auto& channel : channels) {
     if (channel != nullptr) channel->Cancel();

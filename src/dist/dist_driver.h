@@ -121,32 +121,24 @@ bool EnableFragmentReplay(PlanBuilder& fragment);
 /// A fragment freshly materialized on another site by a rebuild recipe.
 struct RebuiltFragment {
   PlanBuilder* fragment = nullptr;  ///< owned by the hosting SiteEngine
-  TableScan* scan = nullptr;        ///< the replay scan (seq source)
+  TableScan* scan = nullptr;  ///< the replay scan (seq source); null when
+                              ///< the fragment is exchange-fed (stateful)
   ExchangeSender* sender = nullptr; ///< terminal; AdoptStream pending
 };
 
-/// Shared tail of every rebuild recipe: terminates the fully-built
-/// detached `fragment` with `sender`, re-verifies the replayable shape
-/// (binding the sender's seqs to the scan), publishes it on `host` — the
-/// point it becomes visible to concurrent filter attachment — and returns
-/// the handles migration needs. Keeping this in one place keeps the
-/// publication invariant (never publish a half-built fragment mid-query)
-/// out of the individual recipes.
-Result<RebuiltFragment> FinishRebuiltFragment(
-    SiteEngine& host, std::unique_ptr<PlanBuilder> fragment,
-    PlanBuilder::NodeId root, std::unique_ptr<ExchangeSender> sender);
-
-/// Re-materializes one replayable fragment on an arbitrary host site,
-/// scanning the *original* partition (migration assumes the shard's data is
-/// readable from the destination — a replica; the simulation shares the
-/// TablePtr). The recipe must feed the same channels with the same schema
-/// so consumers cannot tell a migrated producer from a rebooted one.
+/// Re-materializes one fragment on an arbitrary host site, scanning the
+/// *original* partition (migration assumes the shard's data is readable
+/// from the destination — a replica; the simulation shares the TablePtr)
+/// and reading the original input channels. The recipe must feed the same
+/// channels with the same schema so consumers cannot tell a migrated
+/// producer from a rebooted one. Built detached and published only when
+/// complete: recipes run mid-query, concurrently with filter attachment.
 using FragmentRebuildFn =
     std::function<Result<RebuiltFragment>(SiteEngine& host, int host_site)>;
 
 /// Assembly-time registration of a fragment the adaptive runtime may move:
-/// populated by the scale-out builder and the PlanFragmenter for every
-/// replayable fragment, consumed by adaptive::InstallAdaptiveRuntime.
+/// populated by the PlanFragmenter for every replayable or stateful
+/// fragment, consumed by adaptive::InstallAdaptiveRuntime.
 struct MigratableFragmentSpec {
   PlanBuilder* fragment = nullptr;
   TableScan* scan = nullptr;
@@ -155,8 +147,9 @@ struct MigratableFragmentSpec {
   /// straggler detector compares window progress within a stage).
   std::string stage;
   int home_site = 0;
-  /// Null when only monitoring/in-place restart is possible (e.g. the
-  /// fragment's operator chain cannot be rebuilt safely elsewhere).
+  /// The fragmenter's one recipe, which re-materializes the fragment's
+  /// logical subtree. A null recipe would leave the fragment monitored and
+  /// restartable only in place.
   FragmentRebuildFn rebuild;
 };
 
@@ -249,9 +242,10 @@ struct DistributedQuery {
   std::shared_ptr<FaultInjector> fault_injector;
   /// Replays allowed per fragment before its failure is declared fatal.
   int max_fragment_restarts = 3;
-  /// Assembly-time registry of movable fragments and consumer exchange
-  /// leaves; populated unconditionally (it is cheap), consumed when an
-  /// adaptive runtime is installed over this query.
+  /// Assembly-time registries, derived by the PlanFragmenter from the
+  /// fragment plan (dist/plan_fragmenter.h): movable fragments and
+  /// consumer exchange leaves, populated unconditionally (it is cheap) and
+  /// consumed when an adaptive runtime is installed over this query.
   std::vector<MigratableFragmentSpec> migratable_fragments;
   std::vector<ExchangeConsumerSpec> exchange_consumers;
   /// Stateful fragments whose failures are recovered from checkpoints

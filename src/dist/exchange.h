@@ -233,6 +233,11 @@ class ExchangeReceiver : public SourceOperator {
   Status Run() override;
 
   const ReceiverOptions& options() const { return options_; }
+  /// Sets ReceiverOptions::fail_after_frames on a built receiver (chaos
+  /// arming of one site's copy of a fragment); call before the query runs.
+  void ArmFailAfterFrames(int64_t frames) {
+    options_.fail_after_frames = frames;
+  }
 
   /// Registers this receiver with its fragment's checkpointer. Frame
   /// incorporation (dedup bookkeeping + emit/hold) then runs under the

@@ -1,88 +1,10 @@
 #include "dist/plan_fragmenter.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <unordered_map>
 
 namespace pushsip {
-
-namespace {
-
-/// One re-buildable step of a replayable producer chain (filter or
-/// project), value-captured so a migration recipe can re-materialize the
-/// chain on another site after the LogicalPlan is gone.
-struct ChainStep {
-  bool is_filter = false;
-  PredicateFn predicate;       // is_filter
-  double selectivity = 1.0;    // is_filter
-  std::vector<std::string> cols;  // !is_filter
-};
-
-/// Builds the migration recipe for the producer fragment rooted at logical
-/// node `id`: re-materializes its scan -> {filter,project}* chain and
-/// forward sender on an arbitrary host site, scanning the home site's table
-/// (readable from the destination — a replica; here the shared TablePtr).
-/// Returns null when the subtree is not a pure unary chain over one scan —
-/// such fragments stay monitorable but only restart in place.
-FragmentRebuildFn MakeRebuildRecipe(
-    const LogicalPlan& plan, LogicalPlan::NodeId id,
-    const std::shared_ptr<Catalog>& home_catalog, SiteMesh* mesh,
-    int dest_site, const std::string& sender_name, const Schema& out_schema,
-    const std::shared_ptr<ExchangeChannel>& channel, const TableScan* scan) {
-  std::vector<ChainStep> steps;  // collected root-down, applied scan-up
-  LogicalPlan::NodeId cur = id;
-  while (true) {
-    const LogicalPlan::Node& n = plan.nodes()[static_cast<size_t>(cur)];
-    if (n.kind == LogicalPlan::Node::Kind::kScan) break;
-    ChainStep step;
-    if (n.kind == LogicalPlan::Node::Kind::kFilter) {
-      step.is_filter = true;
-      step.predicate = n.predicate;
-      step.selectivity = n.selectivity;
-    } else if (n.kind == LogicalPlan::Node::Kind::kProject) {
-      step.cols = n.cols;
-    } else {
-      return nullptr;  // joins/aggregates never sit in a replayable chain
-    }
-    steps.push_back(std::move(step));
-    cur = n.children[0];
-  }
-  std::reverse(steps.begin(), steps.end());
-  const LogicalPlan::Node& scan_node =
-      plan.nodes()[static_cast<size_t>(cur)];
-  const Result<TablePtr> table = home_catalog->GetTable(scan_node.table);
-  if (!table.ok()) return nullptr;
-  // Everything below is value-captured: the recipe outlives the
-  // LogicalPlan and the original fragment.
-  return [table = *table, scan_schema = scan->output_schema(),
-          scan_options = scan->options(), steps = std::move(steps),
-          sender_name, out_schema, channel, mesh,
-          dest_site](SiteEngine& host,
-                     int host_site) -> Result<RebuiltFragment> {
-    // Built detached, published only when complete: this recipe runs
-    // mid-query, concurrently with filter attachment on the host.
-    std::unique_ptr<PlanBuilder> detached = host.NewDetachedFragment();
-    PlanBuilder& pb = *detached;
-    PUSHSIP_ASSIGN_OR_RETURN(PlanBuilder::NodeId n,
-                             pb.ScanTable(table, scan_schema, scan_options));
-    for (const ChainStep& step : steps) {
-      if (step.is_filter) {
-        PUSHSIP_ASSIGN_OR_RETURN(ExprPtr pred, step.predicate(pb.schema(n)));
-        PUSHSIP_ASSIGN_OR_RETURN(
-            n, pb.Filter(n, std::move(pred), step.selectivity));
-      } else {
-        PUSHSIP_ASSIGN_OR_RETURN(n, pb.Project(n, step.cols));
-      }
-    }
-    auto sender = std::make_unique<ExchangeSender>(
-        &host.context(), sender_name, out_schema, ExchangeMode::kForward,
-        std::vector<int>{},
-        std::vector<ExchangeDestination>{
-            {channel, mesh->link(host_site, dest_site)}});
-    return FinishRebuiltFragment(host, std::move(detached), n,
-                                 std::move(sender));
-  };
-}
-
-}  // namespace
 
 LogicalPlan::NodeId LogicalPlan::Add(Node node) {
   nodes_.push_back(std::move(node));
@@ -90,12 +12,15 @@ LogicalPlan::NodeId LogicalPlan::Add(Node node) {
 }
 
 LogicalPlan::NodeId LogicalPlan::Scan(std::string table, std::string alias,
-                                      ScanOptions options) {
+                                      ScanOptions options,
+                                      std::vector<std::string> cols) {
   Node n;
   n.kind = Node::Kind::kScan;
   n.table = std::move(table);
   n.alias = std::move(alias);
+  n.instance = num_scans_++;
   n.scan_options = std::move(options);
+  n.cols = std::move(cols);
   return Add(std::move(n));
 }
 
@@ -115,6 +40,15 @@ LogicalPlan::NodeId LogicalPlan::Project(NodeId input,
   n.kind = Node::Kind::kProject;
   n.children = {input};
   n.cols = std::move(cols);
+  return Add(std::move(n));
+}
+
+LogicalPlan::NodeId LogicalPlan::ProjectExprs(NodeId input,
+                                              ProjectionFn projection) {
+  Node n;
+  n.kind = Node::Kind::kProjectExprs;
+  n.children = {input};
+  n.projection = std::move(projection);
   return Add(std::move(n));
 }
 
@@ -149,6 +83,18 @@ LogicalPlan::NodeId LogicalPlan::Distinct(NodeId input) {
   return Add(std::move(n));
 }
 
+LogicalPlan::NodeId LogicalPlan::Exchange(NodeId input, ExchangeMode mode,
+                                          std::string key_col,
+                                          std::string stage) {
+  Node n;
+  n.kind = Node::Kind::kExchange;
+  n.children = {input};
+  n.mode = mode;
+  n.key_col = std::move(key_col);
+  n.stage = std::move(stage);
+  return Add(std::move(n));
+}
+
 PlanFragmenter::PlanFragmenter(
     std::vector<std::shared_ptr<Catalog>> site_catalogs, double bandwidth_bps,
     double latency_ms, int coordinator)
@@ -157,156 +103,437 @@ PlanFragmenter::PlanFragmenter(
       latency_ms_(latency_ms),
       coordinator_(coordinator) {}
 
-struct PlanFragmenter::BuildState {
-  const LogicalPlan* plan = nullptr;
-  const FragmenterOptions* options = nullptr;
-  DistributedQuery* query = nullptr;
-  std::vector<int> site_of;  // per logical node
-  int next_instance = 0;
+namespace {
+
+using NodeId = LogicalPlan::NodeId;
+using Kind = LogicalPlan::Node::Kind;
+
+constexpr int kAllSites = -1;
+constexpr int kUnplaced = -2;
+
+/// One cut of the plan: an Exchange node's channels and producers, and what
+/// its receivers are told about the stream.
+struct Cut {
+  std::vector<int> producer_sites;
+  /// Indexed by consuming site; null where the stream is not consumed.
+  std::vector<std::shared_ptr<ExchangeChannel>> channels;
+  bool built = false;
+  Schema schema;
+  double est_rows = 0;
+  std::unordered_map<AttrId, double> ndv;
+  std::vector<PlanBuilder*> producers;  ///< as assembled
+  bool replayable = true;               ///< every producer is replayable
 };
 
-Result<int> PlanFragmenter::AssignSite(const LogicalPlan& plan,
-                                       LogicalPlan::NodeId id,
-                                       std::vector<int>* site_of) const {
-  const LogicalPlan::Node& n = plan.nodes()[static_cast<size_t>(id)];
-  int site;
-  if (n.kind == LogicalPlan::Node::Kind::kScan) {
-    site = -1;
-    for (size_t s = 0; s < catalogs_.size(); ++s) {
-      if (catalogs_[s]->HasTable(n.table)) {
-        site = static_cast<int>(s);
-        break;
+/// Everything a fragment build reads. Fragment() fills it; afterwards it is
+/// read-only and shared by every rebuild recipe, which may run mid-query.
+struct Layout {
+  LogicalPlan plan;  ///< the caller's plan plus the implicit forward cuts
+  /// Per node: its inputs, with implicit cuts substituted.
+  std::vector<std::vector<NodeId>> children;
+  /// Per node: the site it runs at, kAllSites, or kUnplaced (unreachable).
+  std::vector<int> site;
+  std::vector<Cut> cuts;  ///< per node; meaningful for exchanges only
+  std::vector<std::shared_ptr<Catalog>> catalogs;
+  int coordinator = 0;
+  ScaleOutOptions options;
+  DistributedQuery* query = nullptr;
+
+  const LogicalPlan::Node& node(NodeId id) const {
+    return plan.nodes()[static_cast<size_t>(id)];
+  }
+  const std::vector<NodeId>& inputs(NodeId id) const {
+    return children[static_cast<size_t>(id)];
+  }
+  int placement(NodeId id) const { return site[static_cast<size_t>(id)]; }
+  int num_sites() const { return static_cast<int>(catalogs.size()); }
+  /// The sites a placement covers.
+  std::vector<int> Sites(int placement) const {
+    if (placement != kAllSites) return {placement};
+    std::vector<int> all;
+    for (int s = 0; s < num_sites(); ++s) all.push_back(s);
+    return all;
+  }
+};
+
+/// Appends an implicit forward cut of `input` toward `dest`.
+NodeId AddForwardCut(Layout* l, NodeId input, std::string key_col,
+                     int dest) {
+  const std::string stage = "s" + std::to_string(l->placement(input));
+  const NodeId x = l->plan.Exchange(input, ExchangeMode::kForward,
+                                    std::move(key_col), stage);
+  l->children.push_back({input});
+  l->site.push_back(dest);
+  return x;
+}
+
+/// Places `id` and everything below it (see the header's rules).
+Result<int> Place(Layout* l, NodeId id) {
+  if (l->placement(id) != kUnplaced) return l->placement(id);
+  // With one site, "every site" is that site.
+  const int all = l->num_sites() == 1 ? 0 : kAllSites;
+  const Kind kind = l->node(id).kind;
+  const std::vector<NodeId> children = l->inputs(id);  // a cut may replace one
+  int site = 0;
+  if (kind == Kind::kScan) {
+    const std::string& table = l->node(id).table;
+    std::vector<int> holders;
+    for (int s = 0; s < l->num_sites(); ++s) {
+      if (l->catalogs[static_cast<size_t>(s)]->HasTable(table)) {
+        holders.push_back(s);
       }
     }
-    if (site < 0) {
-      return Status::NotFound("no site hosts table " + n.table);
+    if (holders.empty()) return Status::NotFound("no site hosts table " + table);
+    if (holders.size() == 1) {
+      site = holders[0];
+    } else if (static_cast<int>(holders.size()) == l->num_sites()) {
+      site = all;
+    } else {
+      return Status::InvalidArgument("table " + table +
+                                     " is held by some sites but not all");
+    }
+  } else if (kind == Kind::kExchange) {
+    PUSHSIP_RETURN_NOT_OK(Place(l, children[0]).status());
+    site = l->node(id).mode == ExchangeMode::kForward ? l->coordinator : all;
+  } else if (kind == Kind::kJoin) {
+    PUSHSIP_ASSIGN_OR_RETURN(const int left, Place(l, children[0]));
+    PUSHSIP_ASSIGN_OR_RETURN(const int right, Place(l, children[1]));
+    site = left;
+    if (left != right) {
+      if (left == kAllSites || right == kAllSites) {
+        return Status::InvalidArgument(
+            "join of a single-site input with an all-sites input needs an "
+            "explicit exchange");
+      }
+      // The right input ships to the left input's site, keyed on its
+      // first join column.
+      const NodeId cut = AddForwardCut(
+          l, children[1], l->node(id).eq_cols[0].second, left);
+      l->children[static_cast<size_t>(id)][1] = cut;
     }
   } else {
-    site = 0;
-    for (size_t c = 0; c < n.children.size(); ++c) {
-      PUSHSIP_ASSIGN_OR_RETURN(const int child_site,
-                               AssignSite(plan, n.children[c], site_of));
-      // A join executes where its left (build-order-first) input lives; the
-      // other side ships.
-      if (c == 0) site = child_site;
-    }
+    PUSHSIP_ASSIGN_OR_RETURN(site, Place(l, children[0]));
   }
-  (*site_of)[static_cast<size_t>(id)] = site;
+  l->site[static_cast<size_t>(id)] = site;
   return site;
 }
 
-Result<PlanBuilder::NodeId> PlanFragmenter::BuildInto(BuildState* state,
-                                                      LogicalPlan::NodeId id,
-                                                      int site,
-                                                      PlanBuilder* b) {
-  const LogicalPlan::Node& n =
-      state->plan->nodes()[static_cast<size_t>(id)];
-  const int home = state->site_of[static_cast<size_t>(id)];
-  if (home != site) {
-    // Site boundary: the subtree rooted here becomes its own fragment at
-    // `home`, terminated by a forward exchange to `site`.
-    SiteEngine& producer = *state->query->sites[static_cast<size_t>(home)];
-    PlanBuilder& pb = producer.NewFragment();
-    PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId sub,
-                             BuildInto(state, id, home, &pb));
-    const Schema schema = pb.schema(sub);
-
-    auto channel = std::make_shared<ExchangeChannel>(
-        state->options->channel_capacity);
-    channel->set_num_senders(1);
-    state->query->channels.push_back(channel);
-
-    const std::string sender_name = "xsend_s" + std::to_string(home);
-    auto sender = std::make_unique<ExchangeSender>(
-        &producer.context(), sender_name, schema, ExchangeMode::kForward,
-        std::vector<int>{},
-        std::vector<ExchangeDestination>{
-            {channel, state->query->mesh->link(home, site)}});
-    PUSHSIP_RETURN_NOT_OK(pb.FinishWith(sub, std::move(sender)));
-    // Scan-rooted stateless fragments become restartable after a failure —
-    // and, when their chain can be re-materialized from value captures,
-    // migratable to another site by the adaptive runtime.
-    if (EnableFragmentReplay(pb)) {
-      MigratableFragmentSpec spec;
-      spec.fragment = &pb;
-      spec.scan = FragmentReplayScan(pb);
-      spec.sender = static_cast<ExchangeSender*>(pb.terminal());
-      spec.stage = sender_name;
-      spec.home_site = home;
-      spec.rebuild = MakeRebuildRecipe(*state->plan, id, producer.catalog(),
-                                       state->query->mesh.get(), site,
-                                       sender_name, schema, channel,
-                                       spec.scan);
-      state->query->migratable_fragments.push_back(std::move(spec));
-    }
-
-    ReceiverOptions ro;  // heartbeat inherited from the consumer's context
-    auto receiver = std::make_unique<ExchangeReceiver>(
-        b->context(), "xrecv_s" + std::to_string(home), schema, channel, ro);
-    // Filters built at the consumer ship back over the reverse link and
-    // attach inside the producing fragment.
-    RemoteFilterShipFn shipper = MakeFilterShipper(
-        {{&producer, state->query->mesh->link(site, home)}}, b->context());
-    PUSHSIP_ASSIGN_OR_RETURN(
-        const PlanBuilder::NodeId src,
-        b->Source(std::move(receiver), pb.estimated_rows(sub),
-                  pb.estimated_ndv(sub), std::move(shipper)));
-    state->query->exchange_consumers.push_back(
-        {channel.get(), b->plan_node(src)});
-    return src;
+/// True when the fragment rooted at `id` (its subtree down to the next
+/// cuts) reads an exchange receiver.
+bool ReadsReceiver(const Layout& l, NodeId id) {
+  if (l.node(id).kind == Kind::kExchange) return true;
+  for (const NodeId c : l.inputs(id)) {
+    if (ReadsReceiver(l, c)) return true;
   }
-
-  switch (n.kind) {
-    case LogicalPlan::Node::Kind::kScan: {
-      PUSHSIP_ASSIGN_OR_RETURN(TablePtr table,
-                               b->catalog()->GetTable(n.table));
-      // Deterministic batch windows make scan-rooted fragments replayable.
-      ScanOptions options = n.scan_options;
-      options.window_batches = true;
-      return b->ScanShard(
-          n.table, MakeInstanceSchema(*table, n.alias, state->next_instance++),
-          std::move(options));
-    }
-    case LogicalPlan::Node::Kind::kFilter: {
-      PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId in,
-                               BuildInto(state, n.children[0], site, b));
-      PUSHSIP_ASSIGN_OR_RETURN(ExprPtr pred, n.predicate(b->schema(in)));
-      return b->Filter(in, std::move(pred), n.selectivity);
-    }
-    case LogicalPlan::Node::Kind::kProject: {
-      PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId in,
-                               BuildInto(state, n.children[0], site, b));
-      return b->Project(in, n.cols);
-    }
-    case LogicalPlan::Node::Kind::kJoin: {
-      PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId l,
-                               BuildInto(state, n.children[0], site, b));
-      PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId r,
-                               BuildInto(state, n.children[1], site, b));
-      ExprPtr residual;
-      if (n.predicate) {
-        PUSHSIP_ASSIGN_OR_RETURN(residual,
-                                 n.predicate(b->ConcatSchema(l, r)));
-      }
-      return b->Join(l, r, n.eq_cols, std::move(residual), n.selectivity);
-    }
-    case LogicalPlan::Node::Kind::kAggregate: {
-      PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId in,
-                               BuildInto(state, n.children[0], site, b));
-      return b->Aggregate(in, n.group_cols, n.aggs);
-    }
-    case LogicalPlan::Node::Kind::kDistinct: {
-      PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId in,
-                               BuildInto(state, n.children[0], site, b));
-      return b->Distinct(in);
-    }
-  }
-  return Status::Internal("unknown logical node kind");
+  return false;
 }
+
+/// True when the fragment rooted at `id` holds a node of one of `kinds`
+/// that reads an exchange receiver.
+bool HasReceiverFed(const Layout& l, NodeId id,
+                    std::initializer_list<Kind> kinds) {
+  const Kind kind = l.node(id).kind;
+  if (kind == Kind::kExchange) return false;
+  const bool fed = std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
+  for (const NodeId c : l.inputs(id)) {
+    if ((fed && ReadsReceiver(l, c)) || HasReceiverFed(l, c, kinds)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// A fragment built by FragmentBuilder.
+struct Built {
+  RebuiltFragment fragment;  ///< scan set only when replayable
+  PlanBuilder::NodeId out = 0;  ///< the node the terminal consumes
+  int key = -1;  ///< index of the cut's key column in out's schema
+  std::vector<std::shared_ptr<ExchangeChannel>> input_channels;
+  std::vector<NodeId> input_cuts;
+};
+
+/// Materializes fragments of a Layout. At assembly (`assembly` non-null) it
+/// also builds every cut's producers on first use and fills the query's
+/// registries; a rebuild recipe uses it read-only to re-create one fragment
+/// on a host site, feeding and reading the original channels.
+class FragmentBuilder {
+ public:
+  FragmentBuilder(std::shared_ptr<const Layout> layout, Layout* assembly)
+      : layout_(std::move(layout)), l_(*layout_), assembly_(assembly) {}
+
+  /// Assembly: builds the producers of cut `x` on every producing site,
+  /// registers them, and derives the cut's receiver estimates.
+  Status BuildCut(NodeId x);
+
+  /// Builds the fragment feeding cut `x` from site `home` (whose shards it
+  /// scans and whose receivers' channels it reads) on `host`, publishes it
+  /// and installs its AIP Manager.
+  Result<Built> BuildProducer(NodeId x, int home, SiteEngine& host);
+
+  /// Assembly: the root fragment with the query's Sink, at the coordinator.
+  Status BuildRoot(NodeId root);
+
+ private:
+  Result<PlanBuilder::NodeId> Build(NodeId id, int home, SiteEngine& host,
+                                    PlanBuilder* pb, Built* built);
+  Result<PlanBuilder::NodeId> Receive(NodeId x, int home, SiteEngine& host,
+                                      PlanBuilder* pb, Built* built);
+  Status MaybeInstallAip(NodeId fragment_root, SiteEngine& host) const;
+  void Register(NodeId x, int home, const Built& built);
+
+  std::shared_ptr<const Layout> layout_;
+  const Layout& l_;
+  Layout* assembly_;
+};
+
+Result<PlanBuilder::NodeId> FragmentBuilder::Build(NodeId id, int home,
+                                                   SiteEngine& host,
+                                                   PlanBuilder* pb,
+                                                   Built* built) {
+  const LogicalPlan::Node& n = l_.node(id);
+  const std::vector<NodeId>& children = l_.inputs(id);
+  if (n.kind == Kind::kScan) {
+    PUSHSIP_ASSIGN_OR_RETURN(
+        TablePtr table,
+        l_.catalogs[static_cast<size_t>(home)]->GetTable(n.table));
+    // Deterministic batch windows make scan-rooted fragments replayable.
+    ScanOptions options = n.scan_options;
+    options.window_batches = true;
+    Schema schema = MakeInstanceSchema(*table, n.alias, n.instance, n.cols);
+    return pb->ScanTable(std::move(table), std::move(schema),
+                         std::move(options));
+  }
+  if (n.kind == Kind::kExchange) return Receive(id, home, host, pb, built);
+  if (n.kind == Kind::kJoin) {
+    PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId left,
+                             Build(children[0], home, host, pb, built));
+    PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId right,
+                             Build(children[1], home, host, pb, built));
+    ExprPtr residual;
+    if (n.predicate) {
+      PUSHSIP_ASSIGN_OR_RETURN(residual,
+                               n.predicate(pb->ConcatSchema(left, right)));
+    }
+    return pb->Join(left, right, n.eq_cols, std::move(residual),
+                    n.selectivity);
+  }
+  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId in,
+                           Build(children[0], home, host, pb, built));
+  switch (n.kind) {
+    case Kind::kFilter: {
+      PUSHSIP_ASSIGN_OR_RETURN(ExprPtr pred, n.predicate(pb->schema(in)));
+      return pb->Filter(in, std::move(pred), n.selectivity);
+    }
+    case Kind::kProject:
+      return pb->Project(in, n.cols);
+    case Kind::kProjectExprs: {
+      PUSHSIP_ASSIGN_OR_RETURN(Projection p, n.projection(pb->schema(in)));
+      return pb->ProjectExprs(in, std::move(p.fields), std::move(p.exprs));
+    }
+    case Kind::kAggregate:
+      return pb->Aggregate(in, n.group_cols, n.aggs);
+    case Kind::kDistinct:
+      return pb->Distinct(in);
+    default:
+      return Status::Internal("unknown logical node kind");
+  }
+}
+
+Result<PlanBuilder::NodeId> FragmentBuilder::Receive(NodeId x, int home,
+                                                     SiteEngine& host,
+                                                     PlanBuilder* pb,
+                                                     Built* built) {
+  if (assembly_ != nullptr) PUSHSIP_RETURN_NOT_OK(BuildCut(x));
+  const LogicalPlan::Node& n = l_.node(x);
+  const Cut& cut = l_.cuts[static_cast<size_t>(x)];
+  const std::shared_ptr<ExchangeChannel>& channel =
+      cut.channels[static_cast<size_t>(home)];
+  DistributedQuery& q = *l_.query;
+
+  ReceiverOptions ro;  // heartbeat inherited from the host's ExecContext
+  ro.ordered_merge = l_.options.deterministic_merge;
+  auto receiver = std::make_unique<ExchangeReceiver>(
+      pb->context(), "xrecv_" + n.stage, cut.schema, channel, ro);
+  // Filters built here ship back to the producing sites. Rebuilds run
+  // single-process (the recovery refusal rule), so they use the sim mesh.
+  RemoteFilterShipFn shipper;
+  if (assembly_ != nullptr && l_.options.transport != nullptr) {
+    std::vector<std::pair<int, SiteEngine*>> producers;
+    for (const int p : cut.producer_sites) {
+      producers.emplace_back(p, q.sites[static_cast<size_t>(p)].get());
+    }
+    shipper = MakeTransportFilterShipper(std::move(producers),
+                                         l_.options.transport);
+  } else {
+    std::vector<std::pair<SiteEngine*, std::shared_ptr<SimLink>>> producers;
+    for (const int p : cut.producer_sites) {
+      producers.emplace_back(q.sites[static_cast<size_t>(p)].get(),
+                             q.mesh->link(host.id(), p));
+    }
+    shipper = MakeFilterShipper(std::move(producers), &host.context());
+  }
+  PUSHSIP_ASSIGN_OR_RETURN(
+      const PlanBuilder::NodeId src,
+      pb->Source(std::move(receiver), cut.est_rows, cut.ndv,
+                 std::move(shipper),
+                 /*partitioned_stream=*/n.mode == ExchangeMode::kHashPartition));
+  // The adaptive runtime feeds observed producer cardinalities into this
+  // node. A rebuild reuses the original registration.
+  if (assembly_ != nullptr) {
+    q.exchange_consumers.push_back({channel.get(), pb->plan_node(src)});
+  }
+  built->input_channels.push_back(channel);
+  built->input_cuts.push_back(x);
+  return src;
+}
+
+Status FragmentBuilder::MaybeInstallAip(NodeId fragment_root,
+                                        SiteEngine& host) const {
+  if (!l_.options.aip || !HasReceiverFed(l_, fragment_root, {Kind::kJoin})) {
+    return Status::OK();
+  }
+  return host.InstallAip(host.fragments().size() - 1, l_.options.aip_options,
+                         l_.options.cost);
+}
+
+Result<Built> FragmentBuilder::BuildProducer(NodeId x, int home,
+                                             SiteEngine& host) {
+  const LogicalPlan::Node& n = l_.node(x);
+  const Cut& cut = l_.cuts[static_cast<size_t>(x)];
+  const NodeId input = l_.inputs(x)[0];
+  // Built detached, published only when complete: a rebuild runs while AIP
+  // filters may be attaching on the host concurrently.
+  std::unique_ptr<PlanBuilder> detached = host.NewDetachedFragment();
+  PlanBuilder& pb = *detached;
+  Built built;
+  PUSHSIP_ASSIGN_OR_RETURN(built.out, Build(input, home, host, &pb, &built));
+  const Schema schema = pb.schema(built.out);
+  std::vector<int> hash_cols;
+  if (!n.key_col.empty()) {
+    PUSHSIP_ASSIGN_OR_RETURN(built.key, schema.IndexOf(n.key_col));
+    if (n.mode == ExchangeMode::kHashPartition) hash_cols.push_back(built.key);
+  }
+  std::vector<ExchangeDestination> dests;
+  for (const int to : l_.Sites(l_.placement(x))) {
+    dests.push_back({cut.channels[static_cast<size_t>(to)],
+                     l_.query->mesh->link(host.id(), to)});
+  }
+  auto sender = std::make_unique<ExchangeSender>(
+      &host.context(), "xsend_" + n.stage, schema, n.mode,
+      std::move(hash_cols), std::move(dests));
+  built.fragment.sender = sender.get();
+  PUSHSIP_RETURN_NOT_OK(pb.FinishWith(built.out, std::move(sender)));
+  if (EnableFragmentReplay(pb)) built.fragment.scan = pb.source_scans()[0];
+  built.fragment.fragment = &host.PublishFragment(std::move(detached));
+  PUSHSIP_RETURN_NOT_OK(MaybeInstallAip(input, host));
+  return built;
+}
+
+void FragmentBuilder::Register(NodeId x, int home, const Built& built) {
+  Layout& l = *assembly_;
+  DistributedQuery& q = *l.query;
+  const NodeId input = l.inputs(x)[0];
+  const bool replayable = built.fragment.scan != nullptr;
+  bool stateful = !replayable && HasReceiverFed(l, input,
+                                                {Kind::kJoin,
+                                                 Kind::kAggregate,
+                                                 Kind::kDistinct});
+  std::vector<PlanBuilder*> producers;
+  for (const NodeId in : built.input_cuts) {
+    const Cut& feed = l.cuts[static_cast<size_t>(in)];
+    stateful = stateful && feed.replayable;
+    producers.insert(producers.end(), feed.producers.begin(),
+                     feed.producers.end());
+  }
+  Cut& cut = l.cuts[static_cast<size_t>(x)];
+  cut.producers.push_back(built.fragment.fragment);
+  cut.replayable = cut.replayable && replayable;
+  if (!replayable && !stateful) return;  // restarts in place, if at all
+
+  MigratableFragmentSpec spec;
+  spec.fragment = built.fragment.fragment;
+  spec.scan = built.fragment.scan;
+  spec.sender = built.fragment.sender;
+  spec.stage = built.fragment.sender->name();
+  spec.home_site = home;
+  // The one recipe: re-materialize this fragment's logical subtree on the
+  // host, scanning the home site's shards (a replica; in the simulation the
+  // shared TablePtr) and feeding/reading the same channels.
+  spec.rebuild = [layout = layout_, x, home, replayable](
+                     SiteEngine& host,
+                     int /*host_site*/) -> Result<RebuiltFragment> {
+    FragmentBuilder builder(layout, /*assembly=*/nullptr);
+    PUSHSIP_ASSIGN_OR_RETURN(Built rebuilt,
+                             builder.BuildProducer(x, home, host));
+    if (replayable && rebuilt.fragment.scan == nullptr) {
+      return Status::Internal("rebuilt fragment lost its replayable shape");
+    }
+    return rebuilt.fragment;
+  };
+  q.migratable_fragments.push_back(std::move(spec));
+
+  if (stateful) {
+    StatefulFragmentSpec sspec;
+    sspec.fragment = built.fragment.fragment;
+    sspec.checkpointer = std::make_shared<FragmentCheckpointer>(
+        l.options.checkpoint_interval_frames);
+    sspec.checkpointer->Bind(built.fragment.fragment);
+    sspec.input_channels = built.input_channels;
+    sspec.producers = std::move(producers);
+    q.stateful_fragments.push_back(std::move(sspec));
+  }
+}
+
+Status FragmentBuilder::BuildCut(NodeId x) {
+  Cut& cut = assembly_->cuts[static_cast<size_t>(x)];
+  if (cut.built) return Status::OK();
+  cut.built = true;
+  // Receivers are told what the producers estimate: their rows summed, and
+  // the largest of their NDVs of the key column (a shard may miss keys).
+  double rows = 0, key_ndv = -1;
+  AttrId key_attr = kInvalidAttr;
+  for (const int home : cut.producer_sites) {
+    SiteEngine& site = *l_.query->sites[static_cast<size_t>(home)];
+    PUSHSIP_ASSIGN_OR_RETURN(const Built built, BuildProducer(x, home, site));
+    Register(x, home, built);
+    const PlanBuilder& pb = *built.fragment.fragment;
+    cut.schema = pb.schema(built.out);
+    rows += pb.estimated_rows(built.out);
+    if (built.key < 0) continue;
+    key_attr = cut.schema.field(static_cast<size_t>(built.key)).attr;
+    const auto& ndv = pb.estimated_ndv(built.out);
+    const auto it = ndv.find(key_attr);
+    if (it != ndv.end()) key_ndv = std::max(key_ndv, it->second);
+  }
+  // A hash partition hands each consumer 1/N of the rows and of the keys.
+  const double parts =
+      l_.node(x).mode == ExchangeMode::kHashPartition
+          ? static_cast<double>(l_.Sites(l_.placement(x)).size())
+          : 1.0;
+  cut.est_rows = rows / parts;
+  if (key_ndv >= 0) cut.ndv[key_attr] = key_ndv / parts;
+  return Status::OK();
+}
+
+Status FragmentBuilder::BuildRoot(NodeId root) {
+  DistributedQuery& q = *l_.query;
+  SiteEngine& coord = *q.sites[static_cast<size_t>(l_.coordinator)];
+  std::unique_ptr<PlanBuilder> detached = coord.NewDetachedFragment();
+  Built built;
+  PUSHSIP_ASSIGN_OR_RETURN(
+      const PlanBuilder::NodeId out,
+      Build(root, l_.coordinator, coord, detached.get(), &built));
+  PUSHSIP_RETURN_NOT_OK(detached->Finish(out));
+  q.root_sink = coord.PublishFragment(std::move(detached)).sink();
+  q.root_site = l_.coordinator;
+  return MaybeInstallAip(root, coord);
+}
+
+}  // namespace
 
 Result<std::unique_ptr<DistributedQuery>> PlanFragmenter::Fragment(
     const LogicalPlan& plan, LogicalPlan::NodeId root,
-    const FragmenterOptions& options) {
+    const ScaleOutOptions& options) {
   if (catalogs_.empty()) return Status::InvalidArgument("no site catalogs");
   if (root < 0 || root >= static_cast<int>(plan.nodes().size())) {
     return Status::InvalidArgument("bad logical root");
@@ -332,30 +559,55 @@ Result<std::unique_ptr<DistributedQuery>> PlanFragmenter::Fragment(
         options.exchange_idle_timeout_sec);
   }
 
-  BuildState state;
-  state.plan = &plan;
-  state.options = &options;
-  state.query = query.get();
-  state.site_of.assign(plan.nodes().size(), 0);
-  PUSHSIP_RETURN_NOT_OK(AssignSite(plan, root, &state.site_of).status());
+  auto layout = std::make_shared<Layout>();
+  layout->plan = plan;
+  for (const LogicalPlan::Node& n : plan.nodes()) {
+    layout->children.push_back(n.children);
+  }
+  layout->site.assign(plan.nodes().size(), kUnplaced);
+  layout->catalogs = catalogs_;
+  layout->coordinator = coordinator_;
+  layout->options = options;
+  layout->query = query.get();
+  Layout& l = *layout;
 
-  // The final Sink lives at the coordinator; BuildInto inserts the root's
-  // forward exchange automatically when it executes elsewhere.
-  SiteEngine& coord = *query->sites[static_cast<size_t>(coordinator_)];
-  PlanBuilder& rb = coord.NewFragment();
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId root_id,
-                           BuildInto(&state, root, coordinator_, &rb));
-  PUSHSIP_RETURN_NOT_OK(rb.Finish(root_id));
-  query->root_sink = rb.sink();
+  PUSHSIP_ASSIGN_OR_RETURN(const int root_site, Place(&l, root));
+  if (root_site == kAllSites) {
+    return Status::InvalidArgument(
+        "the plan root runs at every site; end it with a forward exchange");
+  }
+  if (root_site != coordinator_) {
+    root = AddForwardCut(&l, root, "", coordinator_);
+  }
 
-  if (options.install_aip) {
-    for (auto& site : query->sites) {
-      for (size_t f = 0; f < site->fragments().size(); ++f) {
-        PUSHSIP_RETURN_NOT_OK(
-            site->InstallAip(f, options.aip, options.cost));
-      }
+  // Every cut's channels exist before any fragment is built: channel ids
+  // (their index in query->channels) follow declaration order.
+  l.cuts.resize(l.plan.nodes().size());
+  for (NodeId x = 0; x < static_cast<NodeId>(l.plan.nodes().size()); ++x) {
+    if (l.node(x).kind != Kind::kExchange || l.placement(x) == kUnplaced) {
+      continue;
+    }
+    Cut& cut = l.cuts[static_cast<size_t>(x)];
+    cut.producer_sites = l.Sites(l.placement(l.inputs(x)[0]));
+    cut.channels.resize(catalogs_.size());
+    for (const int to : l.Sites(l.placement(x))) {
+      auto channel = std::make_shared<ExchangeChannel>(options.channel_capacity);
+      channel->set_num_senders(static_cast<int>(cut.producer_sites.size()));
+      channel->set_consumer_site(to);
+      cut.channels[static_cast<size_t>(to)] = channel;
+      query->channels.push_back(std::move(channel));
     }
   }
+
+  // Fragments follow the order their cuts were declared in; a cut's
+  // producers are always built before its consumers.
+  FragmentBuilder builder(layout, &l);
+  for (NodeId x = 0; x < static_cast<NodeId>(l.plan.nodes().size()); ++x) {
+    if (!l.cuts[static_cast<size_t>(x)].producer_sites.empty()) {
+      PUSHSIP_RETURN_NOT_OK(builder.BuildCut(x));
+    }
+  }
+  PUSHSIP_RETURN_NOT_OK(builder.BuildRoot(root));
   return query;
 }
 

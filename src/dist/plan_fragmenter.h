@@ -1,15 +1,34 @@
-// PlanFragmenter: cuts a site-annotated logical plan into per-site
-// fragments connected by forward exchanges.
+// PlanFragmenter: the one assembler of distributed plans. It cuts a
+// LogicalPlan into per-site fragments joined by exchanges and registers
+// what the runtime needs to supervise them.
 //
-// Site assignment is bottom-up: a scan runs at the site owning its table,
-// a unary operator runs where its input is produced, a join runs where its
-// left input is produced. Wherever a consumer's site differs from its
-// producer's, the producer subtree becomes its own fragment terminated by
-// an ExchangeSender, and the consumer reads an ExchangeReceiver instead —
-// so a filter over a remote table executes *at the remote site*, and a
-// join of two co-located tables ships its result, not its inputs. Every
-// receiver port is wired with a RemoteFilterShipFn, so cost-based AIP can
-// push Bloom filters across any fragment boundary, not just leaf scans.
+// Placement. A scan runs at the site whose catalog holds its table, or at
+// every site when every catalog holds a shard of it. A unary node runs
+// where its input runs. An Exchange node is a cut (Graefe's exchange
+// operator): its input runs where it runs, and its output is at every site
+// (broadcast, hash partition) or at the coordinator (forward). A join runs
+// where its inputs run; when they run at two different single sites, the
+// right input is cut by an implicit forward exchange to the left input's
+// site, and a single-site input joined with an all-sites input is refused.
+// A root that runs elsewhere than the coordinator is forwarded there.
+//
+// Fragments. Each cut's input subtree becomes one fragment per producing
+// site, terminated by an ExchangeSender `xsend_<stage>`; its consumers read
+// an ExchangeReceiver `xrecv_<stage>` whose estimates come from the
+// producers' (rows summed; a hash partition divides rows and the key's NDV
+// by the site count). Receivers ship AIP filters back to the producing
+// sites, over the transport when one is set and over the sim mesh
+// otherwise. Fragments are built in the order their exchanges were
+// declared, producers before consumers.
+//
+// Registries. A fragment whose joins read receivers gets a cost-based AIP
+// Manager (when `aip` is set). A producer fragment is replayable when it is
+// a single windowed scan under stateless operators; it is stateful (a
+// checkpointer, its input channels and its producers) when it holds join or
+// aggregate state fed by receivers and every fragment feeding it is
+// replayable. Both kinds are migratable, with one rebuild recipe that
+// re-materializes the fragment's logical subtree on any host site. The
+// root and every other fragment only restart in place, if at all.
 #ifndef PUSHSIP_DIST_PLAN_FRAGMENTER_H_
 #define PUSHSIP_DIST_PLAN_FRAGMENTER_H_
 
@@ -22,37 +41,128 @@
 
 namespace pushsip {
 
+/// Knobs for assembling and running one distributed plan.
+struct ScaleOutOptions {
+  /// Read by BuildScaleOutQuery (PlanFragmenter takes the site count from
+  /// its catalogs and the link model from its constructor).
+  int num_sites = 3;
+  double bandwidth_bps = 1e9;
+  double latency_ms = 0.2;
+  /// Install a cost-based AIP Manager on every fragment whose joins read
+  /// exchange receivers.
+  bool aip = false;
+  AipOptions aip_options;
+  CostConstants cost;
+  size_t batch_size = 1024;
+  /// Pacing of the scale-out workloads' sharded scans (models
+  /// disk-streamed sources and gives the AIP filter time to arrive while
+  /// the stream is still flowing).
+  size_t pace_every_rows = 256;
+  double pace_ms = 1.0;
+  /// Drop the brand predicate from Q17's part filter (keeps ~25x more
+  /// parts) so tiny test-scale catalogs still produce non-empty results.
+  bool weak_part_filter = false;
+  size_t channel_capacity = 64;
+  /// Failure oracle armed on every mesh link (chaos tests, --kill-site).
+  /// The multi-site driver heals fired faults when it restarts a fragment.
+  std::shared_ptr<FaultInjector> fault_injector;
+  /// Receiver heartbeat: give up after this long without exchange traffic.
+  double exchange_idle_timeout_sec = 30.0;
+  /// Replays allowed per fragment before a failure becomes fatal.
+  int max_fragment_restarts = 3;
+  /// Multi-process execution: this process's transport endpoint. When set,
+  /// the build still assembles the full topology (channel ids and sender
+  /// slots must agree across processes) but AIP filter shipping goes over
+  /// the transport, and the caller is expected to wire the exchange edges
+  /// (dist/multi_process.h) and set DistributedQuery::local_site before
+  /// running. Null = classic single-process simulation.
+  std::shared_ptr<Transport> transport;
+  /// Give every receiver ReceiverOptions::ordered_merge: buffer the stream
+  /// and emit it sorted by (sender, seq) at end-of-stream, making the
+  /// final answer bit-identical across backends and schedulers. Used by
+  /// the sim-vs-TCP parity check; costs full stream buffering.
+  bool deterministic_merge = false;
+  /// Checkpoint each stateful fragment's state (join builds, aggregate
+  /// tables, receiver replay progress) every this many accepted frames — a
+  /// failed stateful fragment then resumes from its last cut instead of
+  /// replaying every producer into empty state. 0 disables automatic
+  /// checkpoints (failures still recover, from scratch).
+  int64_t checkpoint_interval_frames = 0;
+  /// Chaos: kill the Q17 compute fragment at this site (-1 = off) by
+  /// failing one of its receivers with kUnavailable after
+  /// `stateful_kill_after_frames` accepted frames. The rebuilt/restarted
+  /// fragment is never re-armed, so the failure fires exactly once.
+  int stateful_kill_site = -1;
+  int64_t stateful_kill_after_frames = 0;
+  /// Which input dies: false = the broadcast part stream (xrecv_part,
+  /// mid-join-build), true = the l2 shuffle (xrecv_l2, mid-aggregate).
+  bool stateful_kill_aggregate = false;
+};
+
 /// Builds a predicate once the schema at its attach point is known (column
-/// indexes differ between the single-site and fragmented materializations).
+/// indexes differ between fragments and sites).
 using PredicateFn = std::function<Result<ExprPtr>(const Schema&)>;
+
+/// Output columns of a ProjectExprs node: `exprs[i]` computes `fields[i]`.
+struct Projection {
+  std::vector<Field> fields;
+  std::vector<ExprPtr> exprs;
+};
+using ProjectionFn = std::function<Result<Projection>(const Schema&)>;
 
 /// \brief A site-independent query description the fragmenter materializes.
 class LogicalPlan {
  public:
   using NodeId = int;
 
-  NodeId Scan(std::string table, std::string alias, ScanOptions options = {});
+  /// Scans `table` as instance `alias`. Instance numbers (and with them the
+  /// AttrIds, see MakeInstanceSchema) follow declaration order. `cols`,
+  /// when non-empty, names the only table columns the scan reads.
+  NodeId Scan(std::string table, std::string alias, ScanOptions options = {},
+              std::vector<std::string> cols = {});
   NodeId Filter(NodeId input, PredicateFn predicate, double selectivity);
   NodeId Project(NodeId input, std::vector<std::string> cols);
+  /// Computed columns (PlanBuilder::ProjectExprs).
+  NodeId ProjectExprs(NodeId input, ProjectionFn projection);
   NodeId Join(NodeId left, NodeId right,
               std::vector<std::pair<std::string, std::string>> eq_cols,
               PredicateFn residual = nullptr, double residual_sel = 1.0);
   NodeId Aggregate(NodeId input, std::vector<std::string> group_cols,
                    std::vector<AggDesc> aggs);
   NodeId Distinct(NodeId input);
+  /// Cuts the plan between `input` and its consumer. `key_col` is the
+  /// column the stream is keyed on: kHashPartition routes rows by it, and
+  /// the receivers' NDV hint covers it (empty = no key). `stage` names the
+  /// sender `xsend_<stage>`, the receiver `xrecv_<stage>` and the straggler
+  /// stage of the producing fragments.
+  NodeId Exchange(NodeId input, ExchangeMode mode, std::string key_col,
+                  std::string stage);
 
   struct Node {
-    enum class Kind { kScan, kFilter, kProject, kJoin, kAggregate, kDistinct };
+    enum class Kind {
+      kScan,
+      kFilter,
+      kProject,
+      kProjectExprs,
+      kJoin,
+      kAggregate,
+      kDistinct,
+      kExchange,
+    };
     Kind kind = Kind::kScan;
     std::vector<NodeId> children;
     std::string table, alias;   // kScan
+    int instance = 0;           // kScan
     ScanOptions scan_options;   // kScan
+    std::vector<std::string> cols;  // kScan (read set) / kProject
     PredicateFn predicate;      // kFilter predicate / kJoin residual
     double selectivity = 1.0;
-    std::vector<std::string> cols;        // kProject
+    ProjectionFn projection;    // kProjectExprs
     std::vector<std::pair<std::string, std::string>> eq_cols;  // kJoin
     std::vector<std::string> group_cols;  // kAggregate
     std::vector<AggDesc> aggs;            // kAggregate
+    ExchangeMode mode = ExchangeMode::kForward;  // kExchange
+    std::string key_col, stage;                  // kExchange
   };
 
   const std::vector<Node>& nodes() const { return nodes_; }
@@ -60,49 +170,27 @@ class LogicalPlan {
  private:
   NodeId Add(Node node);
   std::vector<Node> nodes_;
-};
-
-/// Tuning knobs for fragmentation.
-struct FragmenterOptions {
-  size_t channel_capacity = 64;
-  size_t batch_size = 1024;
-  /// Install a cost-based AIP Manager over every fragment.
-  bool install_aip = false;
-  AipOptions aip;
-  CostConstants cost;
-  /// Failure oracle armed on every mesh link (chaos testing).
-  std::shared_ptr<FaultInjector> fault_injector;
-  /// Receiver heartbeat: give up after this long without exchange traffic.
-  double exchange_idle_timeout_sec = 30.0;
-  /// Replays allowed per fragment before a failure becomes fatal.
-  int max_fragment_restarts = 3;
+  int num_scans_ = 0;
 };
 
 /// \brief Materializes logical plans over a set of site catalogs.
 class PlanFragmenter {
  public:
-  /// One SiteEngine is created per catalog; `coordinator` is the site the
-  /// final Sink (and any cross-site root) is placed on.
+  /// One SiteEngine is created per catalog, linked by a mesh of
+  /// `bandwidth_bps`/`latency_ms` links; `coordinator` is the site the
+  /// final Sink is placed on.
   PlanFragmenter(std::vector<std::shared_ptr<Catalog>> site_catalogs,
                  double bandwidth_bps, double latency_ms,
                  int coordinator = 0);
 
   /// Cuts `plan` (rooted at `root`) into fragments and assembles the
-  /// runnable DistributedQuery.
+  /// runnable DistributedQuery. `options.num_sites`, `bandwidth_bps`,
+  /// `latency_ms`, the pacing and the Q17 knobs are not read here.
   Result<std::unique_ptr<DistributedQuery>> Fragment(
       const LogicalPlan& plan, LogicalPlan::NodeId root,
-      const FragmenterOptions& options = {});
+      const ScaleOutOptions& options = {});
 
  private:
-  struct BuildState;
-
-  /// Site a logical node naturally executes at.
-  Result<int> AssignSite(const LogicalPlan& plan, LogicalPlan::NodeId id,
-                         std::vector<int>* site_of) const;
-  Result<PlanBuilder::NodeId> BuildInto(BuildState* state,
-                                        LogicalPlan::NodeId id, int site,
-                                        PlanBuilder* b);
-
   std::vector<std::shared_ptr<Catalog>> catalogs_;
   double bandwidth_bps_;
   double latency_ms_;

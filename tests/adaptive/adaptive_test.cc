@@ -311,7 +311,7 @@ TEST(AdaptiveTest, PermanentSiteLossMigratesFragmenterBuiltFragment) {
   auto run = [&](bool kill) -> AdaptiveOutcome {
     PlanFragmenter fragmenter(catalogs, /*bandwidth_bps=*/1e9,
                               /*latency_ms=*/0.1);
-    FragmenterOptions options;
+    ScaleOutOptions options;
     options.batch_size = 256;  // several windows per attempt
     if (kill) {
       options.fault_injector = std::make_shared<FaultInjector>();

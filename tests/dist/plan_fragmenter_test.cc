@@ -1,10 +1,15 @@
 // PlanFragmenter: cutting a logical plan at site boundaries must not change
 // its result, must actually move bytes across the mesh, and must let
 // cost-based AIP ship filters into the remote fragment (pruning before the
-// link) — the "arbitrary fragment boundary" generalization.
+// link) — the "arbitrary fragment boundary" generalization. A cut plan runs
+// unchanged over real sockets, and a join that would mix a single-site
+// input with an all-sites input needs an explicit exchange.
 #include "dist/plan_fragmenter.h"
 
 #include <gtest/gtest.h>
+
+#include "dist/multi_process.h"
+#include "dist/scale_out.h"
 
 #include "tests/testing/catalog_factory.h"
 #include "workload/experiment.h"
@@ -88,8 +93,8 @@ TEST(PlanFragmenterTest, AipShipsFilterIntoRemoteFragment) {
     LogicalPlan plan;
     const auto root = BuildJoinPlan(&plan, /*pace_partsupp=*/true);
     PlanFragmenter fragmenter(SplitCatalogs(), 1e9, 0.1);
-    FragmenterOptions options;
-    options.install_aip = aip;
+    ScaleOutOptions options;
+    options.aip = aip;
     // Scale the cost model's fixed set-creation overhead down to the tiny
     // test catalog, or no set ever looks worth building.
     options.cost.set_fixed = 1.0;
@@ -112,6 +117,66 @@ TEST(PlanFragmenterTest, AipShipsFilterIntoRemoteFragment) {
   // link, so measurably fewer bytes crossed the mesh.
   EXPECT_GT(aip_pruned, 0);
   EXPECT_LT(aip.bytes_shipped, base.bytes_shipped * 7 / 10);
+}
+
+// The channels' consumer sites are recorded, so the multi-process wiring
+// accepts the cut plan and the answer over loopback TCP is the sim answer.
+TEST(PlanFragmenterTest, CutPlanRunsOverLoopbackTcp) {
+  const auto run = [&](bool tcp) {
+    LogicalPlan plan;
+    const auto root = BuildJoinPlan(&plan, /*pace_partsupp=*/false);
+    PlanFragmenter fragmenter(SplitCatalogs(), 1e9, 0.1);
+    auto query = fragmenter.Fragment(plan, root);
+    query.status().CheckOK();
+    if (tcp) WireInProcessTcp(**query).status().CheckOK();
+    auto stats = (*query)->Run();
+    stats.status().CheckOK();
+    return std::make_pair(stats->result_rows,
+                          HashRows((*query)->root_sink->rows()));
+  };
+  const auto sim = run(false);
+  const auto tcp = run(true);
+  EXPECT_GT(sim.first, 0);
+  EXPECT_EQ(tcp, sim);
+}
+
+TEST(PlanFragmenterTest, SingleSiteJoinedWithAllSitesNeedsAnExchange) {
+  const auto full = TinyTpchCatalog();
+  // part at site 0 only; partsupp sharded across both sites.
+  const auto catalogs = PartitionCatalog(*full, {"partsupp"}, 2);
+  const auto build = [](LogicalPlan* lp, bool broadcast) {
+    LogicalPlan::NodeId p = lp->Project(lp->Scan("part", "p"),
+                                        {"p.p_partkey", "p.p_size"});
+    if (broadcast) {
+      p = lp->Exchange(p, ExchangeMode::kBroadcast, "p.p_partkey", "part");
+    }
+    const auto ps = lp->Scan("partsupp", "ps");
+    return lp->Join(p, ps, {{"p.p_partkey", "ps.ps_partkey"}});
+  };
+
+  LogicalPlan bad;
+  const auto bad_root = build(&bad, /*broadcast=*/false);
+  auto refused =
+      PlanFragmenter(catalogs, 1e9, 0.1).Fragment(bad, bad_root);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  // Broadcasting part makes it an all-sites input; the per-site joins are
+  // then gathered at the coordinator.
+  LogicalPlan good;
+  const auto joined = build(&good, /*broadcast=*/true);
+  const auto root = good.Exchange(good.Aggregate(joined, {}, {{AggFunc::kCount, "", "n"}}),
+                                  ExchangeMode::kForward, "", "partial");
+  const auto total =
+      good.Aggregate(root, {}, {{AggFunc::kSum, "n", "total"}});
+  auto query = PlanFragmenter(catalogs, 1e9, 0.1).Fragment(good, total);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto stats = (*query)->Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const std::vector<Tuple> rows = (*query)->root_sink->TakeRows();
+  ASSERT_EQ(rows.size(), 1u);
+  // Every partsupp row has a matching part.
+  EXPECT_EQ(rows[0].at(0).AsDouble(),
+            static_cast<double>((*full->GetTable("partsupp"))->num_rows()));
 }
 
 }  // namespace

@@ -9,6 +9,11 @@
 //
 // To regenerate the golden file after an intended change, run the suite
 // with PUSHSIP_UPDATE_GOLDEN=1 and review the diff.
+//
+// The recovery-coverage case enumerates the same fragments and requires
+// each to be recoverable — migratable with a recipe that rebuilds an
+// identical fragment elsewhere, or stateful with a bound checkpointer — or
+// to be on an explicit refusal list with its reason.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -189,6 +194,81 @@ TEST(PlanShapeTest, ScaleOutPlansMatchGolden) {
   std::stringstream golden;
   golden << in.rdbuf();
   EXPECT_EQ(actual, golden.str());
+}
+
+TEST(PlanShapeTest, EveryFragmentIsRecoverableOrRefused) {
+  // Fragments that are neither migratable nor stateful, keyed by their
+  // terminal operator, and why.
+  const std::map<std::string, std::string> refusals = {
+      {"sink", "the root holds the answer; it cannot restart or move"},
+      {"xsend_sn1", "supplier ⋈ nation reads two scans: not replayable"},
+      {"xsend_sn2", "supplier ⋈ nation reads two scans: not replayable"},
+      {"xsend_result",
+       "the subquery compute fragment is fed by the non-replayable "
+       "supplier ⋈ nation fragments, so its producers cannot be replayed "
+       "into a restored checkpoint"},
+  };
+  const auto catalog = GoldenCatalog();
+  for (const ScaleOutQuery query :
+       {ScaleOutQuery::kQ17, ScaleOutQuery::kSubquery}) {
+    for (const int sites : {2, 4}) {
+      SCOPED_TRACE(std::string(ScaleOutQueryName(query)) + " on " +
+                   std::to_string(sites) + " sites");
+      ScaleOutOptions options;
+      options.num_sites = sites;
+      auto built = BuildScaleOutQuery(query, catalog, options);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      DistributedQuery& q = **built;
+
+      std::vector<std::pair<int, PlanBuilder*>> fragments;
+      for (const auto& site : q.sites) {
+        for (const auto& f : site->fragments()) {
+          fragments.emplace_back(site->id(), f.get());
+        }
+      }
+      for (const auto& [site, f] : fragments) {
+        const std::string terminal = f->terminal()->name();
+        SCOPED_TRACE("site " + std::to_string(site) + " " + terminal);
+        const MigratableFragmentSpec* migratable = nullptr;
+        for (const MigratableFragmentSpec& m : q.migratable_fragments) {
+          if (m.fragment == f) migratable = &m;
+        }
+        const StatefulFragmentSpec* stateful = nullptr;
+        for (const StatefulFragmentSpec& s : q.stateful_fragments) {
+          if (s.fragment == f) stateful = &s;
+        }
+        const auto refusal = refusals.find(terminal);
+        if (refusal != refusals.end()) {
+          EXPECT_EQ(migratable, nullptr) << "refused: " << refusal->second;
+          EXPECT_EQ(stateful, nullptr) << "refused: " << refusal->second;
+          continue;
+        }
+        ASSERT_NE(migratable, nullptr) << "neither recoverable nor refused";
+        ASSERT_NE(migratable->rebuild, nullptr);
+        EXPECT_EQ(migratable->home_site, site);
+        if (stateful != nullptr) {
+          ASSERT_NE(stateful->checkpointer, nullptr);
+          EXPECT_GT(stateful->input_channels.size(), 0u);
+          EXPECT_EQ(stateful->checkpointer->bound_receivers(),
+                    stateful->input_channels.size());
+          EXPECT_FALSE(stateful->producers.empty());
+        } else {
+          EXPECT_NE(migratable->scan, nullptr) << "migratable but neither "
+                                                  "replayable nor stateful";
+        }
+        // The recipe rebuilds the same fragment on another site.
+        const int host = (site + 1) % sites;
+        Result<RebuiltFragment> rebuilt =
+            migratable->rebuild(*q.sites[static_cast<size_t>(host)], host);
+        ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+        EXPECT_EQ(rebuilt->scan != nullptr, migratable->scan != nullptr);
+        std::ostringstream original, copy;
+        DumpTree(*f, f->terminal(), 0, &original);
+        DumpTree(*rebuilt->fragment, rebuilt->fragment->terminal(), 0, &copy);
+        EXPECT_EQ(copy.str(), original.str());
+      }
+    }
+  }
 }
 
 }  // namespace
