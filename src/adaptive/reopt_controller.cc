@@ -157,7 +157,7 @@ Result<AdaptiveSupervisor::Migration> ReoptController::Migrate(
   }
   SiteEngine& host = *query_->sites[static_cast<size_t>(dest)];
   PUSHSIP_ASSIGN_OR_RETURN(RebuiltFragment rebuilt,
-                           state->spec.rebuild(host, dest));
+                           state->spec.rebuild(host));
   // Exchange-fed (scanless) fragments legitimately rebuild without a scan;
   // a recipe may only drop the scan when the original had none either.
   if (rebuilt.fragment == nullptr || rebuilt.sender == nullptr ||

@@ -134,7 +134,7 @@ struct RebuiltFragment {
 /// producer from a rebooted one. Built detached and published only when
 /// complete: recipes run mid-query, concurrently with filter attachment.
 using FragmentRebuildFn =
-    std::function<Result<RebuiltFragment>(SiteEngine& host, int host_site)>;
+    std::function<Result<RebuiltFragment>(SiteEngine& host)>;
 
 /// Assembly-time registration of a fragment the adaptive runtime may move:
 /// populated by the PlanFragmenter for every replayable or stateful

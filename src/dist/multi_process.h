@@ -32,7 +32,7 @@ namespace pushsip {
 /// binds every channel consumed at transport->local_site() and gives every
 /// local sender destination whose consumer lives elsewhere a transport
 /// ChannelSender. Requires the channels' consumer sites to be recorded
-/// (the scale-out builder does) and must run before transport->Start().
+/// (the PlanFragmenter does) and must run before transport->Start().
 Status WireTransport(DistributedQuery& q,
                      const std::shared_ptr<Transport>& transport);
 

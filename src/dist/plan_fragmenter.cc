@@ -183,7 +183,9 @@ Result<int> Place(Layout* l, NodeId id) {
         holders.push_back(s);
       }
     }
-    if (holders.empty()) return Status::NotFound("no site hosts table " + table);
+    if (holders.empty()) {
+      return Status::NotFound("no site hosts table " + table);
+    }
     if (holders.size() == 1) {
       site = holders[0];
     } else if (static_cast<int>(holders.size()) == l->num_sites()) {
@@ -206,9 +208,10 @@ Result<int> Place(Layout* l, NodeId id) {
             "explicit exchange");
       }
       // The right input ships to the left input's site, keyed on its
-      // first join column.
-      const NodeId cut = AddForwardCut(
-          l, children[1], l->node(id).eq_cols[0].second, left);
+      // first join column (a join without one fails when it is built).
+      const auto& eq_cols = l->node(id).eq_cols;
+      std::string key = eq_cols.empty() ? "" : eq_cols[0].second;
+      const NodeId cut = AddForwardCut(l, children[1], std::move(key), left);
       l->children[static_cast<size_t>(id)][1] = cut;
     }
   } else {
@@ -372,11 +375,11 @@ Result<PlanBuilder::NodeId> FragmentBuilder::Receive(NodeId x, int home,
     }
     shipper = MakeFilterShipper(std::move(producers), &host.context());
   }
+  const bool partitioned = n.mode == ExchangeMode::kHashPartition;
   PUSHSIP_ASSIGN_OR_RETURN(
       const PlanBuilder::NodeId src,
       pb->Source(std::move(receiver), cut.est_rows, cut.ndv,
-                 std::move(shipper),
-                 /*partitioned_stream=*/n.mode == ExchangeMode::kHashPartition));
+                 std::move(shipper), partitioned));
   // The adaptive runtime feeds observed producer cardinalities into this
   // node. A rebuild reuses the original registration.
   if (assembly_ != nullptr) {
@@ -459,15 +462,11 @@ void FragmentBuilder::Register(NodeId x, int home, const Built& built) {
   // The one recipe: re-materialize this fragment's logical subtree on the
   // host, scanning the home site's shards (a replica; in the simulation the
   // shared TablePtr) and feeding/reading the same channels.
-  spec.rebuild = [layout = layout_, x, home, replayable](
-                     SiteEngine& host,
-                     int /*host_site*/) -> Result<RebuiltFragment> {
+  spec.rebuild = [layout = layout_, x,
+                  home](SiteEngine& host) -> Result<RebuiltFragment> {
     FragmentBuilder builder(layout, /*assembly=*/nullptr);
     PUSHSIP_ASSIGN_OR_RETURN(Built rebuilt,
                              builder.BuildProducer(x, home, host));
-    if (replayable && rebuilt.fragment.scan == nullptr) {
-      return Status::Internal("rebuilt fragment lost its replayable shape");
-    }
     return rebuilt.fragment;
   };
   q.migratable_fragments.push_back(std::move(spec));
@@ -591,7 +590,8 @@ Result<std::unique_ptr<DistributedQuery>> PlanFragmenter::Fragment(
     cut.producer_sites = l.Sites(l.placement(l.inputs(x)[0]));
     cut.channels.resize(catalogs_.size());
     for (const int to : l.Sites(l.placement(x))) {
-      auto channel = std::make_shared<ExchangeChannel>(options.channel_capacity);
+      auto channel =
+          std::make_shared<ExchangeChannel>(options.channel_capacity);
       channel->set_num_senders(static_cast<int>(cut.producer_sites.size()));
       channel->set_consumer_site(to);
       cut.channels[static_cast<size_t>(to)] = channel;

@@ -264,7 +264,8 @@ Result<std::unique_ptr<DistributedQuery>> BuildScaleOutQuery(
 
   const bool q17 = query == ScaleOutQuery::kQ17;
   LogicalPlan plan;
-  const NodeId root = q17 ? Q17Plan(&plan, options) : SubqueryPlan(&plan, options);
+  const NodeId root =
+      q17 ? Q17Plan(&plan, options) : SubqueryPlan(&plan, options);
   PlanFragmenter fragmenter(
       PartitionCatalog(*full_catalog, {q17 ? "lineitem" : "partsupp"},
                        options.num_sites),

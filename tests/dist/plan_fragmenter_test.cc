@@ -164,10 +164,11 @@ TEST(PlanFragmenterTest, SingleSiteJoinedWithAllSitesNeedsAnExchange) {
   // then gathered at the coordinator.
   LogicalPlan good;
   const auto joined = build(&good, /*broadcast=*/true);
-  const auto root = good.Exchange(good.Aggregate(joined, {}, {{AggFunc::kCount, "", "n"}}),
-                                  ExchangeMode::kForward, "", "partial");
+  const auto partial = good.Exchange(
+      good.Aggregate(joined, {}, {{AggFunc::kCount, "", "n"}}),
+      ExchangeMode::kForward, "", "partial");
   const auto total =
-      good.Aggregate(root, {}, {{AggFunc::kSum, "n", "total"}});
+      good.Aggregate(partial, {}, {{AggFunc::kSum, "n", "total"}});
   auto query = PlanFragmenter(catalogs, 1e9, 0.1).Fragment(good, total);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   auto stats = (*query)->Run();

@@ -259,7 +259,7 @@ TEST(PlanShapeTest, EveryFragmentIsRecoverableOrRefused) {
         // The recipe rebuilds the same fragment on another site.
         const int host = (site + 1) % sites;
         Result<RebuiltFragment> rebuilt =
-            migratable->rebuild(*q.sites[static_cast<size_t>(host)], host);
+            migratable->rebuild(*q.sites[static_cast<size_t>(host)]);
         ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
         EXPECT_EQ(rebuilt->scan != nullptr, migratable->scan != nullptr);
         std::ostringstream original, copy;
