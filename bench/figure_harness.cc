@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 
 #include "obs/trace.h"
@@ -64,8 +65,15 @@ CellStats Summarize(const std::vector<double>& xs) {
     double var = 0;
     for (double x : xs) var += (x - out.mean) * (x - out.mean);
     var /= static_cast<double>(xs.size() - 1);
-    // t_{0.975, n-1} ~ 4.30 (n=3), 2.78 (n=5), 2.26 (n=10); use a small table.
-    const double t = xs.size() <= 3 ? 4.30 : (xs.size() <= 5 ? 2.78 : 2.26);
+    // Two-sided 95% Student-t quantile t(0.975, df) for df = n - 1 = 1..30;
+    // beyond that the normal quantile is within 4%.
+    static constexpr double kT975[] = {
+        12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
+        2.2622,  2.2281, 2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199,
+        2.1098,  2.1009, 2.0930, 2.0860, 2.0796, 2.0739, 2.0687, 2.0639,
+        2.0595,  2.0555, 2.0518, 2.0484, 2.0452, 2.0423};
+    const size_t df = xs.size() - 1;
+    const double t = df <= std::size(kT975) ? kT975[df - 1] : 1.96;
     out.ci95 = t * std::sqrt(var / static_cast<double>(xs.size()));
   }
   return out;

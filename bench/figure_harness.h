@@ -77,7 +77,8 @@ struct CellStats {
   double ci95 = 0;  ///< 0 with fewer than two samples
 };
 
-/// Summarizes repeated measurements with a small Student-t table.
+/// Summarizes repeated measurements: their mean and the half-width of the
+/// two-sided 95% Student-t confidence interval of the mean.
 CellStats Summarize(const std::vector<double>& xs);
 
 /// One measured cell of a benchmark, as emitted to the JSON report.

@@ -450,18 +450,14 @@ Result<DistQueryStats> DistributedQuery::Run() {
     const LinkUsage usage = transport->TotalUsage();
     stats.bytes_shipped = usage.bytes;
     stats.link_seconds = usage.seconds;
-  } else if (mesh_shared) {
-    // The mesh carries other queries' traffic too: report only what this
-    // query's contexts were billed for at their Transmit call sites.
+  } else {
+    // Every Transmit on the mesh bills the transmitting site's context, so
+    // the sum is this query's traffic even on a mesh other queries share.
     for (auto& site : sites) {
       const LinkUsage own = site->context().OwnLinkUsage();
       stats.bytes_shipped += own.bytes;
       stats.link_seconds += own.seconds;
     }
-  } else if (mesh != nullptr) {
-    const LinkUsage usage = mesh->TotalUsage();
-    stats.bytes_shipped = usage.bytes;
-    stats.link_seconds = usage.seconds;
   }
   return stats;
 }

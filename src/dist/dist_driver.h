@@ -36,7 +36,8 @@ enum class CounterMerge { kSum, kMax };
 /// Measurements of one distributed query execution. The inherited
 /// QueryStats counters are folded over every site: peak_state_bytes sums
 /// the per-site peaks, and bytes_shipped/link_seconds count what crossed
-/// the mesh or transport (batches and shipped filters).
+/// the mesh (billed to the sites' contexts) or the transport (batches and
+/// shipped filters).
 struct DistQueryStats : QueryStats {
   /// Payload bytes handed to exchange senders — includes same-site
   /// deliveries that never crossed a link, so it can exceed bytes_shipped.
@@ -228,13 +229,10 @@ class AdaptiveSupervisor {
 struct DistributedQuery {
   std::vector<std::unique_ptr<SiteEngine>> sites;
   /// Shared so a serving layer can run many concurrent queries over one
-  /// mesh; a standalone query still constructs (and solely owns) its own.
+  /// mesh. Run() reports bytes_shipped/link_seconds from this query's
+  /// per-context billing (ExecContext::OwnLinkUsage), never from the
+  /// mesh-wide totals, which would count the neighbours' traffic too.
   std::shared_ptr<SiteMesh> mesh;
-  /// True when `mesh` is shared with other concurrent queries. Run() then
-  /// reports bytes_shipped/link_seconds from this query's per-context
-  /// billing (ExecContext::OwnLinkUsage) instead of the mesh-wide totals,
-  /// which would double-count the neighbours' traffic.
-  bool mesh_shared = false;
   std::vector<std::shared_ptr<ExchangeChannel>> channels;
   Sink* root_sink = nullptr;
   /// The mesh's failure oracle, when chaos is enabled; the supervisor heals

@@ -96,11 +96,10 @@ LogicalPlan::NodeId LogicalPlan::Exchange(NodeId input, ExchangeMode mode,
 }
 
 PlanFragmenter::PlanFragmenter(
-    std::vector<std::shared_ptr<Catalog>> site_catalogs, double bandwidth_bps,
-    double latency_ms, int coordinator)
+    std::vector<std::shared_ptr<Catalog>> site_catalogs,
+    std::shared_ptr<SiteMesh> mesh, int coordinator)
     : catalogs_(std::move(site_catalogs)),
-      bandwidth_bps_(bandwidth_bps),
-      latency_ms_(latency_ms),
+      mesh_(std::move(mesh)),
       coordinator_(coordinator) {}
 
 namespace {
@@ -159,9 +158,12 @@ struct Layout {
 /// Appends an implicit forward cut of `input` toward `dest`.
 NodeId AddForwardCut(Layout* l, NodeId input, std::string key_col,
                      int dest) {
-  const std::string stage = "s" + std::to_string(l->placement(input));
+  // Appended, not `"s" + to_string(...)`: GCC 12's -Wrestrict misfires on
+  // that form in Release builds.
+  std::string stage = "s";
+  stage += std::to_string(l->placement(input));
   const NodeId x = l->plan.Exchange(input, ExchangeMode::kForward,
-                                    std::move(key_col), stage);
+                                    std::move(key_col), std::move(stage));
   l->children.push_back({input});
   l->site.push_back(dest);
   return x;
@@ -541,10 +543,13 @@ Result<std::unique_ptr<DistributedQuery>> PlanFragmenter::Fragment(
       coordinator_ >= static_cast<int>(catalogs_.size())) {
     return Status::InvalidArgument("bad coordinator site");
   }
+  if (mesh_ == nullptr ||
+      mesh_->num_sites() < static_cast<int>(catalogs_.size())) {
+    return Status::InvalidArgument("the mesh has fewer sites than catalogs");
+  }
 
   auto query = std::make_unique<DistributedQuery>();
-  query->mesh = std::make_shared<SiteMesh>(
-      static_cast<int>(catalogs_.size()), bandwidth_bps_, latency_ms_);
+  query->mesh = mesh_;
   if (options.fault_injector != nullptr) {
     query->mesh->InstallFaultInjector(options.fault_injector);
     query->fault_injector = options.fault_injector;

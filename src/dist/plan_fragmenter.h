@@ -44,7 +44,7 @@ namespace pushsip {
 /// Knobs for assembling and running one distributed plan.
 struct ScaleOutOptions {
   /// Read by BuildScaleOutQuery (PlanFragmenter takes the site count from
-  /// its catalogs and the link model from its constructor).
+  /// its catalogs and the mesh from its constructor).
   int num_sites = 3;
   double bandwidth_bps = 1e9;
   double latency_ms = 0.2;
@@ -176,24 +176,26 @@ class LogicalPlan {
 /// \brief Materializes logical plans over a set of site catalogs.
 class PlanFragmenter {
  public:
-  /// One SiteEngine is created per catalog, linked by a mesh of
-  /// `bandwidth_bps`/`latency_ms` links; `coordinator` is the site the
+  /// One SiteEngine is created per catalog; site i transmits over `mesh`'s
+  /// links from i, so the mesh needs at least as many sites as there are
+  /// catalogs. The mesh may be private to one query or shared by many (a
+  /// serving layer's): every Transmit bills the sending site's context, and
+  /// that billing is what the query reports. `coordinator` is the site the
   /// final Sink is placed on.
   PlanFragmenter(std::vector<std::shared_ptr<Catalog>> site_catalogs,
-                 double bandwidth_bps, double latency_ms,
-                 int coordinator = 0);
+                 std::shared_ptr<SiteMesh> mesh, int coordinator = 0);
 
   /// Cuts `plan` (rooted at `root`) into fragments and assembles the
   /// runnable DistributedQuery. `options.num_sites`, `bandwidth_bps`,
-  /// `latency_ms`, the pacing and the Q17 knobs are not read here.
+  /// `latency_ms`, the pacing and the Q17 knobs are not read here; a
+  /// `fault_injector` is armed on the mesh.
   Result<std::unique_ptr<DistributedQuery>> Fragment(
       const LogicalPlan& plan, LogicalPlan::NodeId root,
       const ScaleOutOptions& options = {});
 
  private:
   std::vector<std::shared_ptr<Catalog>> catalogs_;
-  double bandwidth_bps_;
-  double latency_ms_;
+  std::shared_ptr<SiteMesh> mesh_;
   int coordinator_;
 };
 

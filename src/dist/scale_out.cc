@@ -269,7 +269,8 @@ Result<std::unique_ptr<DistributedQuery>> BuildScaleOutQuery(
   PlanFragmenter fragmenter(
       PartitionCatalog(*full_catalog, {q17 ? "lineitem" : "partsupp"},
                        options.num_sites),
-      options.bandwidth_bps, options.latency_ms);
+      std::make_shared<SiteMesh>(options.num_sites, options.bandwidth_bps,
+                                 options.latency_ms));
   PUSHSIP_ASSIGN_OR_RETURN(std::unique_ptr<DistributedQuery> q,
                            fragmenter.Fragment(plan, root, options));
   if (q17) ArmStatefulKill(q.get(), options);

@@ -65,7 +65,7 @@ QueryStats CollectQueryStats(ExecContext* ctx, Sink* sink,
   stats.elapsed_sec = elapsed_sec;
   stats.result_rows = sink->num_rows();
   AddContextCounters(*ctx, &stats);
-  const LinkUsage links = ctx->TotalLinkUsage();
+  const LinkUsage links = ctx->OwnLinkUsage();
   stats.bytes_shipped = links.bytes;
   stats.link_seconds = links.seconds;
   return stats;

@@ -26,26 +26,6 @@ void ExecContext::AddInputFinishedHook(InputFinishedHook hook) {
   hooks_.push_back(std::move(hook));
 }
 
-void ExecContext::AddLinkUsageSource(LinkUsageFn fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  link_usage_.push_back(std::move(fn));
-}
-
-LinkUsage ExecContext::TotalLinkUsage() const {
-  std::vector<LinkUsageFn> sources;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sources = link_usage_;
-  }
-  LinkUsage total;
-  for (const auto& fn : sources) {
-    const LinkUsage u = fn();
-    total.bytes += u.bytes;
-    total.seconds += u.seconds;
-  }
-  return total;
-}
-
 void ExecContext::NotifyInputFinished(Operator* op, int port) {
   std::vector<InputFinishedHook> hooks;
   {

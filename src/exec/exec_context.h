@@ -73,18 +73,11 @@ class ExecContext {
     exchange_idle_timeout_sec_ = sec;
   }
 
-  /// Registers a provider of link-traffic statistics (one per SimLink this
-  /// query transmits over); Driver sums them into QueryStats. Keeping the
-  /// registry callback-based avoids an exec -> net dependency.
-  using LinkUsageFn = std::function<LinkUsage()>;
-  void AddLinkUsageSource(LinkUsageFn fn);
-  LinkUsage TotalLinkUsage() const;
-
-  /// Bills one transmission to *this* query. Callback-based link-usage
-  /// sources (above) read whole-link totals, which is correct only while a
-  /// link carries a single query; when a SiteMesh is shared by concurrent
-  /// sessions, transmit paths call this instead so every context owns
-  /// exactly the traffic it sent.
+  /// Bills one transmission to *this* query: every transmit path (a remote
+  /// scan's batches, exchange senders, AIP filter shipments) passes its
+  /// context to SimLink::Transmit, so a context owns exactly the traffic it
+  /// sent even on links shared by concurrent sessions. This is the one
+  /// link ledger QueryStats::bytes_shipped/link_seconds are read from.
   void RecordLinkTraffic(int64_t bytes, double seconds) {
     own_link_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     own_link_micros_.fetch_add(static_cast<int64_t>(seconds * 1e6),
@@ -127,7 +120,6 @@ class ExecContext {
   Status first_error_;
   std::vector<Operator*> operators_;
   std::vector<InputFinishedHook> hooks_;
-  std::vector<LinkUsageFn> link_usage_;
   size_t batch_size_ = 1024;
   std::atomic<bool> profiling_{false};
   double exchange_idle_timeout_sec_ = 30.0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <thread>
 
+#include "net/sim_link.h"
 #include "obs/profile.h"
 
 namespace pushsip {
@@ -163,11 +164,12 @@ Status TableScan::Run() {
       if (sel.size() != n) batch.CompactInPlace(sel);
     }
     if (batch.empty()) continue;  // fully pruned window: seq gap, legal
-    if (options_.transfer_hook) {
+    if (options_.link != nullptr) {
       // Charge live payload bytes, not heap footprint: after source-filter
       // compaction the vectors keep their capacity, but only surviving rows
       // cross the link.
-      options_.transfer_hook(batch.PayloadBytes());
+      PUSHSIP_RETURN_NOT_OK(
+          options_.link->Transmit(batch.PayloadBytes(), ctx_));
     }
     PUSHSIP_RETURN_NOT_OK(Emit(std::move(batch)));
   }

@@ -8,7 +8,6 @@
 #ifndef PUSHSIP_EXEC_SCAN_H_
 #define PUSHSIP_EXEC_SCAN_H_
 
-#include <functional>
 #include <memory>
 
 #include "exec/source.h"
@@ -23,13 +22,12 @@ struct ScanOptions {
   double initial_delay_ms = 0;  ///< one-time delay before the first tuple
   size_t delay_every_rows = 0;  ///< 0 disables rate limiting
   double delay_ms = 0;          ///< injected every delay_every_rows rows
-  /// Invoked with the payload size of every outgoing batch, *after* source
-  /// filters pruned it. The net module uses this to charge (simulated) link
-  /// bandwidth, so source-filter pruning saves transfer time — the
-  /// adaptive-Bloomjoin effect of distributed AIP.
-  std::function<void(size_t bytes)> transfer_hook;
-  /// The link `transfer_hook` charges, when there is one. Lets the SIP layer
-  /// bill filter shipping against the same link the scan transmits over.
+  /// The (simulated) link a remote table's batches cross, when there is
+  /// one. Every outgoing batch's payload is transmitted over it *after*
+  /// source filters pruned it, and billed to the scan's ExecContext, so
+  /// source-filter pruning saves transfer time — the adaptive-Bloomjoin
+  /// effect of distributed AIP. The SIP layer bills filter shipping
+  /// against the same link.
   std::shared_ptr<SimLink> link;
   /// Deterministic batch boundaries: batch k holds the *survivors* of raw
   /// rows [k*batch_size, (k+1)*batch_size) — possibly fewer than batch_size

@@ -22,11 +22,9 @@ class RemoteNode {
   const std::string& name() const { return name_; }
   const std::shared_ptr<SimLink>& link() const { return link_; }
 
-  /// Decorates scan options so every emitted batch crosses this node's link.
+  /// Decorates scan options so every emitted batch crosses this node's link
+  /// (billed to the scanning query's ExecContext).
   ScanOptions WrapScanOptions(ScanOptions base = {}) const {
-    std::shared_ptr<SimLink> link = link_;
-    // A RemoteNode link has no fault injector, so the status is always OK.
-    base.transfer_hook = [link](size_t bytes) { (void)link->Transmit(bytes); };
     base.link = link_;
     return base;
   }

@@ -36,14 +36,4 @@ void SimLink::SetFaultInjector(std::shared_ptr<FaultInjector> injector,
   to_ = to;
 }
 
-void RegisterLinkWithContext(ExecContext* ctx,
-                             std::shared_ptr<SimLink> link) {
-  ctx->AddLinkUsageSource([link] {
-    LinkUsage usage;
-    usage.bytes = link->bytes_transferred();
-    usage.seconds = link->busy_seconds();
-    return usage;
-  });
-}
-
 }  // namespace pushsip

@@ -77,10 +77,6 @@ class SimLink {
   int to_ = -1;
 };
 
-/// Registers `link` as a usage source of `ctx`, so Driver-level statistics
-/// (QueryStats::bytes_shipped / link_seconds) include its traffic.
-void RegisterLinkWithContext(ExecContext* ctx, std::shared_ptr<SimLink> link);
-
 }  // namespace pushsip
 
 #endif  // PUSHSIP_NET_SIM_LINK_H_

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "dist/exchange.h"
 #include "dist/scale_out.h"
 #include "expr/expression.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
-#include "workload/plan_builder.h"
 
 namespace pushsip {
 
@@ -91,14 +89,69 @@ ServedColumns ColumnsRead(const ServeQuery& q) {
   return cols;
 }
 
+/// Runs an assembled served query. A single fragment runs its sources in
+/// declaration order on the calling thread, so the session occupies exactly
+/// one pooled worker (the symmetric, doubly-pipelined join accepts that as
+/// just another input interleaving); a cut plan runs through the
+/// multi-site driver, one thread per source.
+Result<QueryStats> RunServed(DistributedQuery* query) {
+  size_t fragments = 0;
+  for (const auto& site : query->sites) fragments += site->fragments().size();
+  if (fragments > 1) {
+    PUSHSIP_ASSIGN_OR_RETURN(const DistQueryStats d, query->Run());
+    return QueryStats(d);  // slices off the distributed-only counters
+  }
+  auto& site = *query->sites[static_cast<size_t>(query->root_site)];
+  ExecContext& ctx = site.context();
+  Stopwatch timer;
+  for (SourceOperator* src : site.fragments()[0]->sources()) {
+    if (ctx.cancelled()) break;
+    const Status st = src->Run();
+    if (!st.ok() && st.code() != StatusCode::kCancelled) ctx.SetError(st);
+    if (!ctx.GetError().ok()) break;
+  }
+  PUSHSIP_RETURN_NOT_OK(ctx.GetError());
+  if (ctx.cancelled()) return Status::Cancelled("session cancelled");
+  if (!query->root_sink->finished()) {
+    return Status::Internal("sink did not finish");
+  }
+  return CollectQueryStats(&ctx, query->root_sink, timer.ElapsedSeconds());
+}
+
 }  // namespace
+
+LogicalPlan::NodeId ServedPlan(const ServeQuery& q, bool probe_sharded,
+                               const ScanOptions& scan, LogicalPlan* plan) {
+  const ServedColumns cols = ColumnsRead(q);
+  const LogicalPlan::NodeId build =
+      plan->Scan(q.build_table, "b", scan, cols.build);
+  LogicalPlan::NodeId probe = plan->Scan(q.probe_table, "r", scan, cols.probe);
+  const LogicalPlan::NodeId filtered = plan->Filter(
+      build,
+      [col = q.build_filter_col,
+       upper = q.build_filter_upper](const Schema& s) -> Result<ExprPtr> {
+        PUSHSIP_ASSIGN_OR_RETURN(ExprPtr filter_col, ColNamed(s, col));
+        return Cmp(CmpOp::kLt, std::move(filter_col), LitInt(upper));
+      },
+      q.build_selectivity);
+  if (probe_sharded) {
+    probe = plan->Exchange(probe, ExchangeMode::kForward, "r." + q.probe_key,
+                           "probe");
+  }
+  const LogicalPlan::NodeId join =
+      plan->Join(filtered, probe, {{"b." + q.build_key, "r." + q.probe_key}});
+  std::vector<AggDesc> aggs{{AggFunc::kCount, "", "cnt"}};
+  if (!q.probe_agg_col.empty()) {
+    aggs.push_back({AggFunc::kSum, "r." + q.probe_agg_col, "total"});
+  }
+  return plan->Aggregate(join, {}, std::move(aggs));
+}
 
 struct QueryServer::Session {
   SessionId id = 0;
   uint64_t ticket = 0;
   ServeQuery query;
   int64_t admit_bytes = 0;
-  bool run_on_mesh = false;
 
   std::mutex mu;
   std::condition_variable cv;
@@ -122,10 +175,11 @@ QueryServer::QueryServer(std::shared_ptr<Catalog> catalog,
     : catalog_(std::move(catalog)),
       opts_(options),
       cache_(options.aip_cache_budget_bytes),
-      pool_(options.worker_threads) {
+      pool_(options.worker_threads),
+      mesh_(std::make_shared<SiteMesh>(std::max(1, options.num_sites),
+                                       options.bandwidth_bps,
+                                       options.latency_ms)) {
   if (opts_.num_sites > 1) {
-    mesh_ = std::make_shared<SiteMesh>(opts_.num_sites, opts_.bandwidth_bps,
-                                       opts_.latency_ms);
     shards_ = std::make_shared<const ShardCatalogs>(PartitionCatalog(
         *catalog_, opts_.sharded_tables, opts_.num_sites));
   }
@@ -166,10 +220,6 @@ Result<QueryServer::SessionId> QueryServer::Submit(const ServeQuery& query) {
           ? query.est_state_bytes
           : static_cast<int64_t>(probe->FootprintBytes() +
                                  build->FootprintBytes());
-  s->run_on_mesh =
-      opts_.num_sites > 1 &&
-      std::find(opts_.sharded_tables.begin(), opts_.sharded_tables.end(),
-                query.probe_table) != opts_.sharded_tables.end();
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     s->id = next_id_++;
@@ -291,23 +341,119 @@ void QueryServer::RunSession(const SessionPtr& s) {
   s->cv.notify_all();
 }
 
+Result<std::vector<std::shared_ptr<Catalog>>> QueryServer::SessionCatalogs(
+    const ServeQuery& q, const TablePtr& build) const {
+  std::shared_ptr<const ShardCatalogs> shards;
+  if (std::find(opts_.sharded_tables.begin(), opts_.sharded_tables.end(),
+                q.probe_table) != opts_.sharded_tables.end()) {
+    std::lock_guard<std::mutex> lock(shards_mu_);
+    shards = shards_;  // null on a single-site server
+  }
+  std::vector<std::shared_ptr<Catalog>> catalogs;
+  if (shards == nullptr) {
+    catalogs.push_back(std::make_shared<Catalog>());
+    if (q.probe_table != q.build_table) {
+      PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe,
+                               catalog_->GetTable(q.probe_table));
+      PUSHSIP_RETURN_NOT_OK(catalogs[0]->RegisterTable(std::move(probe)));
+    }
+  } else {
+    if (q.probe_table == q.build_table) {
+      return Status::InvalidArgument("a sharded table cannot be served "
+                                     "joined with itself");
+    }
+    for (const std::shared_ptr<Catalog>& shard : *shards) {
+      PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe, shard->GetTable(q.probe_table));
+      catalogs.push_back(std::make_shared<Catalog>());
+      PUSHSIP_RETURN_NOT_OK(catalogs.back()->RegisterTable(std::move(probe)));
+    }
+  }
+  PUSHSIP_RETURN_NOT_OK(catalogs[0]->RegisterTable(build));
+  return catalogs;
+}
+
 Result<SessionResult> QueryServer::Execute(const SessionPtr& s) {
-  return s->run_on_mesh ? RunOnMesh(s) : RunLocal(s);
+  const ServeQuery& q = s->query;
+  // Atomic (table, version) snapshot: the version must be the one these
+  // exact rows carry, or a summary cached from regenerated data could be
+  // keyed as current and wrongly prune (see serve_cache_test). The build
+  // scan reads this very TablePtr.
+  PUSHSIP_ASSIGN_OR_RETURN(VersionedTable build,
+                           catalog_->GetTableWithVersion(q.build_table));
+  PUSHSIP_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<Catalog>> catalogs,
+                           SessionCatalogs(q, build.table));
+
+  ScanOptions scan;
+  scan.delay_every_rows = opts_.scan_delay_every_rows;
+  scan.delay_ms = opts_.scan_delay_ms;
+  LogicalPlan plan;
+  const LogicalPlan::NodeId root =
+      ServedPlan(q, /*probe_sharded=*/catalogs.size() > 1, scan, &plan);
+  ScaleOutOptions options;
+  options.batch_size = opts_.batch_size;
+  options.channel_capacity = opts_.channel_capacity;
+  options.exchange_idle_timeout_sec = opts_.exchange_idle_timeout_sec;
+  // Per-session sites and channels over the server's one shared mesh:
+  // links are the only contended resource, and Transmit bills this
+  // session's contexts, so bytes_shipped stays per-query.
+  PUSHSIP_ASSIGN_OR_RETURN(
+      std::unique_ptr<DistributedQuery> query,
+      PlanFragmenter(std::move(catalogs), mesh_).Fragment(plan, root, options));
+
+  SessionResult out;
+  std::shared_ptr<AipSet> collected;
+  AipCacheKey key;
+  PUSHSIP_RETURN_NOT_OK(
+      PrepareAipCache(q, build, *query, &out, &collected, &key));
+
+  {
+    std::lock_guard<std::mutex> lock(s->mu);
+    if (s->cancel_requested) return Status::Cancelled("session cancelled");
+    DistributedQuery* raw = query.get();
+    s->cancel_hook = [raw] { raw->Cancel(); };
+  }
+  struct HookGuard {
+    SessionPtr s;
+    ~HookGuard() {
+      std::lock_guard<std::mutex> lock(s->mu);
+      s->cancel_hook = nullptr;
+    }
+  } hook_guard{s};
+
+  PUSHSIP_ASSIGN_OR_RETURN(out.stats, RunServed(query.get()));
+  out.rows = query->root_sink->TakeRows();
+  if (collected != nullptr) {
+    collected->Seal();
+    out.summary_entries = static_cast<int64_t>(collected->inserted_count());
+    out.summary_cached = cache_.Insert(key, collected);
+  }
+  return out;
 }
 
 Status QueryServer::PrepareAipCache(const ServeQuery& q,
-                                    uint64_t build_version,
-                                    size_t build_rows,
-                                    const Schema& build_schema,
-                                    const Schema& probe_schema,
-                                    const std::vector<TableScan*>& probe_scans,
-                                    TableScan* build_scan,
+                                    const VersionedTable& build,
+                                    const DistributedQuery& query,
                                     SessionResult* out,
                                     std::shared_ptr<AipSet>* collected,
                                     AipCacheKey* key) {
   collected->reset();
   if (opts_.aip_cache_budget_bytes <= 0) return Status::OK();
-  *key = AipCacheKey{q.build_table, build_version, PredicateFingerprint(q),
+  // ServedPlan's scans: the build side ("b") and every probe scan ("r",
+  // one per shard).
+  TableScan* build_scan = nullptr;
+  std::vector<TableScan*> probe_scans;
+  for (const auto& site : query.sites) {
+    for (const auto& fragment : site->fragments()) {
+      for (TableScan* scan : fragment->source_scans()) {
+        if (scan->name() == "scan_b") {
+          build_scan = scan;
+        } else {
+          probe_scans.push_back(scan);
+        }
+      }
+    }
+  }
+  *key = AipCacheKey{q.build_table, build.version, PredicateFingerprint(q),
                      q.build_key};
   const std::string label = "aipcache:" + q.build_table + ":" +
                             key->predicate + "->" + q.build_key;
@@ -324,8 +470,9 @@ Status QueryServer::PrepareAipCache(const ServeQuery& q,
                       "\"table\":\"" + q.build_table + "\"");
   }
   if (cached != nullptr) {
-    PUSHSIP_ASSIGN_OR_RETURN(const int probe_col,
-                             probe_schema.IndexOf("r." + q.probe_key));
+    PUSHSIP_ASSIGN_OR_RETURN(
+        const int probe_col,
+        probe_scans[0]->output_schema().IndexOf("r." + q.probe_key));
     for (TableScan* scan : probe_scans) {
       scan->AttachSourceFilter(
           std::make_shared<AipFilter>(label, probe_col, cached));
@@ -333,231 +480,18 @@ Status QueryServer::PrepareAipCache(const ServeQuery& q,
     out->aip_cache_hit = true;
     return Status::OK();
   }
+  const Schema& build_schema = build_scan->output_schema();
   PUSHSIP_ASSIGN_OR_RETURN(const int filter_col,
                            build_schema.IndexOf("b." + q.build_filter_col));
   PUSHSIP_ASSIGN_OR_RETURN(const int key_col,
                            build_schema.IndexOf("b." + q.build_key));
   auto set = std::make_shared<AipSet>(
-      AipSetKind::kBloom, std::max<size_t>(64, build_rows), /*fpr=*/0.01);
+      AipSetKind::kBloom, std::max<size_t>(64, build.table->num_rows()),
+      /*fpr=*/0.01);
   build_scan->AttachSourceFilter(std::make_shared<SummaryCollector>(
       label + ":collect", filter_col, q.build_filter_upper, key_col, set));
   *collected = std::move(set);
   return Status::OK();
-}
-
-Result<SessionResult> QueryServer::RunLocal(const SessionPtr& s) {
-  const ServeQuery& q = s->query;
-  // Atomic (table, version) snapshot: the version must be the one these
-  // exact rows carry, or a summary cached from regenerated data could be
-  // keyed as current and wrongly prune (see serve_cache_test).
-  PUSHSIP_ASSIGN_OR_RETURN(VersionedTable build,
-                           catalog_->GetTableWithVersion(q.build_table));
-  PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe, catalog_->GetTable(q.probe_table));
-
-  ExecContext ctx;
-  ctx.set_batch_size(opts_.batch_size);
-  {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->cancel_requested) return Status::Cancelled("session cancelled");
-    s->cancel_hook = [&ctx] { ctx.Cancel(); };
-  }
-  struct HookGuard {
-    SessionPtr s;
-    ~HookGuard() {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->cancel_hook = nullptr;
-    }
-  } hook_guard{s};
-
-  ScanOptions scan_opts;
-  scan_opts.delay_every_rows = opts_.scan_delay_every_rows;
-  scan_opts.delay_ms = opts_.scan_delay_ms;
-
-  PlanBuilder pb(&ctx, catalog_);
-  const ServedColumns cols = ColumnsRead(q);
-  const Schema build_schema =
-      MakeInstanceSchema(*build.table, "b", 0, cols.build);
-  const Schema probe_schema = MakeInstanceSchema(*probe, "r", 1, cols.probe);
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId bn,
-                           pb.ScanTable(build.table, build_schema, scan_opts));
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId rn,
-                           pb.ScanTable(probe, probe_schema, scan_opts));
-  PUSHSIP_ASSIGN_OR_RETURN(ExprPtr fcol, pb.ColRef(bn, q.build_filter_col));
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId bf,
-      pb.Filter(bn,
-                Cmp(CmpOp::kLt, std::move(fcol),
-                    LitInt(q.build_filter_upper)),
-                q.build_selectivity));
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId jn,
-      pb.Join(bf, rn, {{"b." + q.build_key, "r." + q.probe_key}}));
-  std::vector<AggDesc> aggs{{AggFunc::kCount, "", "cnt"}};
-  if (!q.probe_agg_col.empty()) {
-    aggs.push_back({AggFunc::kSum, "r." + q.probe_agg_col, "total"});
-  }
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId an,
-                           pb.Aggregate(jn, {}, aggs));
-  PUSHSIP_RETURN_NOT_OK(pb.Finish(an));
-
-  TableScan* build_scan = pb.source_scans()[0];
-  TableScan* probe_scan = pb.source_scans()[1];
-
-  SessionResult out;
-  std::shared_ptr<AipSet> collected;
-  AipCacheKey key;
-  PUSHSIP_RETURN_NOT_OK(PrepareAipCache(
-      q, build.version, build.table->num_rows(), build_schema, probe_schema,
-      {probe_scan}, build_scan, &out, &collected, &key));
-
-  // The session occupies exactly one pooled worker: sources run
-  // sequentially on this thread, which the symmetric (doubly-pipelined)
-  // join accepts as just another input interleaving.
-  Stopwatch timer;
-  for (SourceOperator* src : pb.sources()) {
-    if (ctx.cancelled()) break;
-    const Status st = src->Run();
-    if (!st.ok() && st.code() != StatusCode::kCancelled) ctx.SetError(st);
-    if (!ctx.GetError().ok()) break;
-  }
-  PUSHSIP_RETURN_NOT_OK(ctx.GetError());
-  if (ctx.cancelled()) return Status::Cancelled("session cancelled");
-  if (!pb.sink()->finished()) {
-    return Status::Internal("sink did not finish");
-  }
-  out.stats = CollectQueryStats(&ctx, pb.sink(), timer.ElapsedSeconds());
-  out.rows = pb.sink()->TakeRows();
-  if (collected != nullptr) {
-    collected->Seal();
-    out.summary_entries = static_cast<int64_t>(collected->inserted_count());
-    out.summary_cached = cache_.Insert(key, collected);
-  }
-  return out;
-}
-
-Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
-  const ServeQuery& q = s->query;
-  const int N = opts_.num_sites;
-  PUSHSIP_ASSIGN_OR_RETURN(VersionedTable build,
-                           catalog_->GetTableWithVersion(q.build_table));
-  PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe_full,
-                           catalog_->GetTable(q.probe_table));
-  std::shared_ptr<const ShardCatalogs> shards;
-  {
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    shards = shards_;
-  }
-
-  // Per-session sites/channels over the server's one shared mesh: links
-  // are the only contended resource, and Transmit bills this session's
-  // contexts, so DistQueryStats::bytes_shipped stays per-query.
-  auto dq = std::make_unique<DistributedQuery>();
-  dq->mesh = mesh_;
-  dq->mesh_shared = true;
-  for (int i = 0; i < N; ++i) {
-    dq->sites.push_back(std::make_unique<SiteEngine>(
-        i, "serve" + std::to_string(s->id) + "_s" + std::to_string(i),
-        (*shards)[static_cast<size_t>(i)]));
-    dq->sites.back()->context().set_batch_size(opts_.batch_size);
-    dq->sites.back()->context().set_exchange_idle_timeout_sec(
-        opts_.exchange_idle_timeout_sec);
-  }
-  auto ch = std::make_shared<ExchangeChannel>(opts_.channel_capacity);
-  ch->set_num_senders(N);
-  dq->channels.push_back(ch);
-
-  ScanOptions scan_opts;
-  scan_opts.delay_every_rows = opts_.scan_delay_every_rows;
-  scan_opts.delay_ms = opts_.scan_delay_ms;
-
-  const ServedColumns cols = ColumnsRead(q);
-  const Schema probe_schema =
-      MakeInstanceSchema(*probe_full, "r", 0, cols.probe);
-  const Schema build_schema =
-      MakeInstanceSchema(*build.table, "b", 1, cols.build);
-
-  // Shard fragments: scan the needed columns of the site's probe shard and
-  // forward them to the coordinator. A cached AIP summary attaches to
-  // every shard scan, so pruned rows never reach the wire.
-  std::vector<TableScan*> probe_scans;
-  for (int i = 0; i < N; ++i) {
-    SiteEngine& site = *dq->sites[static_cast<size_t>(i)];
-    PlanBuilder& pb = site.NewFragment();
-    PUSHSIP_ASSIGN_OR_RETURN(
-        TablePtr shard,
-        (*shards)[static_cast<size_t>(i)]->GetTable(q.probe_table));
-    PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId rn,
-                             pb.ScanTable(shard, probe_schema, scan_opts));
-    auto sender = std::make_unique<ExchangeSender>(
-        &site.context(), "xsend_probe", probe_schema, ExchangeMode::kForward,
-        std::vector<int>{},
-        std::vector<ExchangeDestination>{{ch, mesh_->link(i, 0)}});
-    PUSHSIP_RETURN_NOT_OK(pb.FinishWith(rn, std::move(sender)));
-    probe_scans.push_back(pb.source_scans()[0]);
-  }
-
-  // Coordinator fragment (site 0): build-side scan + filter, join against
-  // the merged probe stream, global aggregate.
-  SiteEngine& coord = *dq->sites[0];
-  PlanBuilder& pb = coord.NewFragment();
-  auto recv = std::make_unique<ExchangeReceiver>(
-      &coord.context(), "xrecv_probe", probe_schema, ch);
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId rn,
-      pb.Source(std::move(recv),
-                static_cast<double>(probe_full->num_rows())));
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId bn,
-                           pb.ScanTable(build.table, build_schema, scan_opts));
-  PUSHSIP_ASSIGN_OR_RETURN(ExprPtr fcol, pb.ColRef(bn, q.build_filter_col));
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId bf,
-      pb.Filter(bn,
-                Cmp(CmpOp::kLt, std::move(fcol),
-                    LitInt(q.build_filter_upper)),
-                q.build_selectivity));
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId jn,
-      pb.Join(bf, rn, {{"b." + q.build_key, "r." + q.probe_key}}));
-  std::vector<AggDesc> aggs{{AggFunc::kCount, "", "cnt"}};
-  if (!q.probe_agg_col.empty()) {
-    aggs.push_back({AggFunc::kSum, "r." + q.probe_agg_col, "total"});
-  }
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId an,
-                           pb.Aggregate(jn, {}, aggs));
-  PUSHSIP_RETURN_NOT_OK(pb.Finish(an));
-  dq->root_sink = pb.sink();
-  TableScan* build_scan = pb.source_scans()[0];
-
-  SessionResult out;
-  std::shared_ptr<AipSet> collected;
-  AipCacheKey key;
-  PUSHSIP_RETURN_NOT_OK(PrepareAipCache(
-      q, build.version, build.table->num_rows(), build_schema, probe_schema,
-      probe_scans, build_scan, &out, &collected, &key));
-
-  {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->cancel_requested) return Status::Cancelled("session cancelled");
-    DistributedQuery* raw = dq.get();
-    s->cancel_hook = [raw] { raw->Cancel(); };
-  }
-  struct HookGuard {
-    SessionPtr s;
-    ~HookGuard() {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->cancel_hook = nullptr;
-    }
-  } hook_guard{s};
-
-  PUSHSIP_ASSIGN_OR_RETURN(const DistQueryStats d, dq->Run());
-  out.stats = d;  // slices off the distributed-only counters
-  out.rows = dq->root_sink->TakeRows();
-  if (collected != nullptr) {
-    collected->Seal();
-    out.summary_entries = static_cast<int64_t>(collected->inserted_count());
-    out.summary_cached = cache_.Insert(key, collected);
-  }
-  return out;
 }
 
 Result<SessionResult> QueryServer::Wait(SessionId id) {

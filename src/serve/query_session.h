@@ -12,12 +12,19 @@
 // Cancel() works in any state: a queued session never starts; a running
 // session's ExecContexts are cancelled and it unwinds as kCancelled.
 //
-// Isolation: each session builds its own PlanBuilder(s) over its own
-// ExecContext(s), so QueryStats, pruning counters, and AIP attachment are
+// One served path: every session expresses its query as ServedPlan's
+// LogicalPlan and cuts it with the PlanFragmenter over catalogs taken from
+// its own snapshot — one per site when the probe table is sharded, else
+// one. A single fragment runs its sources in order on the session's pooled
+// worker; a cut plan runs through the multi-site driver.
+//
+// Isolation: each session's fragments run on their own sites and
+// ExecContexts, so QueryStats, pruning counters, and AIP attachment are
 // per-session by construction. The only cross-session state is the
-// catalog (thread-safe, versioned), the mesh links (per-query traffic is
-// billed to the transmitting session's context), and the AipCache (keyed
-// by table version — see sip/aip_cache.h for the invalidation contract).
+// catalog (thread-safe, versioned), the mesh links (every transmission is
+// billed to the sending session's context, the one link ledger stats are
+// read from), and the AipCache (keyed by table version — see
+// sip/aip_cache.h for the invalidation contract).
 #ifndef PUSHSIP_SERVE_QUERY_SESSION_H_
 #define PUSHSIP_SERVE_QUERY_SESSION_H_
 
@@ -30,7 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dist/dist_driver.h"
+#include "dist/plan_fragmenter.h"
 #include "sip/aip_cache.h"
 #include "util/thread_pool.h"
 
@@ -60,6 +67,14 @@ struct ServeQuery {
   /// coarse estimate from the joined tables' footprints.
   int64_t est_state_bytes = 0;
 };
+
+/// Builds `q` into `plan` and returns its root: the build scan ("b",
+/// declared first), its range filter, the probe scan ("r") — behind a
+/// forward Exchange to the coordinator when `probe_sharded` — their join,
+/// and the global COUNT/SUM. Every scan reads only the columns the query
+/// uses, paced by `scan`.
+LogicalPlan::NodeId ServedPlan(const ServeQuery& q, bool probe_sharded,
+                               const ScanOptions& scan, LogicalPlan* plan);
 
 enum class SessionState { kQueued, kRunning, kFinished, kFailed, kCancelled };
 
@@ -94,7 +109,7 @@ struct ServeOptions {
   /// >1 runs sessions as distributed queries over one shared SiteMesh,
   /// with every table in `sharded_tables` partitioned round-robin across
   /// sites at server construction. A query whose probe table is not
-  /// sharded falls back to single-site execution.
+  /// sharded runs as one fragment at site 0.
   int num_sites = 1;
   double bandwidth_bps = 1e9;
   double latency_ms = 0.1;
@@ -173,19 +188,21 @@ class QueryServer {
   bool AdmitOrAbort(const SessionPtr& s);
   void ReleaseAdmission(const SessionPtr& s);
 
+  /// Cuts the session's ServedPlan with the PlanFragmenter and runs it.
   Result<SessionResult> Execute(const SessionPtr& s);
-  Result<SessionResult> RunLocal(const SessionPtr& s);
-  Result<SessionResult> RunOnMesh(const SessionPtr& s);
 
-  /// Wires the cross-query cache into a freshly built plan: on a hit,
+  /// The catalogs a session's plan is cut over, from its snapshot: one per
+  /// site holding the probe table's shard when it is sharded, else one
+  /// holding the whole probe table. Site 0's also holds `build`.
+  Result<std::vector<std::shared_ptr<Catalog>>> SessionCatalogs(
+      const ServeQuery& q, const TablePtr& build) const;
+
+  /// Wires the cross-query cache into a freshly fragmented plan: on a hit,
   /// attaches the cached summary to every probe scan (and sets
   /// out->aip_cache_hit); on a miss, taps the build scan with a collector
   /// whose set the caller seals and Insert()s after the run.
-  Status PrepareAipCache(const ServeQuery& q, uint64_t build_version,
-                         size_t build_rows, const Schema& build_schema,
-                         const Schema& probe_schema,
-                         const std::vector<TableScan*>& probe_scans,
-                         TableScan* build_scan, SessionResult* out,
+  Status PrepareAipCache(const ServeQuery& q, const VersionedTable& build,
+                         const DistributedQuery& query, SessionResult* out,
                          std::shared_ptr<AipSet>* collected,
                          AipCacheKey* key);
 
@@ -194,8 +211,8 @@ class QueryServer {
   AipCache cache_;
   ThreadPool pool_;
 
-  /// Multi-site substrate, built once (num_sites > 1): the mesh every
-  /// session's fragments transmit over, and the sharded catalogs their
+  /// The mesh every session's fragments transmit over (one site when
+  /// num_sites <= 1), and, when num_sites > 1, the sharded catalogs their
   /// shard scans snapshot from (rebuilt wholesale by ReplaceTable; the
   /// shared_ptr swap keeps a building session's view torn-free).
   std::shared_ptr<SiteMesh> mesh_;

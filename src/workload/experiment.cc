@@ -57,7 +57,6 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     remote = std::make_unique<RemoteNode>(
         "site2", config.remote_bandwidth_bps, config.remote_latency_ms);
     knobs.remote = remote.get();
-    RegisterLinkWithContext(&ctx, remote->link());
   }
 
   PUSHSIP_RETURN_NOT_OK(BuildQuery(config.query, &builder, knobs));

@@ -309,8 +309,11 @@ TEST(AdaptiveTest, PermanentSiteLossMigratesFragmenterBuiltFragment) {
       lp.Aggregate(join, {}, {{AggFunc::kSum, "l.l_quantity", "q"}});
 
   auto run = [&](bool kill) -> AdaptiveOutcome {
-    PlanFragmenter fragmenter(catalogs, /*bandwidth_bps=*/1e9,
-                              /*latency_ms=*/0.1);
+    PlanFragmenter fragmenter(
+        catalogs,
+        std::make_shared<SiteMesh>(static_cast<int>(catalogs.size()),
+                                   /*bandwidth_bps=*/1e9,
+                                   /*latency_ms=*/0.1));
     ScaleOutOptions options;
     options.batch_size = 256;  // several windows per attempt
     if (kill) {

@@ -32,6 +32,10 @@ std::vector<std::shared_ptr<Catalog>> SplitCatalogs() {
   return {site0, site1};
 }
 
+std::shared_ptr<SiteMesh> TwoSiteMesh() {
+  return std::make_shared<SiteMesh>(2, 1e9, 0.1);
+}
+
 // part[p_size=1] ⋈ partsupp[ps_availqty < 1000] on partkey. The partsupp
 // filter must execute inside the remote fragment.
 LogicalPlan::NodeId BuildJoinPlan(LogicalPlan* lp, bool pace_partsupp) {
@@ -63,7 +67,8 @@ TEST(PlanFragmenterTest, CutPlanMatchesSingleSitePlan) {
   // Reference: same fragmenter, one site holding everything (no cuts).
   LogicalPlan ref_plan;
   const auto ref_root = BuildJoinPlan(&ref_plan, /*pace_partsupp=*/false);
-  PlanFragmenter ref_fragmenter({TinyTpchCatalog()}, 1e12, 0);
+  PlanFragmenter ref_fragmenter({TinyTpchCatalog()},
+                                std::make_shared<SiteMesh>(1, 1e12, 0));
   auto ref = ref_fragmenter.Fragment(ref_plan, ref_root);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   auto ref_stats = (*ref)->Run();
@@ -72,7 +77,7 @@ TEST(PlanFragmenterTest, CutPlanMatchesSingleSitePlan) {
 
   LogicalPlan plan;
   const auto root = BuildJoinPlan(&plan, /*pace_partsupp=*/false);
-  PlanFragmenter fragmenter(SplitCatalogs(), 1e9, 0.1);
+  PlanFragmenter fragmenter(SplitCatalogs(), TwoSiteMesh());
   auto query = fragmenter.Fragment(plan, root);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   // The PARTSUPP subtree (scan + filter) became a fragment at site 1.
@@ -92,7 +97,7 @@ TEST(PlanFragmenterTest, AipShipsFilterIntoRemoteFragment) {
   const auto run = [&](bool aip) {
     LogicalPlan plan;
     const auto root = BuildJoinPlan(&plan, /*pace_partsupp=*/true);
-    PlanFragmenter fragmenter(SplitCatalogs(), 1e9, 0.1);
+    PlanFragmenter fragmenter(SplitCatalogs(), TwoSiteMesh());
     ScaleOutOptions options;
     options.aip = aip;
     // Scale the cost model's fixed set-creation overhead down to the tiny
@@ -125,7 +130,7 @@ TEST(PlanFragmenterTest, CutPlanRunsOverLoopbackTcp) {
   const auto run = [&](bool tcp) {
     LogicalPlan plan;
     const auto root = BuildJoinPlan(&plan, /*pace_partsupp=*/false);
-    PlanFragmenter fragmenter(SplitCatalogs(), 1e9, 0.1);
+    PlanFragmenter fragmenter(SplitCatalogs(), TwoSiteMesh());
     auto query = fragmenter.Fragment(plan, root);
     query.status().CheckOK();
     if (tcp) WireInProcessTcp(**query).status().CheckOK();
@@ -157,7 +162,7 @@ TEST(PlanFragmenterTest, SingleSiteJoinedWithAllSitesNeedsAnExchange) {
   LogicalPlan bad;
   const auto bad_root = build(&bad, /*broadcast=*/false);
   auto refused =
-      PlanFragmenter(catalogs, 1e9, 0.1).Fragment(bad, bad_root);
+      PlanFragmenter(catalogs, TwoSiteMesh()).Fragment(bad, bad_root);
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 
   // Broadcasting part makes it an all-sites input; the per-site joins are
@@ -169,7 +174,7 @@ TEST(PlanFragmenterTest, SingleSiteJoinedWithAllSitesNeedsAnExchange) {
       ExchangeMode::kForward, "", "partial");
   const auto total =
       good.Aggregate(partial, {}, {{AggFunc::kSum, "n", "total"}});
-  auto query = PlanFragmenter(catalogs, 1e9, 0.1).Fragment(good, total);
+  auto query = PlanFragmenter(catalogs, TwoSiteMesh()).Fragment(good, total);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   auto stats = (*query)->Run();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();

@@ -1,4 +1,5 @@
-// Golden plan shapes of the two scale-out workloads. Every assembled
+// Golden plan shapes of the two scale-out workloads and of the served
+// query (serve/query_session.h's ServedPlan). Every assembled
 // DistributedQuery is dumped as text — per site, each fragment's operator
 // tree with its exchange modes, receiver estimates and partitioning, plus
 // which fragments carry an AIP Manager, which are registered migratable
@@ -24,7 +25,9 @@
 #include <gtest/gtest.h>
 
 #include "dist/scale_out.h"
+#include "serve/query_session.h"
 #include "storage/tpch_generator.h"
+#include "tests/serve/serve_test_util.h"
 
 namespace pushsip {
 namespace {
@@ -161,9 +164,33 @@ std::shared_ptr<Catalog> GoldenCatalog() {
   return MakeTpchCatalog(config);
 }
 
-std::string DumpAll() {
+/// One assembled plan of the golden set.
+struct GoldenPlan {
+  std::string label;
+  std::unique_ptr<DistributedQuery> query;
+};
+
+/// The served query cut over `catalogs`, as a QueryServer session cuts it.
+GoldenPlan ServedGolden(const std::string& label, const ServeQuery& q,
+                        std::vector<std::shared_ptr<Catalog>> catalogs,
+                        bool probe_sharded) {
+  LogicalPlan plan;
+  const LogicalPlan::NodeId root = ServedPlan(q, probe_sharded, {}, &plan);
+  const int sites = static_cast<int>(catalogs.size());
+  auto built = PlanFragmenter(std::move(catalogs),
+                              std::make_shared<SiteMesh>(sites, 1e9, 0.1))
+                   .Fragment(plan, root);
+  EXPECT_TRUE(built.ok()) << label << ": " << built.status().ToString();
+  return {label, built.ok() ? std::move(*built) : nullptr};
+}
+
+/// Every golden plan, in dump order: the scale-out workloads at 1, 2 and 4
+/// sites without and with AIP, then the served query on one site, on
+/// three sites probing the sharded lineitem, and on three sites probing
+/// the unsharded orders (one fragment at site 0).
+std::vector<GoldenPlan> GoldenPlans() {
   const auto catalog = GoldenCatalog();
-  std::string out;
+  std::vector<GoldenPlan> plans;
   for (const ScaleOutQuery query :
        {ScaleOutQuery::kQ17, ScaleOutQuery::kSubquery}) {
     for (const int sites : {1, 2, 4}) {
@@ -173,11 +200,28 @@ std::string DumpAll() {
         options.aip = aip;
         auto built = BuildScaleOutQuery(query, catalog, options);
         EXPECT_TRUE(built.ok()) << built.status().ToString();
-        if (!built.ok()) continue;
-        out += std::string(ScaleOutQueryName(query)) +
-               " sites=" + std::to_string(sites) +
-               " aip=" + (aip ? "1" : "0") + " " + DumpPlanShape(**built);
+        plans.push_back({std::string(ScaleOutQueryName(query)) +
+                             " sites=" + std::to_string(sites) +
+                             " aip=" + (aip ? "1" : "0"),
+                         built.ok() ? std::move(*built) : nullptr});
       }
+    }
+  }
+  const auto shards = PartitionCatalog(*catalog, {"lineitem"}, 3);
+  plans.push_back(ServedGolden("served sites=1 probe=lineitem",
+                               testing::PartQuery(25), {catalog}, false));
+  plans.push_back(ServedGolden("served sites=3 probe=lineitem(sharded)",
+                               testing::PartQuery(25), shards, true));
+  plans.push_back(ServedGolden("served sites=3 probe=orders",
+                               testing::OrdersQuery(13), shards, false));
+  return plans;
+}
+
+std::string DumpAll() {
+  std::string out;
+  for (const GoldenPlan& plan : GoldenPlans()) {
+    if (plan.query != nullptr) {
+      out += plan.label + " " + DumpPlanShape(*plan.query);
     }
   }
   return out;
@@ -208,65 +252,57 @@ TEST(PlanShapeTest, EveryFragmentIsRecoverableOrRefused) {
        "supplier ⋈ nation fragments, so its producers cannot be replayed "
        "into a restored checkpoint"},
   };
-  const auto catalog = GoldenCatalog();
-  for (const ScaleOutQuery query :
-       {ScaleOutQuery::kQ17, ScaleOutQuery::kSubquery}) {
-    for (const int sites : {2, 4}) {
-      SCOPED_TRACE(std::string(ScaleOutQueryName(query)) + " on " +
-                   std::to_string(sites) + " sites");
-      ScaleOutOptions options;
-      options.num_sites = sites;
-      auto built = BuildScaleOutQuery(query, catalog, options);
-      ASSERT_TRUE(built.ok()) << built.status().ToString();
-      DistributedQuery& q = **built;
-
-      std::vector<std::pair<int, PlanBuilder*>> fragments;
-      for (const auto& site : q.sites) {
-        for (const auto& f : site->fragments()) {
-          fragments.emplace_back(site->id(), f.get());
-        }
+  for (GoldenPlan& plan : GoldenPlans()) {
+    SCOPED_TRACE(plan.label);
+    ASSERT_NE(plan.query, nullptr);
+    DistributedQuery& q = *plan.query;
+    const int sites = static_cast<int>(q.sites.size());
+    std::vector<std::pair<int, PlanBuilder*>> fragments;
+    for (const auto& site : q.sites) {
+      for (const auto& f : site->fragments()) {
+        fragments.emplace_back(site->id(), f.get());
       }
-      for (const auto& [site, f] : fragments) {
-        const std::string terminal = f->terminal()->name();
-        SCOPED_TRACE("site " + std::to_string(site) + " " + terminal);
-        const MigratableFragmentSpec* migratable = nullptr;
-        for (const MigratableFragmentSpec& m : q.migratable_fragments) {
-          if (m.fragment == f) migratable = &m;
-        }
-        const StatefulFragmentSpec* stateful = nullptr;
-        for (const StatefulFragmentSpec& s : q.stateful_fragments) {
-          if (s.fragment == f) stateful = &s;
-        }
-        const auto refusal = refusals.find(terminal);
-        if (refusal != refusals.end()) {
-          EXPECT_EQ(migratable, nullptr) << "refused: " << refusal->second;
-          EXPECT_EQ(stateful, nullptr) << "refused: " << refusal->second;
-          continue;
-        }
-        ASSERT_NE(migratable, nullptr) << "neither recoverable nor refused";
-        ASSERT_NE(migratable->rebuild, nullptr);
-        EXPECT_EQ(migratable->home_site, site);
-        if (stateful != nullptr) {
-          ASSERT_NE(stateful->checkpointer, nullptr);
-          EXPECT_GT(stateful->input_channels.size(), 0u);
-          EXPECT_EQ(stateful->checkpointer->bound_receivers(),
-                    stateful->input_channels.size());
-          EXPECT_FALSE(stateful->producers.empty());
-        } else {
-          EXPECT_NE(migratable->scan, nullptr) << "migratable but neither "
-                                                  "replayable nor stateful";
-        }
-        // The recipe rebuilds the same fragment on another site.
-        const int host = (site + 1) % sites;
-        Result<RebuiltFragment> rebuilt =
-            migratable->rebuild(*q.sites[static_cast<size_t>(host)]);
-        ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-        EXPECT_EQ(rebuilt->scan != nullptr, migratable->scan != nullptr);
-        std::ostringstream original, copy;
-        DumpTree(*f, f->terminal(), 0, &original);
-        DumpTree(*rebuilt->fragment, rebuilt->fragment->terminal(), 0, &copy);
-        EXPECT_EQ(copy.str(), original.str());
+    }
+    for (const auto& [site, f] : fragments) {
+      const std::string terminal = f->terminal()->name();
+      SCOPED_TRACE("site " + std::to_string(site) + " " + terminal);
+      const MigratableFragmentSpec* migratable = nullptr;
+      for (const MigratableFragmentSpec& m : q.migratable_fragments) {
+        if (m.fragment == f) migratable = &m;
       }
+      const StatefulFragmentSpec* stateful = nullptr;
+      for (const StatefulFragmentSpec& s : q.stateful_fragments) {
+        if (s.fragment == f) stateful = &s;
+      }
+      const auto refusal = refusals.find(terminal);
+      if (refusal != refusals.end()) {
+        EXPECT_EQ(migratable, nullptr) << "refused: " << refusal->second;
+        EXPECT_EQ(stateful, nullptr) << "refused: " << refusal->second;
+        continue;
+      }
+      ASSERT_NE(migratable, nullptr) << "neither recoverable nor refused";
+      ASSERT_NE(migratable->rebuild, nullptr);
+      EXPECT_EQ(migratable->home_site, site);
+      if (stateful != nullptr) {
+        ASSERT_NE(stateful->checkpointer, nullptr);
+        EXPECT_GT(stateful->input_channels.size(), 0u);
+        EXPECT_EQ(stateful->checkpointer->bound_receivers(),
+                  stateful->input_channels.size());
+        EXPECT_FALSE(stateful->producers.empty());
+      } else {
+        EXPECT_NE(migratable->scan, nullptr) << "migratable but neither "
+                                                "replayable nor stateful";
+      }
+      // The recipe rebuilds the same fragment on another site.
+      const int host = (site + 1) % sites;
+      Result<RebuiltFragment> rebuilt =
+          migratable->rebuild(*q.sites[static_cast<size_t>(host)]);
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+      EXPECT_EQ(rebuilt->scan != nullptr, migratable->scan != nullptr);
+      std::ostringstream original, copy;
+      DumpTree(*f, f->terminal(), 0, &original);
+      DumpTree(*rebuilt->fragment, rebuilt->fragment->terminal(), 0, &copy);
+      EXPECT_EQ(copy.str(), original.str());
     }
   }
 }

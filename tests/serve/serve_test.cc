@@ -6,6 +6,7 @@
 #include "serve/query_session.h"
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -487,6 +488,58 @@ TEST(ServeMeshTest, WarmMeshQueryShipsFewerBytes) {
   // never cross the mesh: the warm run ships strictly fewer bytes.
   EXPECT_LT(warm->stats.bytes_shipped, cold->stats.bytes_shipped);
   EXPECT_GT(warm->stats.rows_source_pruned, 0);
+}
+
+// Cancelling a running distributed session unwinds every fragment of it
+// (senders, shard scans, the coordinator's receiver) without wedging the
+// shared mesh: the next session on the same server returns the reference
+// answer and is billed exactly what it ships alone.
+TEST(ServeMeshTest, CancelledMeshSessionLeavesTheMeshServing) {
+  auto catalog = TinyTpchCatalog();
+  const ServeQuery q = PartQuery(25);
+  auto want = ReferenceRows(catalog, q);
+  ASSERT_TRUE(want.ok());
+
+  ServeOptions opts = MeshOptions(4);
+  opts.aip_cache_budget_bytes = 0;  // every session ships the same stream
+  int64_t solo = 0;
+  {
+    QueryServer server(catalog, opts);
+    auto id = server.Submit(q);
+    ASSERT_TRUE(id.ok());
+    auto res = server.Wait(*id);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    solo = res->stats.bytes_shipped;
+  }
+  ASSERT_GT(solo, 0);
+
+  // Paced shard scans keep the session running for about half a second.
+  opts.scan_delay_every_rows = 64;
+  opts.scan_delay_ms = 10;
+  QueryServer server(catalog, opts);
+  auto id = server.Submit(q);
+  ASSERT_TRUE(id.ok());
+  while (server.state(*id) == SessionState::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_EQ(server.state(*id), SessionState::kRunning);
+  const auto cancelled_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(server.Cancel(*id).ok());
+  auto res = server.Wait(*id);
+  EXPECT_LT(std::chrono::steady_clock::now() - cancelled_at,
+            std::chrono::seconds(10));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(server.state(*id), SessionState::kCancelled);
+  EXPECT_EQ(server.stats().cancelled, 1);
+
+  auto next_id = server.Submit(q);
+  ASSERT_TRUE(next_id.ok());
+  auto next = server.Wait(*next_id);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ExpectRowsEqual(next->rows, *want);
+  EXPECT_EQ(next->stats.bytes_shipped, solo);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "net/remote_node.h"
+#include "sip/aip_manager.h"
 #include "storage/tpch_generator.h"
+#include "workload/queries.h"
 
 namespace pushsip {
 namespace {
@@ -82,6 +85,50 @@ TEST(ExperimentTest, RemoteQueryWithoutRemoteConfiguredStillWorks) {
   cfg.remote_bandwidth_bps = 1e9;
   auto r = RunExperiment(cfg);
   EXPECT_TRUE(r.ok());
+}
+
+/// A run of `query` with PARTSUPP behind a remote link: the query's stats
+/// and the link's own byte count.
+struct RemoteRun {
+  QueryStats stats;
+  int64_t link_bytes = 0;
+};
+
+RemoteRun RunWithRemotePartsupp(QueryId query, bool cost_based) {
+  ExecContext ctx;
+  PlanBuilder builder(&ctx, TinyCatalog());
+  builder.set_default_pacing(512, 0.5);  // the figure harness's pacing
+  // A slow link keeps the remote scan streaming until the filter arrives.
+  RemoteNode remote("site2", /*bandwidth_bps=*/10e6, /*latency_ms=*/0.5);
+  QueryKnobs knobs;
+  knobs.remote = &remote;
+  BuildQuery(query, &builder, knobs).CheckOK();
+  std::unique_ptr<AipManager> manager;
+  if (cost_based) {
+    manager = std::make_unique<AipManager>(&ctx, AipOptions{},
+                                           CostConstants{});
+    manager->Install(builder.sip_info()).CheckOK();
+  }
+  RemoteRun run;
+  run.stats = builder.Run().ValueOrDie();
+  run.link_bytes = remote.link()->bytes_transferred();
+  return run;
+}
+
+// The remote scan bills its link traffic to the query's context: the
+// reported bytes are exactly what crossed the link, and AIP's Bloom filter,
+// shipped over the same link, prunes PARTSUPP before it crosses.
+TEST(ExperimentTest, RemoteScanBillsItsLinkToTheQuery) {
+  for (const QueryId query : {QueryId::kQ1C, QueryId::kQ3C}) {
+    SCOPED_TRACE(QueryName(query));
+    const RemoteRun baseline = RunWithRemotePartsupp(query, false);
+    EXPECT_GT(baseline.stats.bytes_shipped, 0);
+    EXPECT_EQ(baseline.stats.bytes_shipped, baseline.link_bytes);
+    EXPECT_GT(baseline.stats.link_seconds, 0);
+    const RemoteRun aip = RunWithRemotePartsupp(query, true);
+    EXPECT_EQ(aip.stats.bytes_shipped, aip.link_bytes);
+    EXPECT_LT(aip.stats.bytes_shipped, baseline.stats.bytes_shipped);
+  }
 }
 
 TEST(ExperimentTest, MagicOnJoinQueryRejected) {
