@@ -7,6 +7,11 @@
 // Flags: the shared harness flags (--sf=, --reps=, --seed=, --json <path>)
 // plus --max-sites=N (default 8) and --bw=<bits/sec> (default 1e9).
 //
+// The sweep fails a run whose elapsed time falls below its pacing floor:
+// the delay its longest paced shard scan owes, floor(shard rows /
+// pace_every_rows) x pace_ms. Modelled delays are paid as owed time, so
+// no producer may sleep less than it models.
+//
 // --kill-site[=K] switches to the chaos mode: Q17 runs once cleanly, once
 // with site K (default 1) going dark after --kill-after=N (default 200)
 // matched transmissions (recovery = full replay + epoch dedup), and once
@@ -315,6 +320,21 @@ int RunStraggleSiteMode(const HarnessOptions& opts, int straggle_site,
   }
   FinishObs(opts);
   return 0;
+}
+
+/// The longest pacing delay any scan of `query` owes in full: a lower bound
+/// on its elapsed time, pruned windows included (a scan paces before it
+/// filters). An elapsed time below it means a producer under-slept.
+double PacingFloorSeconds(const DistributedQuery& query) {
+  double floor = 0;
+  for (const auto& site : query.sites) {
+    for (const Operator* op : site->context().operators()) {
+      if (const auto* scan = dynamic_cast<const TableScan*>(op)) {
+        floor = std::max(floor, scan->modelled_delay_seconds());
+      }
+    }
+  }
+  return floor;
 }
 
 /// Verifies the profile forest's counters sum to the run's DistQueryStats
@@ -634,6 +654,15 @@ int main(int argc, char** argv) {
           if (!stats.ok()) {
             std::fprintf(stderr, "FAILED run: %s\n",
                          stats.status().ToString().c_str());
+            return 1;
+          }
+          const double floor = PacingFloorSeconds(**query);
+          if (stats->elapsed_sec < floor) {
+            std::fprintf(stderr,
+                         "FAILED: %s %s on %d sites ran %.3f ms, below its "
+                         "%.3f ms pacing floor\n",
+                         ScaleOutQueryName(q), record.strategy.c_str(), sites,
+                         stats->elapsed_sec * 1e3, floor * 1e3);
             return 1;
           }
           times.push_back(stats->elapsed_sec);

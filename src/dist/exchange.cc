@@ -8,7 +8,9 @@
 #include "net/wire_format.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "util/pacer.h"
 #include "util/serde.h"
+#include "util/stopwatch.h"
 
 namespace pushsip {
 
@@ -147,8 +149,8 @@ Status ExchangeSender::TransmitFrame(size_t dest_index, std::string bytes,
     PUSHSIP_RETURN_NOT_OK(
         dest.remote->SendFrame(std::move(bytes), ctx_, nullptr));
   } else {
-    // The link is charged before enqueueing — transfer time blocks this
-    // producer thread, not the receiver — and a downed link fails the
+    // The link is charged before enqueueing — this producer thread owes
+    // the transfer time, not the receiver — and a downed link fails the
     // transmission before the frame reaches the queue, so enqueued means
     // delivered. Counters move only after the transmission succeeded:
     // frames killed by an injected fault were never sent.
@@ -263,11 +265,18 @@ Status ExchangeReceiver::Run() {
   const double idle_timeout_sec =
       options_.idle_timeout_sec < 0 ? ctx_->exchange_idle_timeout_sec()
                                     : options_.idle_timeout_sec;
+  // Owes the modelled link time of what this thread sends downstream (a
+  // compute fragment's result frames); settled when Run returns.
+  Pacer pacer;
   double idle_sec = 0;
   int64_t frames_seen = 0;
   std::string bytes;
   while (true) {
+    // The stall is the time actually waited, partial waits included.
+    const Stopwatch wait;
     const ExchangeChannel::RecvStatus r = channel_->Receive(&bytes, poll);
+    stall_micros_.fetch_add(
+        static_cast<int64_t>(wait.ElapsedSeconds() * 1e6));
     if (ShouldStop()) return Status::Cancelled("query cancelled");
     if (r == ExchangeChannel::RecvStatus::kCancelled) {
       return Status::Cancelled("exchange channel cancelled");
@@ -275,7 +284,6 @@ Status ExchangeReceiver::Run() {
     if (r == ExchangeChannel::RecvStatus::kEndOfStream) break;
     if (r == ExchangeChannel::RecvStatus::kTimeout) {
       idle_sec += static_cast<double>(poll.count()) / 1e3;
-      stall_micros_.fetch_add(poll.count() * 1000);
       if (idle_timeout_sec > 0 && idle_sec >= idle_timeout_sec) {
         // A dead receiver must not keep backpressuring its producers:
         // with nobody draining the queue they would park in SendBatch at

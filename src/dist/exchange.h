@@ -272,8 +272,9 @@ class ExchangeReceiver : public SourceOperator {
   /// Frames dropped as duplicates (replay of an already-passed seq) or as
   /// leftovers of a superseded epoch.
   int64_t batches_discarded() const { return batches_discarded_.load(); }
-  /// Cumulative seconds spent waiting with nothing to dequeue — a starving
-  /// receiver points at a slow or dead upstream site.
+  /// Cumulative seconds Run spent waiting for a frame, as measured (a wait
+  /// that ends with a frame counts too) — a starving receiver points at a
+  /// slow or dead upstream site.
   double stall_seconds() const override {
     return static_cast<double>(stall_micros_.load()) / 1e6;
   }

@@ -5,6 +5,7 @@
 #define PUSHSIP_EXEC_EXEC_CONTEXT_H_
 
 #include <atomic>
+#include <cmath>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -80,8 +81,8 @@ class ExecContext {
   /// link ledger QueryStats::bytes_shipped/link_seconds are read from.
   void RecordLinkTraffic(int64_t bytes, double seconds) {
     own_link_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    own_link_micros_.fetch_add(static_cast<int64_t>(seconds * 1e6),
-                               std::memory_order_relaxed);
+    own_link_nanos_.fetch_add(std::llround(seconds * 1e9),
+                              std::memory_order_relaxed);
   }
 
   /// Traffic billed to this context via RecordLinkTraffic.
@@ -89,8 +90,8 @@ class ExecContext {
     LinkUsage u;
     u.bytes = own_link_bytes_.load(std::memory_order_relaxed);
     u.seconds = static_cast<double>(
-                    own_link_micros_.load(std::memory_order_relaxed)) /
-                1e6;
+                    own_link_nanos_.load(std::memory_order_relaxed)) /
+                1e9;
     return u;
   }
 
@@ -126,7 +127,8 @@ class ExecContext {
   std::atomic<int64_t> wire_rows_{0};
   std::atomic<int64_t> wire_bytes_{0};
   std::atomic<int64_t> own_link_bytes_{0};
-  std::atomic<int64_t> own_link_micros_{0};
+  /// Whole nanoseconds, so a sub-microsecond frame still bills its time.
+  std::atomic<int64_t> own_link_nanos_{0};
 };
 
 }  // namespace pushsip

@@ -1,11 +1,10 @@
 #include "exec/scan.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "net/sim_link.h"
 #include "obs/profile.h"
+#include "util/pacer.h"
 
 namespace pushsip {
 
@@ -76,6 +75,15 @@ uint64_t TableScan::total_windows() const {
   return (table_->num_rows() + batch - 1) / batch;
 }
 
+double TableScan::modelled_delay_seconds() const {
+  double ms = options_.initial_delay_ms;
+  if (options_.delay_every_rows > 0) {
+    ms += static_cast<double>(table_->num_rows() / options_.delay_every_rows) *
+          options_.delay_ms;
+  }
+  return ms / 1e3;
+}
+
 bool TableScan::HasSourceFilter(const std::string& label) const {
   std::lock_guard<std::mutex> lock(filter_mu_);
   for (const auto& f : source_filters_) {
@@ -91,9 +99,11 @@ void TableScan::ResetForReplay() {
 
 Status TableScan::Run() {
   PUSHSIP_RETURN_NOT_OK(bind_status_);
+  // Owes this run's modelled delays (the pacing below and every link
+  // transfer downstream of it on this thread); settled when Run returns.
+  Pacer pacer;
   if (options_.initial_delay_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        options_.initial_delay_ms));
+    pacer.Owe(options_.initial_delay_ms / 1e3);
   }
   const size_t batch_size = ctx_->batch_size();
 
@@ -142,12 +152,13 @@ Status TableScan::Run() {
     rows_scanned_.fetch_add(static_cast<int64_t>(end - start));
     if (options_.delay_every_rows > 0) {
       // Rate limiting at window granularity, preserving the cumulative
-      // sleep budget of the per-row schedule.
+      // delay of the per-row schedule. Each step is owed in addition to
+      // the work before it, and before the window is filtered, so a
+      // pruned window still pays its pacing.
       since_delay += end - start;
       while (since_delay >= options_.delay_every_rows) {
         since_delay -= options_.delay_every_rows;
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(options_.delay_ms));
+        pacer.Owe(options_.delay_ms / 1e3);
       }
     }
     refresh_filters();

@@ -17,11 +17,17 @@ namespace pushsip {
 
 class SimLink;
 
-/// Delay/rate-limit configuration for a scan.
+/// Delay/rate-limit configuration for a scan. Each delay is modelled time
+/// the scan's thread owes *in addition to* its work: it is paid through the
+/// thread's Pacer (util/pacer.h), which sleeps once a granule is owed and
+/// keeps a sleep's overshoot as credit, so the scan sleeps its modelled
+/// delay to within one granule and never less.
 struct ScanOptions {
-  double initial_delay_ms = 0;  ///< one-time delay before the first tuple
+  double initial_delay_ms = 0;  ///< owed once, before the first tuple
   size_t delay_every_rows = 0;  ///< 0 disables rate limiting
-  double delay_ms = 0;          ///< injected every delay_every_rows rows
+  /// Owed once per delay_every_rows rows read, before they are filtered,
+  /// so pruning does not shorten the schedule.
+  double delay_ms = 0;
   /// The (simulated) link a remote table's batches cross, when there is
   /// one. Every outgoing batch's payload is transmitted over it *after*
   /// source filters pruned it, and billed to the scan's ExecContext, so
@@ -63,8 +69,15 @@ class TableScan : public SourceOperator {
   const std::vector<int>& table_columns() const { return table_cols_; }
 
   /// Reads the whole table, honouring delays and source filters; pushes
-  /// batches downstream and then signals Finish. Called on a driver thread.
+  /// batches downstream and then signals Finish. Called on a driver thread;
+  /// installs that thread's Pacer for the run, so the delays it owes (its
+  /// own and the link transfers of what it sends) are settled by its end.
   Status Run() override;
+
+  /// The delay a complete Run owes for its pacing: the initial delay plus
+  /// one step per delay_every_rows rows of the table, pruned or not. A
+  /// lower bound on the run's duration.
+  double modelled_delay_seconds() const;
 
   /// Attaches a filter applied before tuples leave the source (used by
   /// distributed AIP so pruned tuples never consume link bandwidth, and by

@@ -1,10 +1,10 @@
 #include "net/sim_link.h"
 
-#include <chrono>
-#include <thread>
+#include <cmath>
 
 #include "exec/exec_context.h"
 #include "net/fault_injector.h"
+#include "util/pacer.h"
 
 namespace pushsip {
 
@@ -19,13 +19,11 @@ Status SimLink::Transmit(size_t bytes, ExecContext* bill_to) {
     secs += latency_ms_ / 1e3;
   }
   bytes_transferred_.fetch_add(static_cast<int64_t>(bytes));
-  busy_micros_.fetch_add(static_cast<int64_t>(secs * 1e6));
+  busy_nanos_.fetch_add(std::llround(secs * 1e9));
   if (bill_to != nullptr) {
     bill_to->RecordLinkTraffic(static_cast<int64_t>(bytes), secs);
   }
-  if (secs > 0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(secs));
-  }
+  if (secs > 0) Pacer::OweOnThisThread(secs);
   return Status::OK();
 }
 

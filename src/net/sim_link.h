@@ -1,11 +1,14 @@
-// SimLink: a bandwidth/latency-accurate simulated network link.
+// SimLink: a simulated network link with a modelled bandwidth and latency.
 //
 // Substitution note (see DESIGN.md §3): the paper runs its distributed
 // experiments on two Tukwila nodes over real Ethernet. We model the link in
-// process: transmitting n bytes blocks the sending thread for
-// n/bandwidth seconds (plus a one-time latency), which reproduces exactly
-// the property those experiments measure — shipping a small Bloom filter
-// upstream saves the transfer time of the tuples it prunes.
+// process: transmitting n bytes costs the sending thread n/bandwidth
+// seconds (plus a one-time latency), which reproduces exactly the property
+// those experiments measure — shipping a small Bloom filter upstream saves
+// the transfer time of the tuples it prunes. The time is owed to the
+// sender's Pacer (util/pacer.h) rather than slept per call, so a small
+// frame costs what it models instead of a whole scheduler wake-up; the
+// sender sleeps its summed transfer time to within one pacing granule.
 #ifndef PUSHSIP_NET_SIM_LINK_H_
 #define PUSHSIP_NET_SIM_LINK_H_
 
@@ -28,9 +31,12 @@ class SimLink {
   SimLink(double bandwidth_bps, double latency_ms = 0.0)
       : bandwidth_bps_(bandwidth_bps), latency_ms_(latency_ms) {}
 
-  /// Blocks the calling thread for the time `bytes` takes to cross the
-  /// link. The first transmission also pays the latency (exactly once, even
-  /// under concurrent first transmissions). Fails with kUnavailable —
+  /// Owes the time `bytes` takes to cross the link to the calling thread's
+  /// Pacer: inside a source's Run the sender sleeps once its owed time
+  /// reaches a pacing granule (outside one, it sleeps at once). The first
+  /// transmission also pays the latency (exactly once, even under
+  /// concurrent first transmissions). The bytes and seconds are billed in
+  /// full, as modelled, whenever the sleep happens. Fails with kUnavailable —
   /// before any bytes move or are billed — when an installed FaultInjector
   /// has an armed fault covering this link. When `bill_to` is non-null the
   /// same bytes/seconds are additionally billed to that context via
@@ -59,7 +65,7 @@ class SimLink {
   int64_t bytes_transferred() const { return bytes_transferred_.load(); }
   /// Total simulated seconds the link spent transmitting (latency included).
   double busy_seconds() const {
-    return static_cast<double>(busy_micros_.load()) / 1e6;
+    return static_cast<double>(busy_nanos_.load()) / 1e9;
   }
   double bandwidth_bps() const {
     return bandwidth_bps_.load(std::memory_order_relaxed);
@@ -70,7 +76,9 @@ class SimLink {
   std::atomic<double> bandwidth_bps_;
   double latency_ms_;
   std::atomic<int64_t> bytes_transferred_{0};
-  std::atomic<int64_t> busy_micros_{0};
+  /// Whole nanoseconds: a 64-byte frame at 1 Gb/s is 512 ns, which a
+  /// microsecond count would round away.
+  std::atomic<int64_t> busy_nanos_{0};
   std::atomic<bool> latency_paid_{false};
   std::shared_ptr<FaultInjector> injector_;
   int from_ = -1;

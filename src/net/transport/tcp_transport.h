@@ -8,8 +8,8 @@
 //
 // Event model. One epoll EventLoop per endpoint owns the listen socket and
 // all established connections' read sides. Writes happen on the sending
-// threads (blocking with EAGAIN polling) — the exact analogue of
-// SimLink::Transmit blocking the producer for the transfer time.
+// threads (blocking with EAGAIN polling) — the analogue of
+// SimLink::Transmit charging the producer its transfer time.
 //
 // Handshake. The dialer sends a kHello (magic, protocol, site id, its
 // receive window) and waits for the acceptor's hello back; each side

@@ -1,9 +1,7 @@
 #include "sip/aip_manager.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
-#include <thread>
 
 #include "exec/distinct.h"
 #include "exec/hash_aggregate.h"
@@ -12,6 +10,7 @@
 #include "net/wire_format.h"
 #include "obs/trace.h"
 #include "optimizer/cardinality.h"
+#include "util/pacer.h"
 
 namespace pushsip {
 
@@ -288,7 +287,7 @@ void AipManager::OnInputFinished(Operator* op, int port) {
           } else {
             secs = static_cast<double>(set->SizeBytes()) /
                    options_.ship_bandwidth_bytes_per_sec;
-            std::this_thread::sleep_for(std::chrono::duration<double>(secs));
+            Pacer::OweOnThisThread(secs);
           }
           {
             std::lock_guard<std::mutex> lock(mu_);

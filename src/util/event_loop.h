@@ -3,7 +3,7 @@
 // The TCP transport uses one loop per process-side transport: the loop
 // thread multiplexes reads (accepted connections, the listen socket) while
 // writes happen synchronously on the sending threads — mirroring the
-// SimLink model where transfer time blocks the producer, not the receiver.
+// SimLink model where the producer owes the transfer time, not the receiver.
 //
 // Callbacks run on the loop thread only. Watch/Unwatch/Post are
 // thread-safe; Unwatch guarantees the callback is not *entered* afterwards

@@ -14,6 +14,7 @@
 #include "storage/table.h"
 #include "tests/testing/batch_builder.h"
 #include "util/serde.h"
+#include "util/stopwatch.h"
 
 namespace pushsip {
 namespace {
@@ -148,6 +149,37 @@ TEST(ExchangeTest, ReceiverWaitsForAllSenders) {
   ASSERT_TRUE(s2.Finish(0).ok());
   recv_thread.join();
   EXPECT_EQ(sink.num_rows(), 30);
+}
+
+TEST(ExchangeTest, ReceiverStallIsTheTimeItWaited) {
+  ExecContext send_ctx, recv_ctx;
+  auto channel = std::make_shared<ExchangeChannel>();
+  channel->set_num_senders(1);
+  ExchangeSender sender(&send_ctx, "xsend", TwoIntSchema(),
+                        ExchangeMode::kForward, {}, {{channel, nullptr}});
+  ReceiverOptions options;
+  options.poll_ms = 1000;  // the frame arrives before the first poll ends
+  ExchangeReceiver receiver(&recv_ctx, "xrecv", TwoIntSchema(), channel,
+                            options);
+  Sink sink(&recv_ctx, "sink", TwoIntSchema());
+  receiver.SetOutput(&sink);
+
+  double run_seconds = 0;
+  std::thread recv_thread([&] {
+    const Stopwatch run;
+    receiver.Run().CheckOK();
+    run_seconds = run.ElapsedSeconds();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(sender.Push(0, MakeBatch(0, 10)).ok());
+  ASSERT_TRUE(sender.Finish(0).ok());
+  recv_thread.join();
+
+  // A wait that ends with a frame is still a stall: counting only timed
+  // out polls would report 0 here.
+  EXPECT_GE(receiver.stall_seconds(), 0.025);
+  EXPECT_LE(receiver.stall_seconds(), run_seconds);
+  EXPECT_EQ(sink.num_rows(), 10);
 }
 
 TEST(ExchangeTest, CancelUnblocksABlockedSender) {

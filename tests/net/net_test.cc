@@ -4,6 +4,7 @@
 
 #include "net/remote_node.h"
 #include "tests/exec/exec_test_util.h"
+#include "util/pacer.h"
 #include "util/stopwatch.h"
 
 namespace pushsip {
@@ -51,6 +52,25 @@ TEST(SimLinkTest, BusySecondsTracksTransferTime) {
   link.Transmit(10 << 20);
   link.Transmit(10 << 20);
   EXPECT_NEAR(link.busy_seconds(), 0.02, 0.005);
+}
+
+TEST(SimLinkTest, SmallFramesCostTheirModelledTimeNotASleepEach) {
+  // 64 B at 1 Gb/s models 0.512 us, but one real sleep per frame takes
+  // tens of microseconds: 2,000 such sleeps ran about 116 ms.
+  SimLink link(1e9, 0.5);
+  ExecContext ctx;
+  Stopwatch timer;
+  {
+    Pacer run;  // what every source's Run installs
+    for (int i = 0; i < 2000; ++i) ASSERT_TRUE(link.Transmit(64, &ctx).ok());
+  }
+  const double modelled = 2000 * 64 * 8 / 1e9 + 0.5e-3;
+  EXPECT_LT(timer.ElapsedMillis(), 50.0);
+  EXPECT_GE(timer.ElapsedSeconds(), modelled);  // never less than modelled
+  // Billed exactly as modelled, to the nanosecond.
+  EXPECT_NEAR(link.busy_seconds(), modelled, 1e-9);
+  EXPECT_NEAR(ctx.OwnLinkUsage().seconds, modelled, 1e-9);
+  EXPECT_EQ(ctx.OwnLinkUsage().bytes, 2000 * 64);
 }
 
 TEST(RemoteNodeTest, ScanChargesLink) {

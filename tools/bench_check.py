@@ -21,10 +21,13 @@ for any matched cell whose baseline value is meaningful (> 0 — a few bytes
 or microseconds of baseline would turn scheduling noise into failures).
 Exit status: 0 = no regression, 1 = regression found, 2 = usage/IO error.
 
-CI runs this as a non-blocking step (timings on shared runners are noisy;
-bytes_shipped is deterministic modulo replay) and uploads the JSON files
-as artifacts, so a regression leaves an inspectable trail even when the
-step is advisory.
+CI runs this as a non-blocking step and uploads the JSON files as
+artifacts, so a regression leaves an inspectable trail even when the step
+is advisory. Timings on shared runners are noisy, and so are some byte
+counts: a Baseline cell's bytes_shipped is fixed by the data up to a few
+bytes (replays, and result frames that follow arrival order), but a
+cost-based AIP cell's bytes depend on when its filters arrive, i.e. on how
+far each producer had streamed by then.
 
 --hard-only switches to the blocking mode: only the columnar hot-path
 cells in HARD_FLOOR_CELLS are checked, each on its throughput metric, and
