@@ -235,11 +235,12 @@ Status ExchangeSender::DoPush(int, Batch&& batch) {
 }
 
 Status ExchangeSender::DoFinish(int) {
-  for (const auto& dest : destinations_) {
+  for (size_t i = 0; i < destinations_.size(); ++i) {
+    const ExchangeDestination& dest = destinations_[i];
     if (dest.remote != nullptr) {
       PUSHSIP_RETURN_NOT_OK(dest.remote->SendFinish());
     } else {
-      dest.channel->SendFinish();
+      dest.channel->SendFinish(sender_slots_[i]);
     }
   }
   return Status::OK();

@@ -60,6 +60,12 @@ void ExchangeChannel::SetDrainHook(
   drain_hook_ = std::move(hook);
 }
 
+void ExchangeChannel::SendFinish(int slot) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (finished_slots_.insert(slot).second) ++finished_senders_;
+  can_recv_.notify_all();
+}
+
 void ExchangeChannel::SendFinish() {
   std::lock_guard<std::mutex> lock(mu_);
   ++finished_senders_;
@@ -119,6 +125,7 @@ void ExchangeChannel::DrainAndReopen() {
     dropped.swap(queue_);
     queue_bytes_ = 0;
     finished_senders_ = 0;
+    finished_slots_.clear();
     consumed_ = false;
     hook = drain_hook_;
     can_send_.notify_all();

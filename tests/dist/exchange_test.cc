@@ -151,6 +151,29 @@ TEST(ExchangeTest, ReceiverWaitsForAllSenders) {
   EXPECT_EQ(sink.num_rows(), 30);
 }
 
+TEST(ExchangeTest, ReplayedSenderFinishesItsStreamOnce) {
+  // A stateful recovery replays every producer of the failed fragment,
+  // including one that had already finished; its second finish must not
+  // end a shared channel's stream while another sender is still going.
+  ExecContext ctx1, ctx2;
+  auto channel = std::make_shared<ExchangeChannel>();
+  channel->set_num_senders(2);
+  ExchangeSender done(&ctx1, "xsend_done", TwoIntSchema(),
+                      ExchangeMode::kForward, {}, {{channel, nullptr}});
+  ExchangeSender busy(&ctx2, "xsend_busy", TwoIntSchema(),
+                      ExchangeMode::kForward, {}, {{channel, nullptr}});
+  ASSERT_TRUE(done.Finish(0).ok());
+  done.ResetForReplay();
+  ASSERT_TRUE(done.Finish(0).ok());
+
+  std::string bytes;
+  EXPECT_EQ(channel->Receive(&bytes, std::chrono::milliseconds(10)),
+            ExchangeChannel::RecvStatus::kTimeout);
+  ASSERT_TRUE(busy.Finish(0).ok());
+  EXPECT_EQ(channel->Receive(&bytes, std::chrono::milliseconds(10)),
+            ExchangeChannel::RecvStatus::kEndOfStream);
+}
+
 TEST(ExchangeTest, ReceiverStallIsTheTimeItWaited) {
   ExecContext send_ctx, recv_ctx;
   auto channel = std::make_shared<ExchangeChannel>();
