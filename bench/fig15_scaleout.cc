@@ -10,7 +10,9 @@
 // The sweep fails a run whose elapsed time falls below its pacing floor:
 // the delay its longest paced shard scan owes, floor(shard rows /
 // pace_every_rows) x pace_ms. Modelled delays are paid as owed time, so
-// no producer may sleep less than it models.
+// no producer may sleep less than it models. Every mode fails a multi-site
+// cell that reports no link seconds: its JSON link column would show
+// nothing.
 //
 // --kill-site[=K] switches to the chaos mode: Q17 runs once cleanly, once
 // with site K (default 1) going dark after --kill-after=N (default 200)
@@ -52,6 +54,35 @@ using namespace pushsip;
 using namespace pushsip::bench;
 
 namespace {
+
+/// Adds one run's DistQueryStats to `record`'s per-run fields; a cell of
+/// several runs divides the sums by its run count.
+void AddRunStats(const DistQueryStats& stats, JsonRecord* record) {
+  record->elapsed_sec += stats.elapsed_sec;
+  record->peak_state_mb += stats.peak_state_mb();
+  record->rows_pruned += stats.rows_pruned + stats.rows_source_pruned;
+  record->bytes_shipped += stats.bytes_shipped;
+  record->stall_seconds += stats.stall_seconds;
+  record->link_seconds += stats.link_seconds;
+  record->encode_transposes += stats.encode_transposes;
+  record->dict_reships += stats.dict_reships;
+}
+
+/// A multi-site cell whose runs billed no link time shipped nothing over
+/// the mesh, or lost its billing: either way its link column shows
+/// nothing. Returns 1 (after saying which cell) if any cell is such.
+int CheckLinkColumn(const std::vector<JsonRecord>& records) {
+  for (const JsonRecord& r : records) {
+    if (r.sites > 1 && r.link_seconds <= 0) {
+      std::fprintf(stderr,
+                   "FAILED: %s %s (%s) on %d sites reports link_seconds %g\n",
+                   r.query.c_str(), r.strategy.c_str(), r.transport.c_str(),
+                   r.sites, r.link_seconds);
+      return 1;
+    }
+  }
+  return 0;
+}
 
 /// One measured Q17 execution for the --kill-site comparison.
 struct KillRun {
@@ -139,10 +170,7 @@ int RunKillSiteMode(const HarnessOptions& opts, int kill_site,
     record.query = "Q17-scaleout";
     record.strategy = kCellStrategies[cell];
     record.sites = sites;
-    record.elapsed_sec = stats->elapsed_sec;
-    record.peak_state_mb = stats->peak_state_mb();
-    record.rows_pruned = stats->rows_pruned + stats->rows_source_pruned;
-    record.bytes_shipped = stats->bytes_shipped;
+    AddRunStats(*stats, &record);
     record.metric_mean = stats->elapsed_sec;
     record.fragment_restarts = stats->fragment_restarts;
     record.checkpoints_taken = stats->checkpoints_taken;
@@ -201,6 +229,7 @@ int RunKillSiteMode(const HarnessOptions& opts, int kill_site,
               static_cast<long long>(st.checkpoint_bytes),
               static_cast<long long>(st.state_recoveries),
               st.restore_seconds * 1e3);
+  if (CheckLinkColumn(records) != 0) return 1;
   if (!opts.json_path.empty() &&
       !WriteJsonReport(opts.json_path, "fig15_scaleout_kill",
                        "Fig. 15 chaos - Q17 with one site killed mid-query",
@@ -272,10 +301,7 @@ int RunStraggleSiteMode(const HarnessOptions& opts, int straggle_site,
     record.query = "Q17-scaleout";
     record.strategy = straggle ? "Adaptive+straggler" : "Adaptive";
     record.sites = sites;
-    record.elapsed_sec = stats->elapsed_sec;
-    record.peak_state_mb = stats->peak_state_mb();
-    record.rows_pruned = stats->rows_pruned + stats->rows_source_pruned;
-    record.bytes_shipped = stats->bytes_shipped;
+    AddRunStats(*stats, &record);
     record.metric_mean = stats->elapsed_sec;
     record.fragment_restarts = stats->fragment_restarts;
     record.fragment_migrations = stats->fragment_migrations;
@@ -312,6 +338,7 @@ int RunStraggleSiteMode(const HarnessOptions& opts, int straggle_site,
               "migrated, answer identical\n",
               overhead_ms,
               static_cast<long long>(slowed.stats.fragment_migrations));
+  if (CheckLinkColumn(records) != 0) return 1;
   if (!opts.json_path.empty() &&
       !WriteJsonReport(opts.json_path, "fig15_scaleout_straggle",
                        "Fig. 15 adaptive - Q17 with one straggling site",
@@ -487,13 +514,8 @@ int RunTcpTransportMode(const HarnessOptions& opts, int sites,
       record.strategy = "Cost-based";
       record.transport = is_tcp ? "tcp" : "sim";
       record.sites = sites;
-      record.elapsed_sec = stats.elapsed_sec;
-      record.peak_state_mb = stats.peak_state_mb();
-      record.rows_pruned = stats.rows_pruned + stats.rows_source_pruned;
-      record.bytes_shipped = stats.bytes_shipped;
+      AddRunStats(stats, &record);
       record.metric_mean = stats.elapsed_sec;
-      record.encode_transposes = stats.encode_transposes;
-      record.dict_reships = stats.dict_reships;
       records.push_back(record);
       // Cross-batch dictionary streams must never re-ship an entry, and the
       // typed pipeline must never fall back to per-value encoding — on
@@ -512,6 +534,7 @@ int RunTcpTransportMode(const HarnessOptions& opts, int sites,
                 "0 dictionary re-ships)\n",
                 ScaleOutQueryName(q), sim_wire.size());
   }
+  if (CheckLinkColumn(records) != 0) return 1;
   if (!opts.json_path.empty() &&
       !WriteJsonReport(opts.json_path, "fig15_scaleout_tcp",
                        "Fig. 15 transport - sim vs tcp multi-process", opts,
@@ -668,12 +691,7 @@ int main(int argc, char** argv) {
           times.push_back(stats->elapsed_sec);
           mean_ms[aip ? 1 : 0] += stats->elapsed_sec * 1e3;
           mean_mb[aip ? 1 : 0] += stats->shipped_mb();
-          record.elapsed_sec += stats->elapsed_sec;
-          record.peak_state_mb += stats->peak_state_mb();
-          record.rows_pruned += stats->rows_pruned + stats->rows_source_pruned;
-          record.bytes_shipped += stats->bytes_shipped;
-          record.encode_transposes += stats->encode_transposes;
-          record.dict_reships += stats->dict_reships;
+          AddRunStats(*stats, &record);
           if (aip) pruned = stats->rows_source_pruned;
         }
         // Per-repetition means (sums above avoid integer truncation).
@@ -684,6 +702,8 @@ int main(int argc, char** argv) {
         record.peak_state_mb /= reps;
         record.rows_pruned /= reps;
         record.bytes_shipped /= reps;
+        record.stall_seconds /= reps;
+        record.link_seconds /= reps;
         const CellStats cell = Summarize(times);
         record.metric_mean = cell.mean;
         record.metric_ci95 = cell.ci95;
@@ -694,6 +714,7 @@ int main(int argc, char** argv) {
                   mean_mb[0], mean_mb[1], static_cast<long long>(pruned));
     }
   }
+  if (CheckLinkColumn(records) != 0) return 1;
   if (!opts.json_path.empty() &&
       !WriteJsonReport(opts.json_path, "fig15_scaleout",
                        "Fig. 15 - scale-out multi-site execution", opts,

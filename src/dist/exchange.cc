@@ -238,7 +238,7 @@ Status ExchangeSender::DoFinish(int) {
   for (size_t i = 0; i < destinations_.size(); ++i) {
     const ExchangeDestination& dest = destinations_[i];
     if (dest.remote != nullptr) {
-      PUSHSIP_RETURN_NOT_OK(dest.remote->SendFinish());
+      PUSHSIP_RETURN_NOT_OK(dest.remote->SendFinish(sender_slots_[i]));
     } else {
       dest.channel->SendFinish(sender_slots_[i]);
     }

@@ -20,33 +20,18 @@ std::vector<std::shared_ptr<Catalog>> PartitionCatalog(
     catalogs.push_back(std::make_shared<Catalog>());
   }
   for (const std::string& name : full.TableNames()) {
-    const TablePtr table = *full.GetTable(name);
     const bool sharded =
         std::find(shard_tables.begin(), shard_tables.end(), name) !=
         shard_tables.end();
     if (!sharded || num_sites == 1) {
-      catalogs[0]->RegisterTable(table).CheckOK();
+      catalogs[0]->RegisterTable(*full.GetTable(name)).CheckOK();
       continue;
     }
-    // Shard s takes rows s, s+N, s+2N, ...: one typed gather per column
-    // through a single reused row-index list.
-    const size_t n = static_cast<size_t>(num_sites);
-    std::vector<uint32_t> rows;
-    rows.reserve(table->num_rows() / n + 1);
-    for (size_t s = 0; s < n; ++s) {
-      auto shard = std::make_shared<Table>(name, table->schema());
-      shard->SetPrimaryKey(table->primary_key());
-      for (const Table::ForeignKey& fk : table->foreign_keys()) {
-        shard->AddForeignKey(fk.col, fk.ref_table, fk.ref_col);
-      }
-      rows.clear();
-      for (size_t r = s; r < table->num_rows(); r += n) {
-        rows.push_back(static_cast<uint32_t>(r));
-      }
-      shard->Reserve(rows.size());
-      shard->AppendGather(*table, rows.data(), rows.size());
-      shard->ComputeStats();
-      catalogs[s]->RegisterTable(std::move(shard)).CheckOK();
+    std::vector<TablePtr> shards = *full.Shards(name, num_sites);
+    for (int s = 0; s < num_sites; ++s) {
+      catalogs[static_cast<size_t>(s)]
+          ->RegisterTable(std::move(shards[static_cast<size_t>(s)]))
+          .CheckOK();
     }
   }
   return catalogs;

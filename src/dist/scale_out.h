@@ -26,16 +26,19 @@ enum class ScaleOutQuery {
 
 const char* ScaleOutQueryName(ScaleOutQuery query);
 
-/// Round-robin-shards each table in `shard_tables` across `num_sites`
-/// catalogs; every other table is registered at site 0 only. Stats and
-/// key/FK metadata are recomputed per shard.
+/// One catalog per site: shard s of each table in `shard_tables` at site s
+/// (`full.Shards`, the round-robin shards `full` computes once per table
+/// version and site count, each with its own statistics and the table's
+/// key/FK metadata); every other table, and every table when `num_sites`
+/// is 1, is registered whole at site 0 only.
 std::vector<std::shared_ptr<Catalog>> PartitionCatalog(
     const Catalog& full, const std::vector<std::string>& shard_tables,
     int num_sites);
 
 /// Assembles the runnable multi-site plan for `query` over a partition of
-/// `full_catalog`: partitions the catalog, builds the query's LogicalPlan
-/// and fragments it. The returned query's root sink collects the final
+/// `full_catalog`: partitions the catalog (reusing `full_catalog`'s shards
+/// of the current table versions), builds the query's LogicalPlan and
+/// fragments it. The returned query's root sink collects the final
 /// rows.
 Result<std::unique_ptr<DistributedQuery>> BuildScaleOutQuery(
     ScaleOutQuery query, const std::shared_ptr<Catalog>& full_catalog,

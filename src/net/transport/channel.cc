@@ -62,13 +62,7 @@ void ExchangeChannel::SetDrainHook(
 
 void ExchangeChannel::SendFinish(int slot) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (finished_slots_.insert(slot).second) ++finished_senders_;
-  can_recv_.notify_all();
-}
-
-void ExchangeChannel::SendFinish() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++finished_senders_;
+  finished_slots_.insert(slot);
   can_recv_.notify_all();
 }
 
@@ -81,7 +75,7 @@ ExchangeChannel::RecvStatus ExchangeChannel::Receive(
     std::unique_lock<std::mutex> lock(mu_);
     const bool ready = can_recv_.wait_for(lock, timeout, [this] {
       return cancelled_ || !queue_.empty() ||
-             finished_senders_ >= num_senders_;
+             finished_slots_.size() >= static_cast<size_t>(num_senders_);
     });
     if (!ready) return RecvStatus::kTimeout;
     if (cancelled_) return RecvStatus::kCancelled;
@@ -124,7 +118,6 @@ void ExchangeChannel::DrainAndReopen() {
     std::lock_guard<std::mutex> lock(mu_);
     dropped.swap(queue_);
     queue_bytes_ = 0;
-    finished_senders_ = 0;
     finished_slots_.clear();
     consumed_ = false;
     hook = drain_hook_;

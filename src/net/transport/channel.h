@@ -80,17 +80,14 @@ class ExchangeChannel {
   /// non-zero. At most one hook; installing replaces.
   void SetDrainHook(std::function<void(uint64_t token, size_t bytes)> hook);
 
-  /// Signals that the stream of in-process sender `slot` (see
-  /// AllocSenderSlot) is complete. Idempotent per slot: a stateful
-  /// recovery replays every producer of the failed fragment, including
-  /// ones that had already finished, and their second finish must not end
-  /// another consumer's stream before its remaining senders are done.
-  /// DrainAndReopen forgets the finished slots.
+  /// Signals that the stream of sender `slot` (see AllocSenderSlot) is
+  /// complete, whether the sender is in-process or its finish arrived over
+  /// a transport. Idempotent per slot: a stateful recovery replays every
+  /// producer of the failed fragment, including ones that had already
+  /// finished, and their second finish must not end another consumer's
+  /// stream before its remaining senders are done. DrainAndReopen forgets
+  /// the finished slots.
   void SendFinish(int slot);
-
-  /// Counts one finished stream delivered by a transport, whose finish
-  /// messages do not name the sender slot.
-  void SendFinish();
 
   /// Outcome of one bounded Receive call.
   enum class RecvStatus {
@@ -151,7 +148,6 @@ class ExchangeChannel {
   std::deque<Item> queue_;
   size_t queue_bytes_ = 0;
   std::function<void(uint64_t, size_t)> drain_hook_;
-  int finished_senders_ = 0;
   std::set<int> finished_slots_;
   bool cancelled_ = false;
   bool consumed_ = false;

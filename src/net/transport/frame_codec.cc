@@ -137,4 +137,34 @@ Result<uint32_t> DecodeCredit(const std::string& payload) {
   return ReadU32(payload.data());
 }
 
+std::string EncodeFinish(int slot) {
+  std::string out;
+  auto v = static_cast<uint32_t>(slot);
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+  return out;
+}
+
+Result<int> DecodeFinish(const std::string& payload) {
+  uint64_t slot = 0;
+  for (size_t i = 0; i < payload.size() && i < 5; ++i) {
+    const auto byte = static_cast<uint8_t>(payload[i]);
+    slot |= static_cast<uint64_t>(byte & 0x7f) << (7 * i);
+    if ((byte & 0x80) != 0) continue;
+    if (i + 1 != payload.size()) {
+      return Status::InvalidArgument("finish: trailing bytes");
+    }
+    if (slot > static_cast<uint64_t>(INT32_MAX)) {
+      return Status::InvalidArgument("finish: slot out of range");
+    }
+    return static_cast<int>(slot);
+  }
+  return Status::InvalidArgument(payload.size() < 5
+                                     ? "finish: missing or truncated slot"
+                                     : "finish: slot out of range");
+}
+
 }  // namespace pushsip

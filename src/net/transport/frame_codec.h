@@ -28,7 +28,7 @@ namespace pushsip {
 enum class TransportMsgKind : uint8_t {
   kHello = 1,   ///< handshake: magic, protocol, site id, credit window
   kData = 2,    ///< one serialized BatchFrame for `channel`
-  kFinish = 3,  ///< one sender's end-of-stream for `channel`
+  kFinish = 3,  ///< sender slot (varint)'s end-of-stream for `channel`
   kCredit = 4,  ///< receiver grants `payload` (u32 LE) credits on `channel`
   kFilter = 5,  ///< AIP shipment: label + FilterMessage (channel unused)
 };
@@ -95,6 +95,12 @@ Result<TransportHello> DecodeHello(const std::string& payload);
 /// Payload helpers for kCredit frames.
 std::string EncodeCredit(uint32_t credits);
 Result<uint32_t> DecodeCredit(const std::string& payload);
+
+/// Payload helpers for kFinish frames: the finishing sender's channel slot
+/// (ExchangeChannel::AllocSenderSlot) as one varint. DecodeFinish refuses
+/// an empty or truncated varint, trailing bytes, and a slot beyond int32.
+std::string EncodeFinish(int slot);
+Result<int> DecodeFinish(const std::string& payload);
 
 }  // namespace pushsip
 

@@ -59,10 +59,10 @@ class SimChannelSender : public ChannelSender {
     return Status::OK();
   }
 
-  Status SendFinish() override {
+  Status SendFinish(int slot) override {
     PUSHSIP_ASSIGN_OR_RETURN(const std::shared_ptr<ExchangeChannel> ch,
                              Channel());
-    ch->SendFinish();
+    ch->SendFinish(slot);
     return Status::OK();
   }
 

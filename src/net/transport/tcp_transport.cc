@@ -327,6 +327,15 @@ void TcpTransport::DispatchMsg(const ConnPtr& conn, TransportMsg&& msg) {
       return;
     case TransportMsgKind::kData:
     case TransportMsgKind::kFinish: {
+      int slot = -1;
+      if (msg.kind == TransportMsgKind::kFinish) {
+        Result<int> decoded = DecodeFinish(msg.payload);
+        if (!decoded.ok()) {
+          DropConn(conn);
+          return;
+        }
+        slot = *decoded;
+      }
       std::shared_ptr<ExchangeChannel> channel;
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -337,12 +346,12 @@ void TcpTransport::DispatchMsg(const ConnPtr& conn, TransportMsg&& msg) {
           // The peer finished assembly first and is already streaming;
           // hold the frame until this side binds the channel.
           early_frames_[msg.channel].push_back(
-              {msg.kind, conn->peer_site, std::move(msg.payload)});
+              {msg.kind, conn->peer_site, slot, std::move(msg.payload)});
           return;
         }
       }
       if (msg.kind == TransportMsgKind::kFinish) {
-        channel->SendFinish();
+        channel->SendFinish(slot);
       } else {
         // Token = origin site + 1 so the drain hook can route the credit
         // grant back to the right inbound connection (0 = local frame).
@@ -471,7 +480,7 @@ Status TcpTransport::BindChannel(uint32_t channel_id,
     }
     for (EarlyFrame& frame : held) {
       if (frame.kind == TransportMsgKind::kFinish) {
-        channel->SendFinish();
+        channel->SendFinish(frame.slot);
       } else {
         channel->ForcePush(std::move(frame.payload),
                            static_cast<uint64_t>(frame.origin_site) + 1);
@@ -617,11 +626,12 @@ class TcpChannelSender : public ChannelSender {
     return Status::OK();
   }
 
-  Status SendFinish() override {
+  Status SendFinish(int slot) override {
     PUSHSIP_ASSIGN_OR_RETURN(TcpTransport::ConnPtr conn, StreamConn());
     TransportMsg msg;
     msg.kind = TransportMsgKind::kFinish;
     msg.channel = channel_id_;
+    msg.payload = EncodeFinish(slot);
     double secs = 0;
     return Released(
         transport_->WriteFrame(conn, EncodeTransportMsg(msg), &secs));

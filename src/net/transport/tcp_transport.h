@@ -182,6 +182,7 @@ class TcpTransport : public Transport {
   struct EarlyFrame {
     TransportMsgKind kind;
     int origin_site;
+    int slot;  ///< kFinish: the finishing sender's channel slot
     std::string payload;
   };
   /// Startup race absorber: peers that finish assembly first may stream

@@ -48,8 +48,10 @@ class ChannelSender {
   virtual Status SendFrame(std::string bytes, ExecContext* bill_to,
                            double* link_seconds) = 0;
 
-  /// Signals this sender's end-of-stream to the consuming channel.
-  virtual Status SendFinish() = 0;
+  /// Signals the end-of-stream of sender `slot` (the slot the producing
+  /// ExchangeSender allocated on the consuming channel) to that channel,
+  /// which counts each slot's finish once.
+  virtual Status SendFinish(int slot) = 0;
 
   /// Marks the start of a replayed stream (the producing fragment
   /// restarted at a new epoch). A TCP sender pins its stream to the

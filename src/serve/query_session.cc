@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "dist/scale_out.h"
 #include "expr/expression.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -179,10 +178,9 @@ QueryServer::QueryServer(std::shared_ptr<Catalog> catalog,
       mesh_(std::make_shared<SiteMesh>(std::max(1, options.num_sites),
                                        options.bandwidth_bps,
                                        options.latency_ms)) {
-  if (opts_.num_sites > 1) {
-    shards_ = std::make_shared<const ShardCatalogs>(PartitionCatalog(
-        *catalog_, opts_.sharded_tables, opts_.num_sites));
-  }
+  // Shard now, so sessions find the shards made (a missing table is
+  // reported to the sessions that probe it).
+  for (const std::string& name : opts_.sharded_tables) (void)ShardsOf(name);
 }
 
 QueryServer::~QueryServer() { Shutdown(); }
@@ -341,16 +339,22 @@ void QueryServer::RunSession(const SessionPtr& s) {
   s->cv.notify_all();
 }
 
+Result<std::vector<TablePtr>> QueryServer::ShardsOf(
+    const std::string& table) const {
+  if (opts_.num_sites <= 1 ||
+      std::find(opts_.sharded_tables.begin(), opts_.sharded_tables.end(),
+                table) == opts_.sharded_tables.end()) {
+    return std::vector<TablePtr>{};
+  }
+  return catalog_->Shards(table, opts_.num_sites);
+}
+
 Result<std::vector<std::shared_ptr<Catalog>>> QueryServer::SessionCatalogs(
     const ServeQuery& q, const TablePtr& build) const {
-  std::shared_ptr<const ShardCatalogs> shards;
-  if (std::find(opts_.sharded_tables.begin(), opts_.sharded_tables.end(),
-                q.probe_table) != opts_.sharded_tables.end()) {
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    shards = shards_;  // null on a single-site server
-  }
+  PUSHSIP_ASSIGN_OR_RETURN(std::vector<TablePtr> shards,
+                           ShardsOf(q.probe_table));
   std::vector<std::shared_ptr<Catalog>> catalogs;
-  if (shards == nullptr) {
+  if (shards.empty()) {
     catalogs.push_back(std::make_shared<Catalog>());
     if (q.probe_table != q.build_table) {
       PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe,
@@ -362,10 +366,9 @@ Result<std::vector<std::shared_ptr<Catalog>>> QueryServer::SessionCatalogs(
       return Status::InvalidArgument("a sharded table cannot be served "
                                      "joined with itself");
     }
-    for (const std::shared_ptr<Catalog>& shard : *shards) {
-      PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe, shard->GetTable(q.probe_table));
+    for (TablePtr& shard : shards) {
       catalogs.push_back(std::make_shared<Catalog>());
-      PUSHSIP_RETURN_NOT_OK(catalogs.back()->RegisterTable(std::move(probe)));
+      PUSHSIP_RETURN_NOT_OK(catalogs.back()->RegisterTable(std::move(shard)));
     }
   }
   PUSHSIP_RETURN_NOT_OK(catalogs[0]->RegisterTable(build));
@@ -552,13 +555,8 @@ Status QueryServer::ReplaceTable(TablePtr table) {
   // Version-keying already makes the old summaries unreachable; eviction
   // just frees their bytes immediately.
   cache_.Invalidate(name);
-  if (opts_.num_sites > 1) {
-    auto fresh = std::make_shared<const ShardCatalogs>(PartitionCatalog(
-        *catalog_, opts_.sharded_tables, opts_.num_sites));
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    shards_ = std::move(fresh);
-  }
-  return Status::OK();
+  // The writer pays for the new version's shards, not the next session.
+  return ShardsOf(name).status();
 }
 
 ServerStats QueryServer::stats() const {

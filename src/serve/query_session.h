@@ -106,10 +106,10 @@ struct ServeOptions {
   /// what lets concurrent sessions overlap on few cores.
   size_t scan_delay_every_rows = 0;
   double scan_delay_ms = 0;
-  /// >1 runs sessions as distributed queries over one shared SiteMesh,
-  /// with every table in `sharded_tables` partitioned round-robin across
-  /// sites at server construction. A query whose probe table is not
-  /// sharded runs as one fragment at site 0.
+  /// >1 runs sessions as distributed queries over one shared SiteMesh; a
+  /// query probing a table in `sharded_tables` scans the catalog's
+  /// round-robin shards of it, one per site. A query whose probe table is
+  /// not sharded runs as one fragment at site 0.
   int num_sites = 1;
   double bandwidth_bps = 1e9;
   double latency_ms = 0.1;
@@ -191,6 +191,11 @@ class QueryServer {
   /// Cuts the session's ServedPlan with the PlanFragmenter and runs it.
   Result<SessionResult> Execute(const SessionPtr& s);
 
+  /// The current version's shards of `table`, one per site
+  /// (Catalog::Shards); empty unless num_sites > 1 and `table` is one of
+  /// `sharded_tables`.
+  Result<std::vector<TablePtr>> ShardsOf(const std::string& table) const;
+
   /// The catalogs a session's plan is cut over, from its snapshot: one per
   /// site holding the probe table's shard when it is sharded, else one
   /// holding the whole probe table. Site 0's also holds `build`.
@@ -212,13 +217,8 @@ class QueryServer {
   ThreadPool pool_;
 
   /// The mesh every session's fragments transmit over (one site when
-  /// num_sites <= 1), and, when num_sites > 1, the sharded catalogs their
-  /// shard scans snapshot from (rebuilt wholesale by ReplaceTable; the
-  /// shared_ptr swap keeps a building session's view torn-free).
+  /// num_sites <= 1).
   std::shared_ptr<SiteMesh> mesh_;
-  using ShardCatalogs = std::vector<std::shared_ptr<Catalog>>;
-  std::shared_ptr<const ShardCatalogs> shards_;
-  mutable std::mutex shards_mu_;
 
   mutable std::mutex admit_mu_;
   std::condition_variable admit_cv_;

@@ -1,13 +1,18 @@
-// Catalog: named tables plus a per-query attribute-id allocator.
+// Catalog: the registry of named base tables. Each entry is a versioned
+// TablePtr (ReplaceTable swaps in new rows and bumps the version) plus the
+// table's round-robin shards, computed once per (version, site count) on
+// first request and dropped with the version or the catalog.
 #ifndef PUSHSIP_STORAGE_CATALOG_H_
 #define PUSHSIP_STORAGE_CATALOG_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "storage/table.h"
 
@@ -33,9 +38,19 @@ class Catalog {
  public:
   Status RegisterTable(TablePtr table);
 
-  /// Swaps the table registered under `table->name()` for `table` and bumps
-  /// its version. NotFound if no table of that name was ever registered.
+  /// Swaps the table registered under `table->name()` for `table`, bumps
+  /// its version and drops the old version's shards (holders keep theirs).
+  /// NotFound if no table of that name was ever registered.
   Status ReplaceTable(TablePtr table);
+
+  /// The current version of `name` round-robin-sharded `num_sites` ways
+  /// (ShardRoundRobin): shared, immutable tables, computed on the first
+  /// call for this (version, site count) and returned as the same pointers
+  /// until ReplaceTable. The shards are computed outside the catalog lock;
+  /// of concurrent first callers, the first to publish wins and the others
+  /// adopt its set. NotFound if absent; InvalidArgument if num_sites < 1.
+  Result<std::vector<TablePtr>> Shards(const std::string& name,
+                                       int num_sites) const;
 
   Result<TablePtr> GetTable(const std::string& name) const;
 
@@ -55,8 +70,15 @@ class Catalog {
   size_t FootprintBytes() const;
 
  private:
+  struct Entry {
+    VersionedTable current;
+    /// The current version's shards by site count: a memo owned by the
+    /// entry, so it dies with the version and with the catalog.
+    mutable std::map<int, std::vector<TablePtr>> shards;
+  };
+
   mutable std::mutex mu_;
-  std::unordered_map<std::string, VersionedTable> tables_;
+  std::unordered_map<std::string, Entry> tables_;
 };
 
 }  // namespace pushsip

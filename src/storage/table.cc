@@ -227,4 +227,29 @@ size_t Table::FootprintBytes() const {
   return bytes;
 }
 
+std::vector<TablePtr> ShardRoundRobin(const Table& table, int n) {
+  PUSHSIP_DCHECK(n >= 1);
+  const size_t num_shards = static_cast<size_t>(n);
+  std::vector<TablePtr> shards;
+  shards.reserve(num_shards);
+  std::vector<uint32_t> rows;
+  rows.reserve(table.num_rows() / num_shards + 1);
+  for (size_t s = 0; s < num_shards; ++s) {
+    auto shard = std::make_shared<Table>(table.name(), table.schema());
+    shard->SetPrimaryKey(table.primary_key());
+    for (const Table::ForeignKey& fk : table.foreign_keys()) {
+      shard->AddForeignKey(fk.col, fk.ref_table, fk.ref_col);
+    }
+    rows.clear();
+    for (size_t r = s; r < table.num_rows(); r += num_shards) {
+      rows.push_back(static_cast<uint32_t>(r));
+    }
+    shard->Reserve(rows.size());
+    shard->AppendGather(table, rows.data(), rows.size());
+    shard->ComputeStats();
+    shards.push_back(std::move(shard));
+  }
+  return shards;
+}
+
 }  // namespace pushsip

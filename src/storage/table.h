@@ -138,6 +138,13 @@ class Table {
 
 using TablePtr = std::shared_ptr<Table>;
 
+/// Round-robin-shards `table` into `n` tables (n >= 1): shard s holds rows
+/// s, s+n, s+2n, ... in order, one typed gather per column through a single
+/// reused row-index list. Each shard keeps the table's name, schema and
+/// key/FK metadata, shares its string dictionaries, and carries its own
+/// freshly computed statistics.
+std::vector<TablePtr> ShardRoundRobin(const Table& table, int n);
+
 }  // namespace pushsip
 
 #endif  // PUSHSIP_STORAGE_TABLE_H_

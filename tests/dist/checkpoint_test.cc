@@ -237,7 +237,7 @@ TEST(ExchangeChannelRecoveryTest, DrainAndReopenDiscardsAndRearms) {
       [&](uint64_t /*token*/, size_t /*bytes*/) { ++credited; });
   ASSERT_TRUE(channel.SendBatch("stale1"));
   ASSERT_TRUE(channel.ForcePush("stale2", /*token=*/7));
-  channel.SendFinish();
+  channel.SendFinish(/*slot=*/0);
   EXPECT_EQ(channel.queued_frames(), 2u);
 
   channel.DrainAndReopen();
@@ -247,7 +247,7 @@ TEST(ExchangeChannelRecoveryTest, DrainAndReopenDiscardsAndRearms) {
   // The finish count was cleared with the queue: the channel now carries a
   // fresh stream ending in a fresh finish.
   ASSERT_TRUE(channel.SendBatch("fresh"));
-  channel.SendFinish();
+  channel.SendFinish(/*slot=*/0);
   std::string bytes;
   ASSERT_EQ(channel.Receive(&bytes, std::chrono::milliseconds(100)),
             ExchangeChannel::RecvStatus::kMessage);

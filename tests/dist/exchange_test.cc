@@ -381,7 +381,7 @@ TEST(ExchangeTest, ReceiverDropsStaleEpochsAndDuplicateSeqs) {
   // Non-replayable current-epoch frames with colliding seqs all pass.
   ASSERT_TRUE(channel->SendBatch(frame(1, 0, false, 30)));
   ASSERT_TRUE(channel->SendBatch(frame(1, 0, false, 40)));
-  channel->SendFinish();
+  channel->SendFinish(/*slot=*/0);
 
   ExchangeReceiver receiver(&recv_ctx, "xrecv", schema, channel);
   Sink sink(&recv_ctx, "sink", schema);
@@ -411,7 +411,7 @@ TEST(ExchangeTest, SlowConsumerNeverGrowsTheQueuePastItsByteCap) {
       EXPECT_TRUE(channel->SendBatch(std::string(kFrameBytes, 'x'),
                                      &stalled));
     }
-    channel->SendFinish();
+    channel->SendFinish(/*slot=*/0);
   });
 
   size_t peak_bytes = 0;
@@ -442,7 +442,7 @@ TEST(ExchangeTest, OversizedFrameIsAdmittedAloneNotDeadlocked) {
   std::thread producer([&] {
     EXPECT_TRUE(channel->SendBatch(std::string(3 * kMaxBytes, 'y')));
     EXPECT_TRUE(channel->SendBatch("after"));  // blocks until the drain
-    channel->SendFinish();
+    channel->SendFinish(/*slot=*/0);
   });
 
   std::string bytes;
@@ -460,7 +460,7 @@ TEST(ExchangeTest, ReceiverErrorsOnCorruptFrame) {
   auto channel = std::make_shared<ExchangeChannel>();
   channel->set_num_senders(1);
   ASSERT_TRUE(channel->SendBatch("definitely not a frame"));
-  channel->SendFinish();
+  channel->SendFinish(/*slot=*/0);
   ExchangeReceiver receiver(&recv_ctx, "xrecv", schema, channel);
   const Status st = receiver.Run();
   ASSERT_FALSE(st.ok());

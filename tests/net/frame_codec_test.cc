@@ -22,7 +22,7 @@ std::vector<TransportMsg> SampleMessages() {
   msgs.push_back(
       {TransportMsgKind::kData, 17, std::string("batch\x00\x01\xff-bytes", 14)});
   msgs.push_back({TransportMsgKind::kData, 0xffffffffu, std::string(3000, 'x')});
-  msgs.push_back({TransportMsgKind::kFinish, 2, ""});
+  msgs.push_back({TransportMsgKind::kFinish, 2, EncodeFinish(3)});
   msgs.push_back({TransportMsgKind::kCredit, 9, EncodeCredit(16)});
   msgs.push_back({TransportMsgKind::kFilter, 0, std::string(257, '\xab')});
   return msgs;
@@ -261,6 +261,23 @@ TEST(FrameCodecTest, CreditRoundTripsAndRejectsGarbage) {
   EXPECT_FALSE(DecodeCredit("").ok());
   EXPECT_FALSE(DecodeCredit("abc").ok());
   EXPECT_FALSE(DecodeCredit("abcde").ok());
+}
+
+TEST(FrameCodecTest, FinishCarriesItsSlotAndRejectsGarbage) {
+  for (const int slot : {0, 1, 127, 128, 300, 1 << 20, INT32_MAX}) {
+    auto back = DecodeFinish(EncodeFinish(slot));
+    ASSERT_TRUE(back.ok()) << slot;
+    EXPECT_EQ(*back, slot);
+  }
+  EXPECT_EQ(EncodeFinish(5).size(), 1u);
+  EXPECT_FALSE(DecodeFinish("").ok());               // no slot
+  EXPECT_FALSE(DecodeFinish(std::string(1, '\x80')).ok());  // truncated
+  EXPECT_FALSE(DecodeFinish(EncodeFinish(5) + "x").ok());  // trailing
+  // Beyond int32: 2^31 as a varint, and a six-byte varint.
+  EXPECT_FALSE(DecodeFinish(std::string("\x80\x80\x80\x80\x08", 5)).ok());
+  EXPECT_FALSE(
+      DecodeFinish(std::string("\x80\x80\x80\x80\x80\x01", 6)).ok());
+  EXPECT_FALSE(DecodeFinish(EncodeFinish(-1)).ok());
 }
 
 TEST(FrameCodecTest, BufferCompactionKeepsMemoryBounded) {

@@ -117,7 +117,7 @@ TEST_P(TransportConformanceTest, DeliversOneSenderInOrder) {
                                nullptr);
       EXPECT_TRUE(st.ok()) << st.ToString();
     }
-    EXPECT_TRUE((*sender)->SendFinish().ok());
+    EXPECT_TRUE((*sender)->SendFinish(/*slot=*/0).ok());
   });
 
   std::vector<std::string> got;
@@ -149,7 +149,7 @@ TEST_P(TransportConformanceTest, ConcurrentSendersKeepPerSenderOrder) {
             std::to_string(s) + ":" + std::to_string(i);
         EXPECT_TRUE((*sender)->SendFrame(payload, nullptr, nullptr).ok());
       }
-      EXPECT_TRUE((*sender)->SendFinish().ok());
+      EXPECT_TRUE((*sender)->SendFinish(/*slot=*/s - 1).ok());
     });
   }
 
@@ -185,7 +185,7 @@ TEST_P(TransportConformanceTest, FinishWithoutDataClosesTheStream) {
   // Half-close: site 1 finishes immediately, site 2 sends one frame. The
   // receiver must see exactly that frame, then end-of-stream — not before
   // both finishes arrive.
-  ASSERT_TRUE((*quiet)->SendFinish().ok());
+  ASSERT_TRUE((*quiet)->SendFinish(/*slot=*/0).ok());
   ASSERT_TRUE((*chatty)->SendFrame("only", nullptr, nullptr).ok());
 
   std::string bytes;
@@ -195,7 +195,41 @@ TEST_P(TransportConformanceTest, FinishWithoutDataClosesTheStream) {
   // One finish outstanding: the stream must NOT be over yet.
   EXPECT_EQ(channel->Receive(&bytes, std::chrono::milliseconds(50)),
             ExchangeChannel::RecvStatus::kTimeout);
-  ASSERT_TRUE((*chatty)->SendFinish().ok());
+  ASSERT_TRUE((*chatty)->SendFinish(/*slot=*/1).ok());
+  EXPECT_EQ(channel->Receive(&bytes, std::chrono::milliseconds(5000)),
+            ExchangeChannel::RecvStatus::kEndOfStream);
+}
+
+// A stateful recovery replays every producer of the failed fragment,
+// including one whose stream had already finished: its second finish names
+// the same sender slot, so the channel still waits for the other sender.
+TEST_P(TransportConformanceTest, ReplayedFinishKeepsTheStreamOpen) {
+  auto channel = std::make_shared<ExchangeChannel>();
+  channel->set_num_senders(2);
+  channel->set_consumer_site(0);
+  ASSERT_TRUE(transports_[0]->BindChannel(13, channel).ok());
+  auto replayed = transports_[1]->OpenChannel(13, 0);
+  auto other = transports_[2]->OpenChannel(13, 0);
+  ASSERT_TRUE(replayed.ok());
+  ASSERT_TRUE(other.ok());
+
+  ASSERT_TRUE((*replayed)->SendFinish(/*slot=*/0).ok());
+  (*replayed)->Rewind();
+  ASSERT_TRUE((*replayed)->SendFrame("replayed", nullptr, nullptr).ok());
+  ASSERT_TRUE((*replayed)->SendFinish(/*slot=*/0).ok());
+  // A trailing frame on the same stream: once it is received, the second
+  // finish before it has been delivered too.
+  ASSERT_TRUE((*replayed)->SendFrame("marker", nullptr, nullptr).ok());
+
+  std::string bytes;
+  for (const char* want : {"replayed", "marker"}) {
+    ASSERT_EQ(channel->Receive(&bytes, std::chrono::milliseconds(5000)),
+              ExchangeChannel::RecvStatus::kMessage);
+    EXPECT_EQ(bytes, want);
+  }
+  EXPECT_EQ(channel->Receive(&bytes, std::chrono::milliseconds(50)),
+            ExchangeChannel::RecvStatus::kTimeout);
+  ASSERT_TRUE((*other)->SendFinish(/*slot=*/1).ok());
   EXPECT_EQ(channel->Receive(&bytes, std::chrono::milliseconds(5000)),
             ExchangeChannel::RecvStatus::kEndOfStream);
 }
@@ -251,7 +285,7 @@ TEST_P(TransportConformanceTest, SlowConsumerStaysBoundedAndStallsSender) {
     for (int i = 0; i < kFrames; ++i) {
       EXPECT_TRUE((*sender)->SendFrame(payload, nullptr, nullptr).ok());
     }
-    EXPECT_TRUE((*sender)->SendFinish().ok());
+    EXPECT_TRUE((*sender)->SendFinish(/*slot=*/0).ok());
   });
 
   size_t peak_frames = 0;
@@ -323,7 +357,7 @@ TEST_P(TransportConformanceTest, ReplayAfterReconnectIsDeduplicated) {
   for (int seq = 0; seq < kBatches; ++seq) {
     ASSERT_TRUE((*sender)->SendFrame(frame(seq), nullptr, nullptr).ok());
   }
-  ASSERT_TRUE((*sender)->SendFinish().ok());
+  ASSERT_TRUE((*sender)->SendFinish(/*slot=*/0).ok());
   recv_thread.join();
 
   // Exactly one copy of every row, despite the duplicated prefix (and, on
@@ -367,7 +401,7 @@ TEST_P(TransportConformanceTest, ReplacedConnectionFailsTheStreamUntilRewind) {
               StatusCode::kUnavailable);
   }
   EXPECT_TRUE((*sender)->SendFrame("replayed", nullptr, nullptr).ok());
-  EXPECT_TRUE((*sender)->SendFinish().ok());
+  EXPECT_TRUE((*sender)->SendFinish(/*slot=*/0).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformanceTest,

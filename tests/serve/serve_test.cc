@@ -406,6 +406,43 @@ TEST(ServeMeshTest, MeshSessionMatchesLocalReference) {
   EXPECT_GT(res->stats.bytes_shipped, 0);
 }
 
+// Replacing a table reshards that table only, and a replaced sharded table
+// serves the new rows' answer.
+TEST(ServeMeshTest, ReplaceTableReshardsOnlyTheReplacedTable) {
+  auto catalog = TinyTpchCatalog();
+  const ServeQuery q = PartQuery(25);
+  auto old_want = ReferenceRows(catalog, q);
+  ASSERT_TRUE(old_want.ok());
+  QueryServer server(catalog, MeshOptions(3));
+  auto before = catalog->Shards("lineitem", 3);
+  ASSERT_TRUE(before.ok());
+
+  // part is not sharded: its new version leaves lineitem's shards alone.
+  ASSERT_TRUE(server.ReplaceTable(*catalog->GetTable("part")).ok());
+  EXPECT_EQ(*catalog->Shards("lineitem", 3), *before);
+
+  // Every other lineitem row: a lineitem with its own answer.
+  const TablePtr half = ShardRoundRobin(**catalog->GetTable("lineitem"), 2)[0];
+  ASSERT_TRUE(server.ReplaceTable(half).ok());
+  auto after = catalog->Shards("lineitem", 3);
+  ASSERT_TRUE(after.ok());
+  size_t rows = 0;
+  for (size_t s = 0; s < 3; ++s) {
+    EXPECT_NE((*after)[s], (*before)[s]);
+    rows += (*after)[s]->num_rows();
+  }
+  EXPECT_EQ(rows, half->num_rows());
+
+  auto want = ReferenceRows(catalog, q);
+  ASSERT_TRUE(want.ok());
+  ASSERT_NE(want->at(0).ToString(), old_want->at(0).ToString());
+  auto id = server.Submit(q);
+  ASSERT_TRUE(id.ok());
+  auto res = server.Wait(*id);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ExpectRowsEqual(res->rows, *want);
+}
+
 TEST(ServeMeshTest, UnshardedProbeFallsBackToLocal) {
   auto catalog = TinyTpchCatalog();
   const ServeQuery q = OrdersQuery(13);  // orders is not sharded

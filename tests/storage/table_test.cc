@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -196,6 +197,115 @@ TEST(TableTest, KeysAndForeignKeys) {
   EXPECT_EQ(t->primary_key(), std::vector<int>{0});
   ASSERT_EQ(t->foreign_keys().size(), 1u);
   EXPECT_EQ(t->foreign_keys()[0].ref_table, "other");
+}
+
+TEST(TableTest, ShardRoundRobinDealsRowsAndKeepsMetadata) {
+  auto t = MakeSmallTable();
+  t->SetPrimaryKey({0});
+  t->AddForeignKey(1, "other", 0);
+  const std::vector<TablePtr> shards = ShardRoundRobin(*t, 3);
+  ASSERT_EQ(shards.size(), 3u);
+  for (size_t s = 0; s < 3; ++s) {
+    const Table& shard = *shards[s];
+    EXPECT_EQ(shard.name(), "t");
+    EXPECT_EQ(shard.primary_key(), std::vector<int>{0});
+    ASSERT_EQ(shard.foreign_keys().size(), 1u);
+    ASSERT_TRUE(shard.has_stats());
+    // Shard s holds rows s, s+3, ... of the table, in order.
+    ASSERT_EQ(shard.num_rows(), (10 - s + 2) / 3);
+    for (size_t r = 0; r < shard.num_rows(); ++r) {
+      EXPECT_EQ(shard.row(r).ToString(), t->row(s + 3 * r).ToString());
+    }
+  }
+  // Statistics are the shard's own: shard 0 holds ids 0, 3, 6, 9.
+  EXPECT_EQ(shards[0]->column_stats(0).distinct_count, 4);
+  EXPECT_EQ(shards[0]->column_stats(0).max_value.AsInt64(), 9);
+  EXPECT_EQ(shards[0]->column_stats(1).distinct_count, 1);  // grp 0 only
+}
+
+/// A table of `rows` distinct ids, statistics computed.
+TablePtr MakeIdTable(const std::string& name, int64_t first, int64_t rows) {
+  auto t = std::make_shared<Table>(
+      name, Schema({Field{name + ".id", TypeId::kInt64, kInvalidAttr}}));
+  for (int64_t i = 0; i < rows; ++i) {
+    t->AppendRow(Tuple({Value::Int64(first + i)}));
+  }
+  t->ComputeStats();
+  return t;
+}
+
+TEST(CatalogTest, ShardsAreComputedOncePerVersionAndSiteCount) {
+  Catalog c;
+  ASSERT_TRUE(c.RegisterTable(MakeIdTable("t", 0, 100)).ok());
+  auto first = c.Shards("t", 4);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->size(), 4u);
+  auto again = c.Shards("t", 4);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *first);  // the same tables, not recomputed copies
+  // Another site count is another set, memoized on its own.
+  auto two = c.Shards("t", 2);
+  ASSERT_TRUE(two.ok());
+  ASSERT_EQ(two->size(), 2u);
+  EXPECT_NE((*two)[0], (*first)[0]);
+  EXPECT_EQ(*c.Shards("t", 2), *two);
+  EXPECT_EQ(*c.Shards("t", 4), *first);
+
+  EXPECT_EQ(c.Shards("ghost", 4).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(c.Shards("t", 0).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CatalogTest, ReplaceTableYieldsNewShardsAndOldHoldersKeepTheirs) {
+  Catalog c;
+  ASSERT_TRUE(c.RegisterTable(MakeIdTable("t", 0, 10)).ok());
+  const std::vector<TablePtr> old_shards = *c.Shards("t", 2);
+  ASSERT_TRUE(c.ReplaceTable(MakeIdTable("t", 100, 6)).ok());
+  const std::vector<TablePtr> new_shards = *c.Shards("t", 2);
+  ASSERT_EQ(new_shards.size(), 2u);
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_NE(new_shards[s], old_shards[s]);
+    ASSERT_EQ(new_shards[s]->num_rows(), 3u);
+    EXPECT_EQ(new_shards[s]->row(0).at(0).AsInt64(),
+              100 + static_cast<int64_t>(s));
+    // The old version's shards still read the old rows.
+    ASSERT_EQ(old_shards[s]->num_rows(), 5u);
+    EXPECT_EQ(old_shards[s]->row(4).at(0).AsInt64(),
+              8 + static_cast<int64_t>(s));
+  }
+}
+
+TEST(CatalogTest, ConcurrentFirstCallsAdoptOneShardSet) {
+  Catalog c;
+  ASSERT_TRUE(c.RegisterTable(MakeIdTable("t", 0, 20000)).ok());
+  constexpr int kThreads = 4;
+  std::vector<std::vector<TablePtr>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&c, &got, i] {
+      auto shards = c.Shards("t", 3);
+      if (shards.ok()) got[static_cast<size_t>(i)] = *shards;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(got[0].size(), 3u);
+  for (size_t i = 1; i < got.size(); ++i) EXPECT_EQ(got[i], got[0]);
+  EXPECT_EQ(*c.Shards("t", 3), got[0]);
+}
+
+// The shards belong to their table version in their catalog: nothing else
+// may keep them alive once both are gone, or every catalog a process ever
+// built would stay resident.
+TEST(CatalogTest, ShardsDieWithTheirVersionAndCatalog) {
+  auto c = std::make_shared<Catalog>();
+  ASSERT_TRUE(c->RegisterTable(MakeIdTable("t", 0, 10)).ok());
+  std::weak_ptr<Table> replaced = (*c->Shards("t", 2))[0];
+  ASSERT_TRUE(c->ReplaceTable(MakeIdTable("t", 0, 10)).ok());
+  EXPECT_TRUE(replaced.expired());
+
+  std::weak_ptr<Table> current = (*c->Shards("t", 2))[1];
+  EXPECT_FALSE(current.expired());
+  c.reset();
+  EXPECT_TRUE(current.expired());
 }
 
 TEST(CatalogTest, RegisterAndLookup) {
