@@ -151,11 +151,6 @@ bool WriteJsonReport(const std::string& path, const std::string& id,
                    static_cast<long long>(r.state_recoveries),
                    r.restore_seconds);
     }
-    // Wire-encoding health; the bench exit checks (and bench_check.py)
-    // assert these stay 0 on typed dictionary streams.
-    std::fprintf(f, ", \"encode_transposes\": %lld, \"dict_reships\": %lld",
-                 static_cast<long long>(r.encode_transposes),
-                 static_cast<long long>(r.dict_reships));
     std::fprintf(f, "}");
   }
   std::fprintf(f, "\n  ]\n}\n");

@@ -112,11 +112,6 @@ struct JsonRecord {
   int64_t checkpoint_bytes = 0;
   int64_t state_recoveries = 0;
   double restore_seconds = 0;
-  // Wire-encoding health (multi-site benchmarks; zero elsewhere). A typed
-  // columnar pipeline ships every dictionary entry once and never falls
-  // back to per-value encoding, so both should stay 0.
-  int64_t encode_transposes = 0;
-  int64_t dict_reships = 0;
 };
 
 /// Writes the JSON report. Returns false (with a message on stderr) when

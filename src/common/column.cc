@@ -1,6 +1,8 @@
 #include "common/column.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/status.h"
 
@@ -62,12 +64,6 @@ Column Column::StringWithDict(std::shared_ptr<StringDict> dict, bool owned) {
 
 bool Column::has_nulls() const {
   if (rep_ == Rep::kNone) return size_ > 0;
-  if (rep_ == Rep::kVariant) {
-    for (const Value& v : var_) {
-      if (v.is_null()) return true;
-    }
-    return false;
-  }
   for (const uint64_t w : nulls_) {
     if (w != 0) return true;
   }
@@ -117,27 +113,24 @@ void Column::Promote(TypeId t) {
   }
 }
 
-void Column::ConvertToVariant() {
-  PUSHSIP_DCHECK(rep_ != Rep::kVariant);
-  std::vector<Value> values;
-  values.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) values.push_back(GetValue(i));
-  var_ = std::move(values);
-  rep_ = Rep::kVariant;
-  i64_.clear();
-  f64_.clear();
-  codes_.clear();
-  dict_.reset();
-  dict_owned_ = false;
-  nulls_.clear();
+void Column::RequireType(TypeId t) {
+  if (rep_ == Rep::kNone) Promote(t);
+  if (t == type_) return;
+  // Coercing would change hashes and wire bytes, and a per-row fallback
+  // would slow every kernel; every producer appends its column's type.
+  std::fprintf(stderr,
+               "fatal: a column of type %s cannot hold a value of type %s\n",
+               TypeName(type_), TypeName(t));
+  std::abort();
 }
 
 void Column::EnsureOwnDict() {
   if (dict_owned_ && dict_ != nullptr) return;
   auto own = std::make_shared<StringDict>();
   if (dict_ != nullptr) {
-    for (uint32_t& code : codes_) {
-      code = own->Intern(dict_->entry(code));
+    // NULL rows keep code 0: their code is never read.
+    for (size_t i = 0; i < size_; ++i) {
+      if (!IsNull(i)) codes_[i] = own->Intern(dict_->entry(codes_[i]));
     }
   }
   dict_ = std::move(own);
@@ -147,10 +140,6 @@ void Column::EnsureOwnDict() {
 void Column::AppendNull() {
   switch (rep_) {
     case Rep::kNone:
-      ++size_;
-      return;
-    case Rep::kVariant:
-      var_.push_back(Value::Null());
       ++size_;
       return;
     case Rep::kI64:
@@ -172,40 +161,23 @@ void Column::AppendValue(const Value& v) {
     AppendNull();
     return;
   }
-  if (rep_ == Rep::kNone) Promote(v.type());
+  RequireType(v.type());
   switch (rep_) {
     case Rep::kI64:
-      if (v.type() != type_) break;
       i64_.push_back(v.AsInt64());
-      ++size_;
-      GrowBitmap();
-      return;
+      break;
     case Rep::kF64:
-      if (v.type() != TypeId::kDouble) break;
       f64_.push_back(v.AsDouble());
-      ++size_;
-      GrowBitmap();
-      return;
-    case Rep::kStr: {
-      if (v.type() != TypeId::kString) break;
+      break;
+    case Rep::kStr:
       EnsureOwnDict();
       codes_.push_back(dict_->Intern(v.AsString()));
-      ++size_;
-      GrowBitmap();
-      return;
-    }
-    case Rep::kVariant:
-      var_.push_back(v);
-      ++size_;
-      return;
+      break;
     case Rep::kNone:
-      return;  // unreachable: Promote() handled it
+      return;  // unreachable: RequireType typed the column
   }
-  // Physical type mismatch (mixed-type input): fall back to Values rather
-  // than silently coercing — coercion would change wire bytes and hashes.
-  ConvertToVariant();
-  var_.push_back(v);
   ++size_;
+  GrowBitmap();
 }
 
 void Column::AppendFrom(const Column& src, size_t row) {
@@ -213,15 +185,7 @@ void Column::AppendFrom(const Column& src, size_t row) {
     AppendNull();
     return;
   }
-  if (rep_ == Rep::kNone) Promote(src.rep_ == Rep::kVariant
-                                      ? src.var_[row].type()
-                                      : src.type_);
-  if (rep_ == Rep::kVariant || src.rep_ == Rep::kVariant ||
-      (src.rep_ != Rep::kVariant &&
-       (src.rep_ != rep_ || src.type_ != type_))) {
-    AppendValue(src.GetValue(row));
-    return;
-  }
+  RequireType(src.type_);
   switch (rep_) {
     case Rep::kI64:
       i64_.push_back(src.i64_[row]);
@@ -229,9 +193,10 @@ void Column::AppendFrom(const Column& src, size_t row) {
     case Rep::kF64:
       f64_.push_back(src.f64_[row]);
       break;
-    case Rep::kStr: {
-      if (dict_ == nullptr && codes_.empty()) {
-        // First string: adopt the source dictionary, read-only.
+    case Rep::kStr:
+      if (dict_ == nullptr) {
+        // First string (any earlier rows are NULL): adopt the source
+        // dictionary, read-only.
         dict_ = src.dict_;
         dict_owned_ = false;
       }
@@ -242,39 +207,34 @@ void Column::AppendFrom(const Column& src, size_t row) {
         codes_.push_back(dict_->Intern(src.StringAt(row)));
       }
       break;
-    }
-    default:
-      return;
+    case Rep::kNone:
+      return;  // unreachable: RequireType typed the column
   }
   ++size_;
   GrowBitmap();
 }
 
-void Column::AdoptIfEmpty(const Column& src) {
-  if (size_ != 0) return;
-  if (rep_ == Rep::kNone && src.rep_ != Rep::kNone &&
-      src.rep_ != Rep::kVariant) {
-    // Empty untyped destination: become a typed copy of the source.
-    type_ = src.type_;
-    rep_ = src.rep_;
-  }
-  if (rep_ == Rep::kStr && src.rep_ == Rep::kStr && dict_ == nullptr) {
+void Column::Adopt(const Column& src) {
+  RequireType(src.type_);
+  if (rep_ == Rep::kStr && dict_ == nullptr) {
     dict_ = src.dict_;
     dict_owned_ = false;
   }
 }
 
-bool Column::SameLayout(const Column& src) const {
-  return rep_ == src.rep_ && type_ == src.type_ && rep_ != Rep::kVariant &&
-         rep_ != Rep::kNone &&
-         (rep_ != Rep::kStr || dict_.get() == src.dict_.get());
+void Column::AppendNulls(size_t n) {
+  for (size_t k = 0; k < n; ++k) AppendNull();
 }
 
 void Column::AppendRange(const Column& src, size_t begin, size_t end) {
   PUSHSIP_DCHECK(begin <= end && end <= src.size_);
   if (begin == end) return;
-  AdoptIfEmpty(src);
-  if (!SameLayout(src)) {
+  if (src.rep_ == Rep::kNone) {
+    AppendNulls(end - begin);
+    return;
+  }
+  Adopt(src);
+  if (!SameDict(src)) {
     for (size_t i = begin; i < end; ++i) AppendFrom(src, i);
     return;
   }
@@ -337,8 +297,12 @@ void GatherMultiInto(std::vector<T>* dst,
 
 void Column::AppendGather(const Column& src, const uint32_t* idx, size_t n) {
   if (n == 0) return;
-  AdoptIfEmpty(src);
-  if (!SameLayout(src)) {
+  if (src.rep_ == Rep::kNone) {
+    AppendNulls(n);
+    return;
+  }
+  Adopt(src);
+  if (!SameDict(src)) {
     for (size_t k = 0; k < n; ++k) AppendFrom(src, idx[k]);
     return;
   }
@@ -370,9 +334,12 @@ void Column::AppendGather(const std::vector<const Column*>& srcs,
                           const uint32_t* which, const uint32_t* rows,
                           size_t n) {
   if (n == 0) return;
-  AdoptIfEmpty(*srcs[which[0]]);
-  bool typed = true;
-  for (const Column* src : srcs) typed = typed && SameLayout(*src);
+  const Column& first = *srcs[which[0]];
+  if (first.rep_ != Rep::kNone) Adopt(first);
+  bool typed = rep_ != Rep::kNone;
+  for (const Column* src : srcs) {
+    typed = typed && src->type_ == type_ && SameDict(*src);
+  }
   if (!typed) {
     for (size_t k = 0; k < n; ++k) AppendFrom(*srcs[which[k]], rows[k]);
     return;
@@ -411,9 +378,6 @@ void Column::Reserve(size_t n) {
     case Rep::kStr:
       codes_.reserve(n);
       break;
-    case Rep::kVariant:
-      var_.reserve(n);
-      break;
     case Rep::kNone:
       break;
   }
@@ -423,8 +387,6 @@ Value Column::GetValue(size_t i) const {
   switch (rep_) {
     case Rep::kNone:
       return Value::Null();
-    case Rep::kVariant:
-      return var_[i];
     case Rep::kI64:
       if (IsNull(i)) return Value::Null();
       return type_ == TypeId::kDate ? Value::Date(i64_[i])
@@ -443,8 +405,6 @@ uint64_t Column::HashAt(size_t i) const {
   switch (rep_) {
     case Rep::kNone:
       return HashOfNull();
-    case Rep::kVariant:
-      return var_[i].Hash();
     case Rep::kI64:
       if (IsNull(i)) return HashOfNull();
       return HashOfInt64(i64_[i]);
@@ -495,9 +455,6 @@ void Column::HashAll(std::vector<uint64_t>* out) const {
       }
       return;
     }
-    case Rep::kVariant:
-      for (size_t i = 0; i < size_; ++i) dst[i] = var_[i].Hash();
-      return;
     case Rep::kNone:
       for (size_t i = 0; i < size_; ++i) dst[i] = HashOfNull();
       return;
@@ -550,12 +507,6 @@ void Column::CompactInPlace(const std::vector<uint32_t>& sel) {
       for (size_t i = 0; i < n; ++i) codes_[i] = codes_[sel[i]];
       codes_.resize(n);
       break;
-    case Rep::kVariant:
-      for (size_t i = 0; i < n; ++i) {
-        if (sel[i] != i) var_[i] = std::move(var_[sel[i]]);
-      }
-      var_.resize(n);
-      break;
     case Rep::kNone:
       break;
   }
@@ -574,11 +525,6 @@ void Column::CompactInPlace(const std::vector<uint32_t>& sel) {
 
 size_t Column::NullCount() const {
   if (rep_ == Rep::kNone) return size_;
-  if (rep_ == Rep::kVariant) {
-    size_t n = 0;
-    for (const Value& v : var_) n += v.is_null() ? 1 : 0;
-    return n;
-  }
   size_t n = 0;
   for (const uint64_t w : nulls_) {
     n += static_cast<size_t>(__builtin_popcountll(w));
@@ -592,7 +538,6 @@ size_t Column::FootprintBytes() const {
                  codes_.capacity() * sizeof(uint32_t) +
                  nulls_.capacity() * sizeof(uint64_t);
   if (dict_owned_ && dict_ != nullptr) bytes += dict_->FootprintBytes();
-  for (const Value& v : var_) bytes += v.FootprintBytes();
   return bytes;
 }
 
@@ -608,11 +553,6 @@ size_t Column::PayloadBytes() const {
       size_t bytes = codes_.size() * sizeof(uint32_t) +
                      nulls_.size() * sizeof(uint64_t);
       for (const uint32_t code : codes_) bytes += dict_->entry(code).size();
-      return bytes;
-    }
-    case Rep::kVariant: {
-      size_t bytes = 0;
-      for (const Value& v : var_) bytes += sizeof(Value) + v.FootprintBytes();
       return bytes;
     }
   }

@@ -4,10 +4,10 @@
 // A Column stores one physical type (INT64, DOUBLE, DATE, or
 // dictionary-encoded STRING) in a flat vector plus an optional null
 // bitmap, so hot kernels (filters, key hashing, wire encode) run tight
-// typed loops instead of walking Value variants row by row. Columns built
-// row-at-a-time from mixed-type Values (test fixtures, wire v1 decode of
-// ragged legacy data) degrade to a per-row Value fallback representation;
-// everything the engine itself produces stays typed.
+// typed loops instead of walking Value variants row by row. A column never
+// holds two types: appending a non-null value of another type (say an
+// INT64 into a DOUBLE or DATE column) aborts with both type names, because
+// every producer in the engine appends its column's own type.
 //
 // Dictionary lifetime. String columns hold a shared_ptr<StringDict>, an
 // append-only code -> string store. Dictionaries are shared widely — every
@@ -105,37 +105,36 @@ class Column {
   TypeId type() const { return type_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  /// True when the column fell back to per-row Value storage (mixed-type
-  /// input); typed kernels must take the generic path.
-  bool is_variant() const { return rep_ == Rep::kVariant; }
-  /// True when at least one row is NULL (variant columns scan).
+  /// True when at least one row is NULL.
   bool has_nulls() const;
 
-  // --- appends (single-writer, like all Batch mutation) ---
+  // --- appends (single-writer, like all Batch mutation). A non-null value
+  // or source row of a type other than the column's aborts. ---
   void AppendValue(const Value& v);
   void AppendNull();
   /// Appends row `row` of `src`, preserving its exact physical type.
   /// Same-dictionary string appends copy the code; foreign strings are
   /// re-interned into a private dictionary.
   void AppendFrom(const Column& src, size_t row);
-  /// Appends rows [begin, end) of `src`. An empty destination (untyped, or
-  /// a string column with no dictionary yet) adopts the source's type and
-  /// dictionary read-only, making table slices zero-copy on the strings.
+  /// Appends rows [begin, end) of `src`. An untyped destination adopts the
+  /// source's type, and a string destination with no dictionary yet (only
+  /// NULL rows so far) adopts the source's dictionary read-only, making
+  /// table slices zero-copy on the strings.
   void AppendRange(const Column& src, size_t begin, size_t end);
   /// Appends rows idx[0], ..., idx[n-1] of `src`, in that order (a gather),
-  /// with one typed loop per representation; null bits are carried. Same
-  /// dictionary rule as AppendRange: an empty destination adopts the
-  /// source's type and dictionary read-only, so table shards and routed
-  /// exchange partitions share the source's strings. Every other shape
-  /// (type mismatch, a foreign dictionary, variant columns) falls back to
-  /// per-row AppendFrom.
+  /// with one typed loop; null bits are carried. Same adoption rule as
+  /// AppendRange, so table shards and routed exchange partitions share the
+  /// source's strings. An untyped (all-NULL) source appends NULLs. Only a
+  /// foreign dictionary — a string destination that already owns or
+  /// shares another dictionary — takes the per-row path, re-interning each
+  /// string through AppendFrom.
   void AppendGather(const Column& src, const uint32_t* idx, size_t n);
   /// Multi-source gather: appends row rows[k] of *srcs[which[k]], for k in
   /// [0, n) in order — the build side of a join, whose matches point into
-  /// many retained batches. An empty destination adopts the type and
-  /// dictionary of the first gathered source; when every source then
-  /// shares this column's layout the rows are copied with one typed loop,
-  /// otherwise (a foreign dictionary, variant columns, a type mismatch)
+  /// many retained batches. The destination adopts the type and dictionary
+  /// of the first gathered source as AppendGather does; when every source
+  /// then has its type and dictionary the rows are copied with one typed
+  /// loop, otherwise (a foreign dictionary, or an untyped all-NULL source)
   /// every row goes through AppendFrom.
   void AppendGather(const std::vector<const Column*>& srcs,
                     const uint32_t* which, const uint32_t* rows, size_t n);
@@ -165,7 +164,6 @@ class Column {
 
   // --- typed reads (DCHECKed against rep) ---
   bool IsNull(size_t i) const {
-    if (rep_ == Rep::kVariant) return var_[i].is_null();
     if (rep_ == Rep::kNone) return true;
     return !nulls_.empty() && ((nulls_[i >> 6] >> (i & 63)) & 1) != 0;
   }
@@ -211,27 +209,33 @@ class Column {
 
  private:
   enum class Rep : uint8_t {
-    kNone,     // untyped: only NULLs so far, no storage
-    kI64,      // kInt64 / kDate
-    kF64,      // kDouble
-    kStr,      // dictionary codes
-    kVariant,  // per-row Values (mixed-type fallback)
+    kNone,  // untyped: only NULLs so far, no storage
+    kI64,   // kInt64 / kDate
+    kF64,   // kDouble
+    kStr,   // dictionary codes
   };
 
   void SetNullBit(size_t i);
   void GrowBitmap();
   /// Untyped -> typed: backfills `size_` default slots, all-null bitmap.
   void Promote(TypeId t);
-  void ConvertToVariant();
+  /// Types an untyped column as `t`; aborts, naming both types, when the
+  /// column already holds another type.
+  void RequireType(TypeId t);
   /// Re-interns existing codes into a fresh private dictionary so appends
   /// never mutate a dictionary someone else owns.
   void EnsureOwnDict();
-  /// The bulk appends' dictionary rule (AppendRange, AppendGather): an
-  /// empty destination takes `src`'s type and, read-only, its dictionary.
-  void AdoptIfEmpty(const Column& src);
-  /// True when rows of `src` can be copied as raw typed slots: same typed
-  /// representation and, for strings, the same dictionary.
-  bool SameLayout(const Column& src) const;
+  /// The bulk appends' adoption rule (AppendRange, AppendGather) for a
+  /// typed `src`: an untyped destination takes its type, and a string
+  /// destination with no dictionary takes its dictionary read-only.
+  void Adopt(const Column& src);
+  /// True when rows of the typed `src` can be copied as raw typed slots:
+  /// always, but for a string column with another dictionary.
+  bool SameDict(const Column& src) const {
+    return rep_ != Rep::kStr || dict_.get() == src.dict_.get();
+  }
+  /// Appends `n` NULL rows.
+  void AppendNulls(size_t n);
 
   TypeId type_ = TypeId::kNull;
   Rep rep_ = Rep::kNone;
@@ -241,9 +245,8 @@ class Column {
   std::vector<uint32_t> codes_;
   std::shared_ptr<StringDict> dict_;
   bool dict_owned_ = false;
-  std::vector<Value> var_;
   // Null bitmap, 64-bit words, bit set = NULL. Empty iff no NULL has been
-  // appended (variant columns track NULLs in the Values instead).
+  // appended.
   std::vector<uint64_t> nulls_;
 };
 

@@ -433,8 +433,6 @@ Result<DistQueryStats> DistributedQuery::Run() {
         stats.batches_discarded += recv->batches_discarded();
       }
       if (auto* sender = dynamic_cast<ExchangeSender*>(op)) {
-        stats.encode_transposes += sender->encode_transposes();
-        stats.dict_reships += sender->dict_reships();
         stats.payload_bytes += sender->bytes_sent();
       }
     });

@@ -56,9 +56,11 @@ struct DistQueryStats : QueryStats {
   int64_t stragglers_detected = 0;  ///< fragments preempted for lagging
   int64_t fragment_migrations = 0;  ///< restarts placed on another site
   int64_t recalibrations = 0;       ///< observed-cardinality feedbacks
-  // Wire-encoding bookkeeping, summed over all exchange senders.
-  int64_t encode_transposes = 0;  ///< per-value encode fallbacks (mixed cols)
-  int64_t dict_reships = 0;       ///< dictionary entries shipped repeatedly
+  // Retired wire-encoding counters: the fallbacks they counted no longer
+  // exist, so nothing writes them and they always read 0. They stay
+  // declared (and listed below) only because perfbench/load.cc reads them.
+  int64_t encode_transposes = 0;
+  int64_t dict_reships = 0;
   // Stateful-fragment checkpoint/recovery bookkeeping (zero unless the
   // query registered stateful_fragments with checkpointing enabled).
   int64_t checkpoints_taken = 0;  ///< consistent cuts captured

@@ -62,24 +62,6 @@ void ExchangeSender::ResetStreams() {
   }
 }
 
-int64_t ExchangeSender::encode_transposes() const {
-  int64_t total = 0;
-  for (const auto& s : streams_) total += s->encoder.encode_transposes();
-  return total;
-}
-
-int64_t ExchangeSender::dict_reships() const {
-  int64_t total = 0;
-  for (const auto& s : streams_) total += s->encoder.dict_reships();
-  return total;
-}
-
-int64_t ExchangeSender::dict_entries_shipped() const {
-  int64_t total = 0;
-  for (const auto& s : streams_) total += s->encoder.dict_entries_shipped();
-  return total;
-}
-
 void ExchangeSender::ResetForReplay() {
   Operator::ResetForReplay();
   epoch_.fetch_add(1);

@@ -113,13 +113,6 @@ class ExchangeSender : public Operator {
   uint32_t epoch() const { return epoch_.load(); }
   int64_t bytes_sent() const { return bytes_sent_.load(); }
   int64_t batches_sent() const { return batches_sent_.load(); }
-  /// Mixed-type columns that needed per-value encode fallbacks, summed
-  /// over this sender's stream encoders (zero for typed pipelines).
-  int64_t encode_transposes() const;
-  /// Dictionary entries re-shipped (zero on the streaming wire encoding by
-  /// construction) and total entries shipped, summed over the encoders.
-  int64_t dict_reships() const;
-  int64_t dict_entries_shipped() const;
   /// Rows sent to destination `i` (replays included) — the observed
   /// per-channel cardinality the adaptive runtime feeds back into consumer
   /// fragments' exchange estimates.

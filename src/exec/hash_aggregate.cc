@@ -202,10 +202,10 @@ HashAggregate::Group* HashAggregate::FindOrAddGroup(const Batch& batch,
 namespace {
 
 // Folds rows [0, n) of `batch` into aggregate `a`, row r into the state
-// state_of(r), in row order. A bare non-variant INT64 or DOUBLE input
-// column folds its raw slots in one typed loop (AggState::UpdateI64/F64,
-// which match Update exactly); MIN/MAX, computed inputs and variant or
-// other-typed columns take the per-row Eval path.
+// state_of(r), in row order. A bare INT64 or DOUBLE input column folds its
+// raw slots in one typed loop (AggState::UpdateI64/F64, which match Update
+// exactly); MIN/MAX, computed inputs and other-typed columns take the
+// per-row Eval path.
 template <typename StateOf>
 void FoldAggregate(const AggSpec& a, const Batch& batch, StateOf state_of) {
   const size_t n = batch.size();
@@ -220,14 +220,14 @@ void FoldAggregate(const AggSpec& a, const Batch& batch, StateOf state_of) {
     const auto is_null = [&nulls](size_t r) {
       return !nulls.empty() && ((nulls[r >> 6] >> (r & 63)) & 1) != 0;
     };
-    if (!col.is_variant() && col.type() == TypeId::kInt64) {
+    if (col.type() == TypeId::kInt64) {
       const int64_t* v = col.i64_data();
       for (size_t r = 0; r < n; ++r) {
         if (!is_null(r)) state_of(r).UpdateI64(v[r]);
       }
       return;
     }
-    if (!col.is_variant() && col.type() == TypeId::kDouble) {
+    if (col.type() == TypeId::kDouble) {
       const double* v = col.f64_data();
       for (size_t r = 0; r < n; ++r) {
         if (!is_null(r)) state_of(r).UpdateF64(v[r]);

@@ -90,7 +90,6 @@ bool TryFilterColLit(const Column& c, CmpOp op, const Value& lit,
     sel->clear();  // NULL comparison is never true
     return true;
   }
-  if (c.is_variant()) return false;
   if (c.type() == TypeId::kNull) {
     sel->clear();  // untyped column: every row NULL
     return true;
@@ -170,7 +169,6 @@ bool TryFilterColLit(const Column& c, CmpOp op, const Value& lit,
 /// Column-vs-column kernel; false → fall back.
 bool TryFilterColCol(const Column& a, CmpOp op, const Column& b,
                      std::vector<uint32_t>* sel) {
-  if (a.is_variant() || b.is_variant()) return false;
   if (a.type() == TypeId::kNull || b.type() == TypeId::kNull) {
     sel->clear();
     return true;
@@ -457,8 +455,7 @@ class LikeOp final : public Expression {
     const int ci = input_->column_index();
     if (ci < 0) return Expression::EvalSelection(batch, sel);
     const Column& c = batch.col(static_cast<size_t>(ci));
-    if (c.is_variant() || c.type() != TypeId::kString ||
-        c.dict() == nullptr) {
+    if (c.type() != TypeId::kString || c.dict() == nullptr) {
       return Expression::EvalSelection(batch, sel);
     }
     const StringDict& dict = *c.dict();

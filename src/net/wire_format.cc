@@ -17,14 +17,16 @@ constexpr char kFilterMsgTag = 'A';
 
 /// Every header's second byte. Decoders reject any other value (version 1
 /// was the retired row-major encoding, version 2 the varint-only columns
-/// and fixed-width frame header).
+/// and fixed-width frame header, version 3 the same columns plus a
+/// per-value mixed-type column and a batch layout byte).
 constexpr uint8_t kWireVersion =
     static_cast<uint8_t>(WireFormatVersion::kColumnar);
 
 // Batch payload: per-column encodings. "int payload" is the integer
 // kernel's output (AppendIntPayload).
+// Tag 0 was the retired mixed-type column and is refused like any unknown
+// tag.
 enum ColTag : uint8_t {
-  kColMixed = 0,            ///< per-value self-describing (mixed types)
   kColInt64 = 1,            ///< int payload
   kColDate = 2,             ///< int payload
   kColDouble = 3,           ///< scale byte, then int payload or raw doubles
@@ -214,53 +216,6 @@ class WireReader {
   size_t pos_ = 0;
 };
 
-/// Self-describing value: type tag, then 8 fixed bytes or a u32 length
-/// plus bytes. Only the mixed-type column (kColMixed) uses it.
-void AppendValue(const Value& v, std::string* out) {
-  PutU8(static_cast<uint8_t>(v.type()), out);
-  switch (v.type()) {
-    case TypeId::kNull:
-      break;
-    case TypeId::kInt64:
-    case TypeId::kDate:
-      PutU64(static_cast<uint64_t>(v.AsInt64()), out);
-      break;
-    case TypeId::kDouble:
-      PutDouble(v.AsDouble(), out);
-      break;
-    case TypeId::kString:
-      PutU32(static_cast<uint32_t>(v.AsString().size()), out);
-      out->append(v.AsString());
-      break;
-  }
-}
-
-Result<Value> ReadValue(WireReader* r) {
-  PUSHSIP_ASSIGN_OR_RETURN(const uint8_t tag, r->ReadU8());
-  switch (static_cast<TypeId>(tag)) {
-    case TypeId::kNull:
-      return Value::Null();
-    case TypeId::kInt64: {
-      PUSHSIP_ASSIGN_OR_RETURN(const uint64_t v, r->ReadU64());
-      return Value::Int64(static_cast<int64_t>(v));
-    }
-    case TypeId::kDate: {
-      PUSHSIP_ASSIGN_OR_RETURN(const uint64_t v, r->ReadU64());
-      return Value::Date(static_cast<int64_t>(v));
-    }
-    case TypeId::kDouble: {
-      PUSHSIP_ASSIGN_OR_RETURN(const double v, r->ReadDouble());
-      return Value::Double(v);
-    }
-    case TypeId::kString: {
-      PUSHSIP_ASSIGN_OR_RETURN(const uint32_t len, r->ReadU32());
-      PUSHSIP_ASSIGN_OR_RETURN(std::string s, r->ReadString(len));
-      return Value::String(std::move(s));
-    }
-  }
-  return Status::InvalidArgument("unknown value type tag on the wire");
-}
-
 // ---------------------------------------------------------------------------
 // The integer-payload kernel. Every integer-like column payload (INT64 and
 // DATE values, scaled DOUBLE mantissas, dictionary codes) is one mode byte
@@ -449,9 +404,8 @@ void AppendNullBitmapCol(const Column& col, size_t n, size_t null_count,
 
 /// Shared typed encodings for everything except string columns (whose
 /// layout differs between the standalone batch and the stream encoder).
-/// Returns false when the column needs the mixed per-value fallback.
+/// Returns false, writing nothing, for a string column with a non-NULL row.
 bool AppendTypedColumn(const Column& col, size_t n, std::string* out) {
-  if (col.is_variant()) return false;
   const size_t null_count = col.NullCount();
   if (null_count == n) {
     PutU8(kColNull, out);
@@ -495,19 +449,11 @@ bool AppendTypedColumn(const Column& col, size_t n, std::string* out) {
   return true;
 }
 
-void AppendMixedColumn(const Column& col, size_t n, std::string* out) {
-  PutU8(kColMixed, out);
-  for (size_t r = 0; r < n; ++r) AppendValue(col.GetValue(r), out);
-}
-
 /// Self-contained string column: per-batch dictionary when at least half
 /// the values repeat (the dictionary ships only referenced strings, in
 /// first-reference order), plain length-prefixed strings otherwise.
-/// `order_out`, when given, receives the dictionary strings shipped (for
-/// the encoder's re-ship accounting); left empty for the plain layout.
 void AppendStringColumnPerBatch(const Column& col, size_t n,
-                                std::string* out,
-                                std::vector<std::string_view>* order_out) {
+                                std::string* out) {
   const size_t null_count = col.NullCount();
   const size_t non_null = n - null_count;
   // Remap referenced dictionary codes to dense batch-local indices.
@@ -533,7 +479,6 @@ void AppendStringColumnPerBatch(const Column& col, size_t n,
       out->append(s);
     }
     AppendIntPayload(indices.data(), indices.size(), /*zigzag=*/false, out);
-    if (order_out != nullptr) *order_out = std::move(order);
   } else {
     PutU8(kColStringPlain, out);
     AppendNullBitmapCol(col, n, null_count, out);
@@ -546,33 +491,21 @@ void AppendStringColumnPerBatch(const Column& col, size_t n,
   }
 }
 
-/// The batch body both entry points share: row count, layout byte, column
-/// count, then each column. `append_string(col, c, out)` picks the string
-/// column layout (per-batch for SerializeBatch, the stream dictionary for
-/// WireStreamEncoder); mixed-type columns take the per-value fallback.
-/// Returns how many columns took that fallback.
+/// The batch body both entry points share: row count, column count, then
+/// each column. `append_string(col, c, out)` picks the string column
+/// layout (per-batch for SerializeBatch, the stream dictionary for
+/// WireStreamEncoder).
 template <typename AppendString>
-int64_t AppendBatchBody(const Batch& batch, AppendString&& append_string,
-                        std::string* out) {
+void AppendBatchBody(const Batch& batch, AppendString&& append_string,
+                     std::string* out) {
   const size_t n = batch.size();
   PutVarint(n, out);
-  if (n == 0) return 0;
-  // Layout byte kept for format stability; batches are always rectangular
-  // now, so only the uniform columnar layout is ever written.
-  PutU8(1, out);
+  if (n == 0) return;
   PutVarint(batch.num_cols(), out);
-  int64_t transposes = 0;
   for (size_t c = 0; c < batch.num_cols(); ++c) {
     const Column& col = batch.col(c);
-    if (AppendTypedColumn(col, n, out)) continue;
-    if (col.is_variant()) {
-      ++transposes;
-      AppendMixedColumn(col, n, out);
-      continue;
-    }
-    append_string(col, c, out);
+    if (!AppendTypedColumn(col, n, out)) append_string(col, c, out);
   }
-  return transposes;
 }
 
 /// Reads the null-bitmap preamble into `*is_null` words (empty when the
@@ -626,15 +559,6 @@ Result<Column> ReadColumn(
   const size_t reserve = std::min<uint64_t>(n, kMaxReserveRows);
   std::vector<uint8_t> is_null;
   switch (tag) {
-    case kColMixed: {
-      Column col;
-      col.Reserve(reserve);
-      for (size_t i = 0; i < n; ++i) {
-        PUSHSIP_ASSIGN_OR_RETURN(Value v, ReadValue(r));
-        col.AppendValue(v);
-      }
-      return col;
-    }
     case kColNull: {
       Column col;
       for (size_t i = 0; i < n; ++i) col.AppendNull();
@@ -779,12 +703,6 @@ Result<Batch> ReadBatchBody(
   PUSHSIP_ASSIGN_OR_RETURN(const uint64_t num_rows, r->ReadVarint());
   Batch batch;
   if (num_rows == 0) return batch;
-  PUSHSIP_ASSIGN_OR_RETURN(const uint8_t layout, r->ReadU8());
-  if (layout != 1) {
-    // Layout 0 was the ragged per-row fallback; batches are rectangular
-    // and ragged payloads no longer deserialize.
-    return Status::InvalidArgument("ragged batch on the wire");
-  }
   PUSHSIP_ASSIGN_OR_RETURN(const uint64_t num_cols, r->ReadVarint());
   if (num_cols == 0 || num_cols > kMaxPlausibleCols) {
     return Status::InvalidArgument("implausible column count on the wire");
@@ -901,8 +819,8 @@ void AppendHeader(char tag, std::string* out) {
 /// Frame header: tag, version, varint sender, epoch and seq, then the
 /// replayable flag byte — 7 bytes for small values, at most 23.
 constexpr size_t kMaxFrameHeaderBytes = 2 + 5 + 5 + 10 + 1;
-/// Batch body prefix: varint row count, layout byte, varint column count.
-constexpr size_t kMaxBodyPrefixBytes = 10 + 1 + 3;
+/// Batch body prefix: varint row count, varint column count.
+constexpr size_t kMaxBodyPrefixBytes = 10 + 3;
 /// Encoder pre-size per row: a guess, not a bound. A Q17 row packs to
 /// about 4.5 bytes; wider rows grow the buffer.
 constexpr size_t kReserveBytesPerRow = 8;
@@ -925,7 +843,7 @@ std::string SerializeBatch(const Batch& batch, WireFormatVersion) {
   AppendBatchBody(
       batch,
       [](const Column& col, size_t, std::string* o) {
-        AppendStringColumnPerBatch(col, col.size(), o, nullptr);
+        AppendStringColumnPerBatch(col, col.size(), o);
       },
       &out);
   return out;
@@ -968,8 +886,7 @@ struct WireStreamEncoder::ColState {
   std::vector<int64_t> codes;
 };
 
-WireStreamEncoder::WireStreamEncoder(bool stream_dicts)
-    : stream_dicts_(stream_dicts) {}
+WireStreamEncoder::WireStreamEncoder() = default;
 
 WireStreamEncoder::~WireStreamEncoder() = default;
 
@@ -987,22 +904,6 @@ void WireStreamEncoder::EncodeStringColumn(const Column& col,
   ColState& st = *cols_[col_index];
   const size_t n = col.size();
   const size_t null_count = col.NullCount();
-
-  if (!stream_dicts_) {
-    // Self-contained per-batch layout; account what streaming would save.
-    std::vector<std::string_view> order;
-    AppendStringColumnPerBatch(col, n, out, &order);
-    for (const std::string_view s : order) {
-      uint32_t code;
-      if (st.stream_dict->Find(s, &code)) {
-        ++dict_reships_;
-      } else {
-        st.stream_dict->Intern(s);
-      }
-    }
-    dict_entries_shipped_ += static_cast<int64_t>(order.size());
-    return;
-  }
 
   // Map source dictionary codes to stream codes, interning strings first
   // referenced by this batch. The code-to-code cache makes the steady
@@ -1045,7 +946,7 @@ void WireStreamEncoder::EncodeStringColumn(const Column& col,
 }
 
 void WireStreamEncoder::AppendBody(const Batch& batch, std::string* out) {
-  encode_transposes_ += AppendBatchBody(
+  AppendBatchBody(
       batch,
       [this](const Column& col, size_t c, std::string* o) {
         EncodeStringColumn(col, c, o);

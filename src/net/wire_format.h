@@ -3,18 +3,19 @@
 // strings, moved across a SimLink or a TCP connection, and deserialized at
 // the receiving site.
 //
-// Every message starts with a one-byte tag plus a version byte (always 3)
+// Every message starts with a one-byte tag plus a version byte (always 4)
 // so a receiver can reject garbage, or bytes of another encoding, instead
 // of crashing. Sizes reported by the serializers are what the link is
 // charged — the same bytes a real socket carries.
 //
-// There is one batch encoding, column-major: one type tag per column, a
-// null bitmap only when the column has NULLs, and dictionary encoding for
+// There is one batch encoding, column-major: a body is the row count, the
+// column count, then one type tag per column, a null bitmap only when the
+// column has NULLs, and the column's values, with dictionary encoding for
 // low-cardinality string columns. Since the in-memory Batch is itself
-// columnar, encode/decode walks each column's typed vector directly — no
-// row materialization ("zero transpose"); only mixed-type variant columns
-// fall back to per-value encoding (counted by the encoder's
-// encode_transposes()).
+// columnar and every column holds one type, encode/decode walks each
+// column's typed vector directly, with no per-row values; there is no
+// self-describing per-value layout, so a decoder parses only typed
+// columns.
 //
 // Every integer-like payload — INT64 and DATE values, the mantissas of
 // decimal DOUBLE columns, per-batch and stream dictionary codes — goes
@@ -58,7 +59,7 @@ namespace pushsip {
 
 /// The wire version carried in every message header's version byte.
 enum class WireFormatVersion : uint8_t {
-  kColumnar = 3,  ///< column-major, bit-packed / varint + dictionary
+  kColumnar = 4,  ///< column-major, bit-packed / varint + dictionary
 };
 
 /// Serializes a whole standalone batch (tag + version + payload).
@@ -114,10 +115,7 @@ std::string AssembleBatchFrame(uint32_t sender, uint32_t epoch, uint64_t seq,
 /// wire must match encode order, or decoder dictionaries desynchronize).
 class WireStreamEncoder {
  public:
-  /// `stream_dicts` = false keeps the self-contained per-batch dictionary
-  /// encoding (used for comparison benchmarks and non-stream callers); the
-  /// re-ship counter then measures what streaming would have saved.
-  explicit WireStreamEncoder(bool stream_dicts = true);
+  WireStreamEncoder();
   ~WireStreamEncoder();  // out-of-line: ColState is private to the .cc
 
   /// Serializes a full frame (header + body) advancing the stream state.
@@ -132,17 +130,8 @@ class WireStreamEncoder {
   /// so every dictionary entry must ship again.
   void Reset();
 
-  // --- counters (cumulative across Reset) ---
-  /// Columns that required per-row value materialization to encode (mixed
-  /// -type variant columns). Zero for everything the engine's typed
-  /// pipeline produces.
-  int64_t encode_transposes() const { return encode_transposes_; }
-  /// Dictionary entries emitted whose string this encoder had already
-  /// shipped before. Zero on the streaming path by construction; with
-  /// `stream_dicts` = false this counts the per-batch re-shipping the
-  /// stream encoding eliminates.
-  int64_t dict_reships() const { return dict_reships_; }
-  /// Total dictionary entries emitted.
+  /// Dictionary entries emitted, cumulative across Reset: the distinct
+  /// strings of each epoch's stream.
   int64_t dict_entries_shipped() const { return dict_entries_shipped_; }
 
  private:
@@ -152,10 +141,7 @@ class WireStreamEncoder {
                           std::string* out);
   void AppendBody(const Batch& batch, std::string* out);
 
-  bool stream_dicts_;
   std::vector<std::unique_ptr<ColState>> cols_;
-  int64_t encode_transposes_ = 0;
-  int64_t dict_reships_ = 0;
   int64_t dict_entries_shipped_ = 0;
 };
 

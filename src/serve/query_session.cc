@@ -42,10 +42,6 @@ class SummaryCollector : public TupleFilter {
     // selection vector is untouched.
     const Column& filter_col = batch.col(filter_col_);
     const Column& key_col = batch.col(key_col_);
-    if (filter_col.is_variant()) {
-      TupleFilter::PassBatch(batch, sel);
-      return;
-    }
     for (const uint32_t idx : *sel) {
       if (filter_col.IsNull(idx)) continue;
       if (filter_col.I64At(idx) < upper_) set_->Insert(key_col.HashAt(idx));

@@ -200,7 +200,7 @@ void Table::ComputeStats() {
   for (size_t c = 0; c < schema_.num_fields(); ++c) {
     const Column& column = cols_[c];
     ColumnStats* st = &stats_[c];
-    switch (column.is_variant() ? TypeId::kNull : column.type()) {
+    switch (column.type()) {
       case TypeId::kInt64:
       case TypeId::kDate:
         Int64Stats(column, num_rows_, st);

@@ -1,6 +1,6 @@
 // Columnar-Batch edge cases: all-NULL columns, randomized CompactInPlace
-// and AppendGather against row-at-a-time references, and the shared
-// BatchBuilder fixture.
+// and AppendGather against row-at-a-time references, the abort on a value
+// of another type, and the shared BatchBuilder fixture.
 #include <algorithm>
 #include <optional>
 #include <string>
@@ -19,8 +19,7 @@ using testing::BatchBuilder;
 using testing::SeededRandom;
 
 // One random column of `kind`: 0 int64, 1 double, 2 low-cardinality
-// string (each with NULL sprinkles), 3 all-NULL untyped, 4 mixed-type
-// (variant).
+// string (each with NULL sprinkles), 3 all-NULL untyped.
 Column RandomColumn(Random* rng, size_t rows, int64_t kind) {
   Column col;
   switch (kind) {
@@ -59,18 +58,9 @@ Column RandomColumn(Random* rng, size_t rows, int64_t kind) {
       }
       break;
     }
-    case 3: {
+    default: {
       // All-NULL, never typed.
       for (size_t r = 0; r < rows; ++r) col.AppendNull();
-      break;
-    }
-    default: {
-      // Mixed types force the variant fallback.
-      for (size_t r = 0; r < rows; ++r) {
-        col.AppendValue(rng->Bernoulli(0.5)
-                            ? Value::Int64(rng->UniformInt(0, 9))
-                            : Value::String("mix"));
-      }
       break;
     }
   }
@@ -78,13 +68,12 @@ Column RandomColumn(Random* rng, size_t rows, int64_t kind) {
 }
 
 // One random rectangular batch: typed columns with NULL sprinkles, a
-// low-cardinality string column, and occasionally an all-NULL or
-// mixed-type (variant) column.
+// low-cardinality string column, and occasionally an all-NULL column.
 Batch RandomBatch(Random* rng, size_t rows) {
   Batch b;
   const int ncols = static_cast<int>(rng->UniformInt(1, 5));
   for (int c = 0; c < ncols; ++c) {
-    b.AddColumn(RandomColumn(rng, rows, rng->UniformInt(0, 4)));
+    b.AddColumn(RandomColumn(rng, rows, rng->UniformInt(0, 3)));
   }
   return b;
 }
@@ -136,7 +125,7 @@ TEST(ColumnarBatchTest, AppendGatherMatchesAppendFromLoop) {
   for (int iter = 0; iter < 500; ++iter) {
     PUSHSIP_SEED_TRACE(testing::TestSeed());
     const size_t rows = static_cast<size_t>(rng.UniformInt(1, 40));
-    const Column src = RandomColumn(&rng, rows, rng.UniformInt(0, 4));
+    const Column src = RandomColumn(&rng, rows, rng.UniformInt(0, 3));
     // Any order, repeats allowed, possibly empty.
     std::vector<uint32_t> idx(static_cast<size_t>(rng.UniformInt(0, 60)));
     const int64_t last = static_cast<int64_t>(rows) - 1;
@@ -153,12 +142,17 @@ TEST(ColumnarBatchTest, AppendGatherMatchesAppendFromLoop) {
       case 2:  // a prefix of the source already in: the same dictionary
         got.AppendRange(src, 0, rows / 2 + 1);
         break;
-      case 3:  // a private dictionary (or a mismatched type for non-strings)
-        got.AppendValue(Value::String("foreign"));
+      case 3:  // strings: a private dictionary; else typed with a NULL
+        if (src.type() == TypeId::kString) {
+          got.AppendValue(Value::String("foreign"));
+        } else {
+          got = Column(src.type());
+          got.AppendNull();
+        }
         break;
-      default:  // same or different rep, different logical type
-        got = Column(src.type() == TypeId::kInt64 ? TypeId::kDate
-                                                  : TypeId::kInt64);
+      default:  // untyped, NULL rows only (a string column: no dict yet)
+        got.AppendNull();
+        got.AppendNull();
         break;
     }
     Column want = got;
@@ -173,7 +167,6 @@ TEST(ColumnarBatchTest, AppendGatherMatchesAppendFromLoop) {
     } else {
       EXPECT_EQ(got.type(), want.type()) << "iter " << iter;
     }
-    EXPECT_EQ(got.is_variant(), want.is_variant()) << "iter " << iter;
     EXPECT_EQ(got.NullCount(), want.NullCount()) << "iter " << iter;
     for (size_t r = 0; r < got.size(); ++r) {
       EXPECT_EQ(got.IsNull(r), want.IsNull(r)) << "iter " << iter;
@@ -183,9 +176,9 @@ TEST(ColumnarBatchTest, AppendGatherMatchesAppendFromLoop) {
           << want.GetValue(r).ToString();
       EXPECT_EQ(got.HashAt(r), want.HashAt(r)) << "iter " << iter;
     }
-    // An empty destination shares the source dictionary read-only: its own
-    // later appends go to a private copy.
-    if (shape <= 1 && src.type() == TypeId::kString && !src.is_variant() &&
+    // A destination with no dictionary yet shares the source dictionary
+    // read-only: its own later appends go to a private copy.
+    if ((shape <= 1 || shape == 4) && src.type() == TypeId::kString &&
         !idx.empty()) {
       EXPECT_EQ(got.dict().get(), src.dict().get()) << "iter " << iter;
       if (src.dict() != nullptr) {
@@ -201,19 +194,19 @@ TEST(ColumnarBatchTest, AppendGatherMatchesAppendFromLoop) {
 // The multi-source gather (a join's build side) against a per-row
 // AppendFrom loop: sources that share one dictionary (slices of one
 // column, the typed path) and sources that bring their own dictionary or
-// another type (the per-row fallback).
+// hold only untyped NULLs (the per-row fallback).
 TEST(ColumnarBatchTest, MultiSourceAppendGatherMatchesAppendFromLoop) {
   Random rng = SeededRandom(105);
   for (int iter = 0; iter < 300; ++iter) {
     PUSHSIP_SEED_TRACE(testing::TestSeed());
-    const int64_t kind = rng.UniformInt(0, 4);
+    const int64_t kind = rng.UniformInt(0, 3);
     const Column base =
         RandomColumn(&rng, static_cast<size_t>(rng.UniformInt(1, 40)), kind);
     std::vector<Column> owned(static_cast<size_t>(rng.UniformInt(1, 4)));
     for (Column& src : owned) {
       if (rng.Bernoulli(0.2)) {
         src = RandomColumn(&rng, static_cast<size_t>(rng.UniformInt(1, 20)),
-                           rng.Bernoulli(0.5) ? kind : rng.UniformInt(0, 4));
+                           rng.Bernoulli(0.5) ? kind : 3);
       } else {
         const size_t begin =
             static_cast<size_t>(rng.UniformInt(0, base.size() - 1));
@@ -271,6 +264,43 @@ TEST(ColumnarBatchTest, BatchAppendGatherMatchesAppendRowFromLoop) {
       EXPECT_EQ(got.CompareRows(r, want, r), 0) << got.RowToString(r);
     }
   }
+}
+
+// A column holds one type: a non-null value of another type aborts, naming
+// both, through every append entry point. The "threadsafe" style re-runs
+// the binary for the child, so the test stays sound under TSan and next
+// to the suites' worker threads.
+TEST(ColumnarBatchDeathTest, AppendingAnotherTypeAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Column c(TypeId::kDouble);
+        c.AppendValue(Value::Double(1.5));
+        c.AppendValue(Value::Int64(2));
+      },
+      "column of type DOUBLE cannot hold a value of type INT64");
+  EXPECT_DEATH(
+      {
+        Column c;
+        c.AppendNull();
+        c.AppendValue(Value::Date(10957));
+        c.AppendValue(Value::Int64(2));
+      },
+      "column of type DATE cannot hold a value of type INT64");
+  EXPECT_DEATH(
+      {
+        Column ints(TypeId::kInt64);
+        ints.AppendI64(7);
+        Column dates(TypeId::kDate);
+        const uint32_t row = 0;
+        dates.AppendGather(ints, &row, 1);
+      },
+      "column of type DATE cannot hold a value of type INT64");
+  // NULLs fit any column.
+  Column c(TypeId::kDouble);
+  c.AppendValue(Value::Null());
+  EXPECT_EQ(c.type(), TypeId::kDouble);
+  EXPECT_EQ(c.NullCount(), 1u);
 }
 
 TEST(ColumnarBatchTest, AllNullColumnStaysUntypedThroughCompaction) {

@@ -35,9 +35,8 @@ Value RandomValue(Random* rng, int type_pick) {
   }
 }
 
-/// A random rectangular batch: one type pick per column, occasional NULLs
-/// and type flips inside a column (flips degrade that column to the
-/// variant fallback, exercising the kColMixed wire path).
+/// A random rectangular batch: one type pick per column (pick 0 is an
+/// all-NULL column) and occasional NULLs inside a column.
 Batch RandomBatch(Random* rng, int rows, int arity) {
   Batch batch;
   batch.SetArity(static_cast<size_t>(arity));
@@ -47,10 +46,9 @@ Batch RandomBatch(Random* rng, int rows, int arity) {
     std::vector<Value> values;
     values.reserve(static_cast<size_t>(arity));
     for (int c = 0; c < arity; ++c) {
-      int pick = col_type[static_cast<size_t>(c)];
-      if (rng->UniformInt(0, 8) == 0) {
-        pick = static_cast<int>(rng->UniformInt(0, 5));
-      }
+      const int pick = rng->UniformInt(0, 8) == 0
+                           ? 0
+                           : col_type[static_cast<size_t>(c)];
       values.push_back(RandomValue(rng, pick));
     }
     batch.AppendRow(values);
@@ -229,18 +227,21 @@ TEST(WireFormatTest, BatchFrameRejectsTruncationAndCorruption) {
           .ok());
 }
 
-// Version 1 (the retired row-major encoding) and version 2 (varint-only
-// columns, fixed-width frame header) are refused by every decoder, whatever
-// follows the header.
+// Version 1 (the retired row-major encoding), version 2 (varint-only
+// columns, fixed-width frame header) and version 3 (a per-value mixed-type
+// column and a batch layout byte) are refused by every decoder, whatever
+// follows the header. So are version-4 bodies in version 3's layout: a
+// column tagged 0 (the mixed-type column) and a layout byte after the row
+// count.
 TEST(WireFormatTest, VersionOneHeaderIsRejectedEverywhere) {
   Batch batch;
   batch.SetArity(2);
   batch.AppendRow(std::vector<Value>{Value::Int64(1), Value::String("a")});
   BloomFilter filter = BloomFilter::WithBitCount(128, 1);
   filter.Insert(0x9E3779B97F4A7C15ULL);
-  for (const char old_version : {1, 2}) {
+  for (const char old_version : {1, 2, 3}) {
     const auto as_old = [old_version](std::string bytes) {
-      EXPECT_EQ(bytes[1], 3);
+      EXPECT_EQ(bytes[1], 4);
       bytes[1] = old_version;
       return bytes;
     };
@@ -264,6 +265,37 @@ TEST(WireFormatTest, VersionOneHeaderIsRejectedEverywhere) {
   auto decoded = DeserializeBatch(v1_batch);
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos);
+
+  const auto expect_refused = [](const Status& st, const char* what) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << what << ": " << st.ToString();
+  };
+  // One row, one column tagged 0, holding version 3's self-describing
+  // INT64 value 7 (type tag, then 8 fixed bytes).
+  const std::string mixed_body("\x01\x01\x00\x01\x07\0\0\0\0\0\0\0", 12);
+  const std::string frame_header("X\x04\x00\x00\x00\x01", 6);
+  expect_refused(DeserializeBatch(std::string("B\x04", 2) + mixed_body)
+                     .status(),
+                 "batch with a column tagged 0");
+  expect_refused(
+      WireStreamDecoder().DecodeFrame(frame_header + mixed_body).status(),
+      "frame with a column tagged 0");
+
+  // Version 3's layout byte (always 1) after the row count.
+  const std::string standalone = SerializeBatch(batch);
+  const std::string frame =
+      WireStreamEncoder().SerializeFrame(0, 0, 0, true, batch);
+  ASSERT_TRUE(DeserializeBatch(standalone).ok());
+  ASSERT_TRUE(WireStreamDecoder().DecodeFrame(frame).ok());
+  ASSERT_EQ(frame.substr(0, 6), frame_header);
+  std::string old_standalone = standalone;
+  old_standalone.insert(3, 1, '\x01');  // after tag, version, row count
+  std::string old_frame = frame;
+  old_frame.insert(7, 1, '\x01');  // after the 6-byte header, row count
+  expect_refused(DeserializeBatch(old_standalone).status(),
+                 "batch with a layout byte");
+  expect_refused(WireStreamDecoder().DecodeFrame(old_frame).status(),
+                 "frame with a layout byte");
 }
 
 TEST(WireFormatTest, BloomFilterRoundTripProperty) {
@@ -381,7 +413,7 @@ TEST(WireFormatTest, ColumnarBatchRejectsTruncationAndCorruption) {
 TEST(WireFormatTest, ColumnarRejectsImplausibleRowCount) {
   std::string bytes;
   bytes.push_back('B');  // batch tag
-  bytes.push_back(3);    // version 3
+  bytes.push_back(4);    // version 4
   // varint num_rows = 2^50
   uint64_t v = 1ULL << 50;
   while (v >= 0x80) {
@@ -389,7 +421,6 @@ TEST(WireFormatTest, ColumnarRejectsImplausibleRowCount) {
     v >>= 7;
   }
   bytes.push_back(static_cast<char>(v));
-  bytes.push_back(1);  // columnar layout
   bytes.push_back(1);  // num_cols = 1
   bytes.push_back(6);  // kColNull: consumes no further input
   auto decoded = DeserializeBatch(bytes);
@@ -468,7 +499,7 @@ Batch GoldenBatch(int first_row) {
         r % 3 == 0 ? Value::Null() : Value::Double(r + 0.25),  // nulls
         Value::String(r % 2 ? "AIR" : "MAIL"),       // low cardinality
         Value::String("key-" + std::to_string(r)),   // high cardinality
-        r % 2 ? Value::Int64(r) : Value::String("v"),  // variant
+        r % 2 ? Value::Int64(r) : Value::Null(),     // some NULLs
         Value::Null(),                               // all NULL
         r == first_row ? Value::Null() : Value::String("REG")});
   }
@@ -477,41 +508,34 @@ Batch GoldenBatch(int first_row) {
 
 TEST(WireFormatTest, GoldenBytesPinTheEncoding) {
   const Batch batch = GoldenBatch(0);
-  ASSERT_TRUE(batch.col(5).is_variant());
   EXPECT_EQ(HexEncode(SerializeBatch(batch)),
-            "42030601080100ff00cf0fa01fef2ec03e8f4e020003d08c0188c60203010902"
-            "09fa0100c8b0840c040002044d41494c0341495201002a0500056b65792d3005"
-            "6b65792d31056b65792d32056b65792d33056b65792d34056b65792d35000301"
-            "0000007601010000000000000003010000007601030000000000000003010000"
-            "00760105000000000000000604010101035245470000");
+            "420406080100ff00cf0fa01fef2ec03e8f4e020003d08c0188c6020301090209"
+            "fa0100c8b0840c040002044d41494c0341495201002a0500056b65792d30056b"
+            "65792d31056b65792d32056b65792d33056b65792d34056b65792d3501011503"
+            "0210010604010101035245470000");
 
   WireStreamEncoder stream;
   EXPECT_EQ(HexEncode(stream.SerializeFrame(/*sender=*/1, /*epoch=*/2,
                                             /*seq=*/3, /*replayable=*/true,
                                             batch)),
-            "5803010203010601080100ff00cf0fa01fef2ec03e8f4e020003d08c0188c602"
-            "0301090209fa0100c8b0840c07000002044d41494c0341495201002a07000006"
-            "056b65792d30056b65792d31056b65792d32056b65792d33056b65792d34056b"
-            "65792d35030088c6020003010000007601010000000000000003010000007601"
-            "0300000000000000030100000076010500000000000000060701010001035245"
-            "470000");
+            "58040102030106080100ff00cf0fa01fef2ec03e8f4e020003d08c0188c60203"
+            "01090209fa0100c8b0840c07000002044d41494c0341495201002a0700000605"
+            "6b65792d30056b65792d31056b65792d32056b65792d33056b65792d34056b65"
+            "792d35030088c60201011503021001060701010001035245470000");
   EXPECT_EQ(HexEncode(stream.SerializeFrame(1, 2, 4, true, GoldenBatch(4))),
-            "5803010204010601080100ffc03e8f4ee05daf6d807dcf8c01020003d88c0188"
-            "c6020301240209d20600c8b0840c0700020001002a07000604056b65792d3605"
-            "6b65792d37056b65792d38056b65792d39030888c60200030100000076010500"
-            "0000000000000301000000760107000000000000000301000000760109000000"
-            "000000000607010101000000");
+            "58040102040106080100ffc03e8f4ee05daf6d807dcf8c01020003d88c0188c6"
+            "020301240209d20600c8b0840c0700020001002a07000604056b65792d36056b"
+            "65792d37056b65792d38056b65792d39030888c602010115030a100106070101"
+            "01000000");
 
   WireStreamEncoder broadcast;
   EXPECT_EQ(HexEncode(AssembleBatchFrame(/*sender=*/5, /*epoch=*/0,
                                          /*seq=*/9, /*replayable=*/false,
                                          broadcast.SerializeBody(batch))),
-            "5803050009000601080100ff00cf0fa01fef2ec03e8f4e020003d08c0188c602"
-            "0301090209fa0100c8b0840c07000002044d41494c0341495201002a07000006"
-            "056b65792d30056b65792d31056b65792d32056b65792d33056b65792d34056b"
-            "65792d35030088c6020003010000007601010000000000000003010000007601"
-            "0300000000000000030100000076010500000000000000060701010001035245"
-            "470000");
+            "58040500090006080100ff00cf0fa01fef2ec03e8f4e020003d08c0188c60203"
+            "01090209fa0100c8b0840c07000002044d41494c0341495201002a0700000605"
+            "6b65792d30056b65792d31056b65792d32056b65792d33056b65792d34056b65"
+            "792d35030088c60201011503021001060701010001035245470000");
 
   // Insert takes hashes, so spread the keys over all 64 bits.
   constexpr uint64_t kSpread = 0x9E3779B97F4A7C15ULL;
@@ -520,16 +544,16 @@ TEST(WireFormatTest, GoldenBytesPinTheEncoding) {
   BloomFilter dense = BloomFilter::WithBitCount(128, 1);
   for (uint64_t k = 1; k <= 40; ++k) dense.Insert(k * kSpread);
   EXPECT_EQ(HexEncode(SerializeBloomFilter(sparse)),
-            "460300040000000000000200000004000000000000000108668b018601660695"
+            "460400040000000000000200000004000000000000000108668b018601660695"
             "01767c");
   EXPECT_EQ(HexEncode(SerializeBloomFilter(dense)),
-            "460380000000000000000100000028000000000000000012a990c884422452a1"
+            "460480000000000000000100000028000000000000000012a990c884422452a1"
             "90899448a44221");
   EXPECT_EQ(HexEncode(SerializeFilterMessage(AttrId{204}, sparse)),
-            "4103cc00000000040000000000000200000004000000000000000108668b0186"
+            "4104cc00000000040000000000000200000004000000000000000108668b0186"
             "0166069501767c");
   EXPECT_EQ(HexEncode(SerializeFilterMessage(AttrId{204}, dense)),
-            "4103cc00000080000000000000000100000028000000000000000012a990c884"
+            "4104cc00000080000000000000000100000028000000000000000012a990c884"
             "422452a190899448a44221");
 }
 
@@ -555,12 +579,12 @@ TEST(WireFormatTest, GoldenBytesPinTheCompactColumns) {
   std::vector<std::optional<Value>> packed;
   for (int r = 0; r < 8; ++r) packed.push_back(Value::Int64(100000 + r * 25));
   EXPECT_EQ(HexEncode(SerializeBatch(OneColumn(TypeId::kInt64, packed))),
-            "4203080101010008c09a0c0019324b647d96af");
+            "42040801010008c09a0c0019324b647d96af");
   // Width 0: every value equal costs the mode byte and the minimum.
   std::vector<std::optional<Value>> constant(
       64, std::optional<Value>(Value::Date(10957)));
   EXPECT_EQ(HexEncode(SerializeBatch(OneColumn(TypeId::kDate, constant))),
-            "42034001010200009aab01");
+            "420440010200009aab01");
   // DOUBLE at s = 0 (integral prices, one NULL) and at s = 2 (cents).
   std::vector<std::optional<Value>> prices;
   for (int r = 0; r < 16; ++r) {
@@ -569,12 +593,12 @@ TEST(WireFormatTest, GoldenBytesPinTheCompactColumns) {
                                   (r + 1) * 1000.0 + r % 3)));
   }
   EXPECT_EQ(HexEncode(SerializeBatch(OneColumn(TypeId::kDouble, prices))),
-            "420310010103012000000ed00f0040fa207de02ea10fdc95b5097d2863c4a9af"
-            "82bbc9b2ac8da903");
+            "4204100103012000000ed00f0040fa207de02ea10fdc95b5097d2863c4a9af82"
+            "bbc9b2ac8da903");
   EXPECT_EQ(HexEncode(SerializeBatch(OneColumn(
                 TypeId::kDouble, {Value::Double(1.25), Value::Double(10.5),
                                   Value::Double(99.99), Value::Double(0.01)}))),
-            "42030401010300020e027c4006e1700200");
+            "420404010300020e027c4006e1700200");
   // No scale reproduces these bits: the column stays raw.
   EXPECT_EQ(
       HexEncode(SerializeBatch(OneColumn(
@@ -583,8 +607,8 @@ TEST(WireFormatTest, GoldenBytesPinTheCompactColumns) {
            Value::Double(std::numeric_limits<double>::quiet_NaN()),
            Value::Double(std::numeric_limits<double>::infinity()),
            Value::Double(-std::numeric_limits<double>::infinity())}))),
-      "42030501010300ff343333333333d33f0000000000000080000000000000f87f"
-      "000000000000f07f000000000000f0ff");
+      "420405010300ff343333333333d33f0000000000000080000000000000f87f00"
+      "0000000000f07f000000000000f0ff");
   // Dictionary codes: per-batch indices and stream codes both pack.
   std::vector<std::optional<Value>> brands;
   for (int r = 0; r < 12; ++r) {
@@ -593,19 +617,19 @@ TEST(WireFormatTest, GoldenBytesPinTheCompactColumns) {
   }
   const Batch brand_batch = OneColumn(TypeId::kString, brands);
   EXPECT_EQ(HexEncode(SerializeBatch(brand_batch)),
-            "42030c0101040003044d41494c0341495204534849500200244992");
+            "42040c01040003044d41494c0341495204534849500200244992");
   WireStreamEncoder stream;
   EXPECT_EQ(HexEncode(stream.SerializeFrame(0, 0, 0, true, brand_batch)),
-            "5803000000010c010107000003044d41494c0341495204534849500200244992");
+            "5804000000010c0107000003044d41494c0341495204534849500200244992");
   // Continuation: codes only, no dictionary entries.
   EXPECT_EQ(HexEncode(stream.SerializeFrame(0, 0, 1, true, brand_batch)),
-            "5803000001010c0101070003000200244992");
+            "5804000001010c01070003000200244992");
   // Header varints at their extremes.
   EXPECT_EQ(HexEncode(WireStreamEncoder().SerializeFrame(
                 /*sender=*/UINT32_MAX - 1, /*epoch=*/UINT32_MAX,
                 /*seq=*/(uint64_t{1} << 63) + 5, /*replayable=*/false,
                 Batch{})),
-            "5803feffffff0fffffffff0f858080808080808080010000");
+            "5804feffffff0fffffffff0f858080808080808080010000");
 }
 
 /// Exact equality, column by column: same type and NULL rows, INT64/DATE
@@ -838,21 +862,21 @@ TEST(WireFormatTest, CompactColumnsFailClosed) {
   }
 }
 
-// A 20-byte frame claiming 2^40 rows of a width-0 column (which would
+// A 19-byte frame claiming 2^40 rows of a width-0 column (which would
 // cost no more bytes at any row count) is refused by the row-count budget
 // before any column is decoded.
 TEST(WireFormatTest, WidthZeroColumnsCannotClaimHugeRowCounts) {
-  std::string frame("X\x03", 2);
+  std::string frame("X\x04", 2);
   frame.append({0, 0, 0, 0});  // sender, epoch, seq, replayable
   uint64_t rows = uint64_t{1} << 40;
   for (; rows >= 0x80; rows >>= 7) {
     frame.push_back(static_cast<char>((rows & 0x7f) | 0x80));
   }
   frame.push_back(static_cast<char>(rows));
-  frame.append({1, 1});        // columnar layout, one column
+  frame.append({1});           // one column
   frame.append({1, 0, 0});     // INT64, no NULLs, width 0
   frame.append("\xc0\x9a\x0c");  // minimum: zigzag(100000)
-  ASSERT_EQ(frame.size(), 20u);
+  ASSERT_EQ(frame.size(), 19u);
   auto decoded = WireStreamDecoder().DecodeFrame(frame);
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().ToString().find("row count implausible"),
@@ -865,30 +889,30 @@ TEST(WireFormatTest, WidthZeroColumnsCannotClaimHugeRowCounts) {
 // sender or epoch overflows 32 bits.
 TEST(WireFormatTest, UnknownModeWidthAndScaleAreRejected) {
   // Two INT64 values 5 and 6: width 1, minimum zigzag(5) = 10, bits 0b10.
-  const std::string ints("B\x03\x02\x01\x01\x01\x00\x01\x0a\x02", 10);
+  const std::string ints("B\x04\x02\x01\x01\x00\x01\x0a\x02", 9);
   ASSERT_EQ(SerializeBatch(OneColumn(TypeId::kInt64,
                                      {Value::Int64(5), Value::Int64(6)})),
             ints);
   for (const int mode : {57, 64, 100, 0xfe}) {
     std::string bad = ints;
-    bad[7] = static_cast<char>(mode);
+    bad[6] = static_cast<char>(mode);
     EXPECT_FALSE(DeserializeBatch(bad).ok()) << "mode " << mode;
   }
   // Two DOUBLEs 1.5 and 2.5: scale 1, mantissas 15 and 25 at width 4.
-  const std::string doubles("B\x03\x02\x01\x01\x03\x00\x01\x04\x1e\xa0", 11);
+  const std::string doubles("B\x04\x02\x01\x03\x00\x01\x04\x1e\xa0", 10);
   ASSERT_EQ(SerializeBatch(OneColumn(TypeId::kDouble, {Value::Double(1.5),
                                                        Value::Double(2.5)})),
             doubles);
   for (const int scale : {5, 6, 0x80, 0xfe}) {
     std::string bad = doubles;
-    bad[7] = static_cast<char>(scale);
+    bad[6] = static_cast<char>(scale);
     EXPECT_FALSE(DeserializeBatch(bad).ok()) << "scale " << scale;
   }
   // Sender, then epoch, one past UINT32_MAX.
   const std::string too_big("\x80\x80\x80\x80\x10", 5);
   for (const std::string& header :
-       {std::string("X\x03", 2) + too_big + std::string(3, '\0'),
-        std::string("X\x03\x00", 3) + too_big + std::string(2, '\0')}) {
+       {std::string("X\x04", 2) + too_big + std::string(3, '\0'),
+        std::string("X\x04\x00", 3) + too_big + std::string(2, '\0')}) {
     auto decoded = WireStreamDecoder().DecodeFrame(header + '\0');
     ASSERT_FALSE(decoded.ok());
     EXPECT_NE(decoded.status().ToString().find("too large"),

@@ -56,7 +56,7 @@ MEANINGFUL_FLOOR = {
 HIGHER_IS_BETTER = {"qps", "metric_mean"}
 
 # The columnar hot-path cells gated with --hard-only: the typed filter
-# kernel, the zero-transpose v2 encode, the cross-batch dictionary stream,
+# kernel, the columnar batch encode+decode, the cross-batch dictionary stream,
 # and the scale-out reshard's typed gather + statistics. These are the
 # cells the columnar Batch redesign bought its speedup on; a >threshold
 # throughput drop here fails the (blocking) CI step, unlike the advisory
