@@ -66,6 +66,17 @@ void AddRunStats(const DistQueryStats& stats, JsonRecord* record) {
   record->link_seconds += stats.link_seconds;
 }
 
+/// Turns `record`'s per-run sums (AddRunStats over `reps` runs) into
+/// per-run means.
+void DivideRunStats(int reps, JsonRecord* record) {
+  record->elapsed_sec /= reps;
+  record->peak_state_mb /= reps;
+  record->rows_pruned /= reps;
+  record->bytes_shipped /= reps;
+  record->stall_seconds /= reps;
+  record->link_seconds /= reps;
+}
+
 /// A multi-site cell whose runs billed no link time shipped nothing over
 /// the mesh, or lost its billing: either way its link column shows
 /// nothing. Returns 1 (after saying which cell) if any cell is such.
@@ -87,6 +98,26 @@ struct KillRun {
   DistQueryStats stats;
   std::vector<Tuple> rows;
 };
+
+/// Whether `recovered` returned `clean`'s answer; says which run did not.
+bool SameAnswer(const KillRun& clean, const KillRun& recovered,
+                const char* name) {
+  if (clean.rows.size() != recovered.rows.size()) {
+    std::fprintf(stderr, "FAILED: %s run returned %zu rows vs %zu\n", name,
+                 recovered.rows.size(), clean.rows.size());
+    return false;
+  }
+  if (!clean.rows.empty() && !clean.rows[0].at(0).is_null()) {
+    const double want = clean.rows[0].at(0).AsDouble();
+    const double got = recovered.rows[0].at(0).AsDouble();
+    if (std::abs(got - want) > std::abs(want) * 1e-9 + 1e-9) {
+      std::fprintf(stderr, "FAILED: %s answer %f differs from %f\n", name,
+                   got, want);
+      return false;
+    }
+  }
+  return true;
+}
 
 int RunKillSiteMode(const HarnessOptions& opts, int kill_site,
                     int64_t kill_after, int64_t checkpoint_interval,
@@ -117,64 +148,80 @@ int RunKillSiteMode(const HarnessOptions& opts, int kill_site,
   static const char* kCellStrategies[3] = {"Cost-based", "Cost-based+kill",
                                            "Cost-based+kill-stateful"};
   std::vector<JsonRecord> records;
-  KillRun runs[3];
+  KillRun runs[3];  // the last repetition of each cell
+  const int reps = std::max(1, opts.repetitions);
   for (int cell = kClean; cell <= kStatefulKill; ++cell) {
-    ScaleOutOptions so;
-    so.num_sites = sites;
-    so.bandwidth_bps = bandwidth_bps;
-    so.aip = true;
-    so.weak_part_filter = weak_filter;
-    // Small windows + pacing in every cell — the kill and the checkpoint
-    // cuts land genuinely mid-stream, and the clean cell prices the same
-    // batch shape so the overhead comparison is like-for-like.
-    so.batch_size = 256;
-    so.pace_every_rows = 256;
-    so.pace_ms = 0.5;
-    if (cell == kReplayKill) {
-      so.fault_injector = std::make_shared<FaultInjector>();
-      so.fault_injector->SiteDown(kill_site, kill_after);
-    } else if (cell == kStatefulKill) {
-      so.checkpoint_interval_frames = checkpoint_interval;
-      so.stateful_kill_site = kill_site;
-      so.stateful_kill_after_frames = stateful_kill_after;
-      so.stateful_kill_aggregate = true;
-    }
-    auto query = BuildScaleOutQuery(ScaleOutQuery::kQ17, catalog, so);
-    if (!query.ok()) {
-      std::fprintf(stderr, "FAILED build: %s\n",
-                   query.status().ToString().c_str());
-      return 1;
-    }
-    auto stats = (*query)->Run();
-    if (!stats.ok()) {
-      std::fprintf(stderr, "FAILED run: %s\n",
-                   stats.status().ToString().c_str());
-      return 1;
-    }
-    KillRun& run = runs[cell];
-    run.stats = *stats;
-    run.rows = (*query)->root_sink->TakeRows();
-    std::printf("%-10s %12.1f %14.3f %10lld %10lld %10lld %10lld %12lld "
-                "%10lld\n",
-                kCellNames[cell], stats->elapsed_sec * 1e3,
-                stats->shipped_mb(),
-                static_cast<long long>(stats->faults_injected),
-                static_cast<long long>(stats->fragment_restarts),
-                static_cast<long long>(stats->batches_discarded),
-                static_cast<long long>(stats->aip_reships),
-                static_cast<long long>(stats->checkpoint_bytes),
-                static_cast<long long>(stats->state_recoveries));
     JsonRecord record;
     record.query = "Q17-scaleout";
     record.strategy = kCellStrategies[cell];
     record.sites = sites;
-    AddRunStats(*stats, &record);
-    record.metric_mean = stats->elapsed_sec;
-    record.fragment_restarts = stats->fragment_restarts;
-    record.checkpoints_taken = stats->checkpoints_taken;
-    record.checkpoint_bytes = stats->checkpoint_bytes;
-    record.state_recoveries = stats->state_recoveries;
-    record.restore_seconds = stats->restore_seconds;
+    std::vector<double> times;
+    for (int rep = 0; rep < reps; ++rep) {
+      ScaleOutOptions so;
+      so.num_sites = sites;
+      so.bandwidth_bps = bandwidth_bps;
+      so.aip = true;
+      so.weak_part_filter = weak_filter;
+      // Small windows + pacing in every cell — the kill and the checkpoint
+      // cuts land genuinely mid-stream, and the clean cell prices the same
+      // batch shape so the overhead comparison is like-for-like.
+      so.batch_size = 256;
+      so.pace_every_rows = 256;
+      so.pace_ms = 0.5;
+      if (cell == kReplayKill) {
+        so.fault_injector = std::make_shared<FaultInjector>();
+        so.fault_injector->SiteDown(kill_site, kill_after);
+      } else if (cell == kStatefulKill) {
+        so.checkpoint_interval_frames = checkpoint_interval;
+        so.stateful_kill_site = kill_site;
+        so.stateful_kill_after_frames = stateful_kill_after;
+        so.stateful_kill_aggregate = true;
+      }
+      auto query = BuildScaleOutQuery(ScaleOutQuery::kQ17, catalog, so);
+      if (!query.ok()) {
+        std::fprintf(stderr, "FAILED build: %s\n",
+                     query.status().ToString().c_str());
+        return 1;
+      }
+      auto stats = (*query)->Run();
+      if (!stats.ok()) {
+        std::fprintf(stderr, "FAILED run: %s\n",
+                     stats.status().ToString().c_str());
+        return 1;
+      }
+      KillRun& run = runs[cell];
+      run.stats = *stats;
+      run.rows = (*query)->root_sink->TakeRows();
+      std::printf("%-10s %12.1f %14.3f %10lld %10lld %10lld %10lld %12lld "
+                  "%10lld\n",
+                  kCellNames[cell], stats->elapsed_sec * 1e3,
+                  stats->shipped_mb(),
+                  static_cast<long long>(stats->faults_injected),
+                  static_cast<long long>(stats->fragment_restarts),
+                  static_cast<long long>(stats->batches_discarded),
+                  static_cast<long long>(stats->aip_reships),
+                  static_cast<long long>(stats->checkpoint_bytes),
+                  static_cast<long long>(stats->state_recoveries));
+      AddRunStats(*stats, &record);
+      times.push_back(stats->elapsed_sec);
+      record.fragment_restarts += stats->fragment_restarts;
+      record.checkpoints_taken += stats->checkpoints_taken;
+      record.checkpoint_bytes += stats->checkpoint_bytes;
+      record.state_recoveries += stats->state_recoveries;
+      record.restore_seconds += stats->restore_seconds;
+      if (cell != kClean && !SameAnswer(runs[kClean], run, kCellNames[cell])) {
+        return 1;
+      }
+    }
+    DivideRunStats(reps, &record);
+    record.fragment_restarts /= reps;
+    record.checkpoints_taken /= reps;
+    record.checkpoint_bytes /= reps;
+    record.state_recoveries /= reps;
+    record.restore_seconds /= reps;
+    const CellStats summary = Summarize(times);
+    record.metric_mean = summary.mean;
+    record.metric_ci95 = summary.ci95;
     records.push_back(record);
   }
 
@@ -183,23 +230,6 @@ int RunKillSiteMode(const HarnessOptions& opts, int kill_site,
   const KillRun& clean = runs[kClean];
   for (int cell = kReplayKill; cell <= kStatefulKill; ++cell) {
     const KillRun& recovered = runs[cell];
-    if (clean.rows.size() != recovered.rows.size()) {
-      std::fprintf(stderr,
-                   "FAILED: %s run returned %zu rows vs %zu\n",
-                   kCellNames[cell], recovered.rows.size(),
-                   clean.rows.size());
-      return 1;
-    }
-    if (!clean.rows.empty() && !clean.rows[0].at(0).is_null()) {
-      const double want = clean.rows[0].at(0).AsDouble();
-      const double got = recovered.rows[0].at(0).AsDouble();
-      if (std::abs(got - want) > std::abs(want) * 1e-9 + 1e-9) {
-        std::fprintf(stderr,
-                     "FAILED: %s answer %f differs from %f\n",
-                     kCellNames[cell], got, want);
-        return 1;
-      }
-    }
     const double overhead_ms =
         (recovered.stats.elapsed_sec - clean.stats.elapsed_sec) * 1e3;
     const double extra_mb =
@@ -429,95 +459,113 @@ int RunTcpTransportMode(const HarnessOptions& opts, int sites,
 
   std::vector<JsonRecord> records;
   std::string site_trace_events;
+  const int reps = std::max(1, opts.repetitions);
   for (const ScaleOutQuery q :
        {ScaleOutQuery::kQ17, ScaleOutQuery::kSubquery}) {
-    // Reference: the whole query in this process over the simulated mesh,
-    // receivers merging deterministically.
-    ScaleOutOptions so;
-    so.num_sites = sites;
-    so.aip = true;
-    so.weak_part_filter = weak_filter;
-    so.deterministic_merge = true;
-    auto query = BuildScaleOutQuery(q, catalog, so);
-    if (!query.ok()) {
-      std::fprintf(stderr, "FAILED build: %s\n",
-                   query.status().ToString().c_str());
-      return 1;
-    }
-    if (opts.profile) {
-      for (auto& site : (*query)->sites) {
-        site->context().set_profiling(true);
+    // One record per backend, summed over the repetitions.
+    JsonRecord cell_records[2];
+    std::vector<double> cell_times[2];
+    size_t answer_bytes = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+      // Reference: the whole query in this process over the simulated mesh,
+      // receivers merging deterministically.
+      ScaleOutOptions so;
+      so.num_sites = sites;
+      so.aip = true;
+      so.weak_part_filter = weak_filter;
+      so.deterministic_merge = true;
+      auto query = BuildScaleOutQuery(q, catalog, so);
+      if (!query.ok()) {
+        std::fprintf(stderr, "FAILED build: %s\n",
+                     query.status().ToString().c_str());
+        return 1;
+      }
+      const bool profile = opts.profile && rep == 0;
+      if (profile) {
+        for (auto& site : (*query)->sites) {
+          site->context().set_profiling(true);
+        }
+      }
+      auto sim_stats = (*query)->Run();
+      if (!sim_stats.ok()) {
+        std::fprintf(stderr, "FAILED sim run: %s\n",
+                     sim_stats.status().ToString().c_str());
+        return 1;
+      }
+      if (profile) {
+        const obs::QueryProfile prof = CollectDistProfile(**query, *sim_stats);
+        std::printf("\n# profile %s (sim reference)\n%s\n",
+                    ScaleOutQueryName(q), prof.ToText().c_str());
+        if (CheckProfileTotals(prof, *sim_stats) != 0) return 1;
+      }
+      std::vector<Tuple> sim_rows = (*query)->root_sink->TakeRows();
+      std::sort(sim_rows.begin(), sim_rows.end(),
+                [](const Tuple& a, const Tuple& b) {
+                  return a.Compare(b) < 0;
+                });
+      const std::string sim_wire = SerializeBatch(Batch::FromRows(sim_rows));
+      answer_bytes = sim_wire.size();
+
+      // The same query as N real processes over loopback TCP.
+      MultiProcessOptions mp;
+      mp.query = q;
+      mp.scale_factor = opts.scale_factor;
+      mp.seed = opts.seed;
+      mp.num_sites = sites;
+      mp.aip = true;
+      mp.weak_part_filter = weak_filter;
+      mp.deterministic_merge = true;
+      // The first repetition's sites carry the trace.
+      mp.trace = tracing && rep == 0;
+      // A one-frame credit window under tracing makes senders actually hit
+      // the credit-stall path (every frame waits out the peer's ack
+      // round-trip), so the trace demonstrably carries those spans.
+      if (mp.trace) mp.credit_window = 1;
+      auto tcp = RunMultiProcess(mp);
+      if (!tcp.ok()) {
+        std::fprintf(stderr, "FAILED tcp run: %s\n",
+                     tcp.status().ToString().c_str());
+        return 1;
+      }
+      if (mp.trace && !tcp->trace_events_json.empty()) {
+        if (!site_trace_events.empty()) site_trace_events += ",";
+        site_trace_events += tcp->trace_events_json;
+      }
+
+      if (tcp->rows_wire != sim_wire) {
+        std::fprintf(stderr,
+                     "FAILED: %s answers differ between sim and tcp (%zu vs "
+                     "%zu serialized bytes)\n",
+                     ScaleOutQueryName(q), sim_wire.size(),
+                     tcp->rows_wire.size());
+        return 1;
+      }
+
+      for (const bool is_tcp : {false, true}) {
+        const DistQueryStats& stats = is_tcp ? tcp->stats : *sim_stats;
+        std::printf("%-18s %-5s %12.1f %14.3f %10lld\n", ScaleOutQueryName(q),
+                    is_tcp ? "tcp" : "sim", stats.elapsed_sec * 1e3,
+                    stats.shipped_mb(),
+                    static_cast<long long>(is_tcp ? stats.result_rows
+                                                  : sim_stats->result_rows));
+        AddRunStats(stats, &cell_records[is_tcp ? 1 : 0]);
+        cell_times[is_tcp ? 1 : 0].push_back(stats.elapsed_sec);
       }
     }
-    auto sim_stats = (*query)->Run();
-    if (!sim_stats.ok()) {
-      std::fprintf(stderr, "FAILED sim run: %s\n",
-                   sim_stats.status().ToString().c_str());
-      return 1;
-    }
-    if (opts.profile) {
-      const obs::QueryProfile prof = CollectDistProfile(**query, *sim_stats);
-      std::printf("\n# profile %s (sim reference)\n%s\n",
-                  ScaleOutQueryName(q), prof.ToText().c_str());
-      if (CheckProfileTotals(prof, *sim_stats) != 0) return 1;
-    }
-    std::vector<Tuple> sim_rows = (*query)->root_sink->TakeRows();
-    std::sort(sim_rows.begin(), sim_rows.end(),
-              [](const Tuple& a, const Tuple& b) { return a.Compare(b) < 0; });
-    const std::string sim_wire = SerializeBatch(Batch::FromRows(sim_rows));
-
-    // The same query as N real processes over loopback TCP.
-    MultiProcessOptions mp;
-    mp.query = q;
-    mp.scale_factor = opts.scale_factor;
-    mp.seed = opts.seed;
-    mp.num_sites = sites;
-    mp.aip = true;
-    mp.weak_part_filter = weak_filter;
-    mp.deterministic_merge = true;
-    mp.trace = tracing;
-    // A one-frame credit window under tracing makes senders actually hit
-    // the credit-stall path (every frame waits out the peer's ack
-    // round-trip), so the trace demonstrably carries those spans.
-    if (tracing) mp.credit_window = 1;
-    auto tcp = RunMultiProcess(mp);
-    if (!tcp.ok()) {
-      std::fprintf(stderr, "FAILED tcp run: %s\n",
-                   tcp.status().ToString().c_str());
-      return 1;
-    }
-    if (tracing && !tcp->trace_events_json.empty()) {
-      if (!site_trace_events.empty()) site_trace_events += ",";
-      site_trace_events += tcp->trace_events_json;
-    }
-
-    if (tcp->rows_wire != sim_wire) {
-      std::fprintf(stderr,
-                   "FAILED: %s answers differ between sim and tcp (%zu vs "
-                   "%zu serialized bytes)\n",
-                   ScaleOutQueryName(q), sim_wire.size(),
-                   tcp->rows_wire.size());
-      return 1;
-    }
-
     for (const bool is_tcp : {false, true}) {
-      const DistQueryStats& stats = is_tcp ? tcp->stats : *sim_stats;
-      std::printf("%-18s %-5s %12.1f %14.3f %10lld\n", ScaleOutQueryName(q),
-                  is_tcp ? "tcp" : "sim", stats.elapsed_sec * 1e3,
-                  stats.shipped_mb(),
-                  static_cast<long long>(is_tcp ? stats.result_rows
-                                                : sim_stats->result_rows));
-      JsonRecord record;
+      JsonRecord& record = cell_records[is_tcp ? 1 : 0];
       record.query = ScaleOutQueryName(q);
       record.strategy = "Cost-based";
       record.transport = is_tcp ? "tcp" : "sim";
       record.sites = sites;
-      AddRunStats(stats, &record);
-      record.metric_mean = stats.elapsed_sec;
+      DivideRunStats(reps, &record);
+      const CellStats cell = Summarize(cell_times[is_tcp ? 1 : 0]);
+      record.metric_mean = cell.mean;
+      record.metric_ci95 = cell.ci95;
       records.push_back(record);
     }
     std::printf("# %s: answers bit-identical (%zu serialized bytes)\n",
-                ScaleOutQueryName(q), sim_wire.size());
+                ScaleOutQueryName(q), answer_bytes);
   }
   if (CheckLinkColumn(records) != 0) return 1;
   if (!opts.json_path.empty() &&
@@ -683,12 +731,7 @@ int main(int argc, char** argv) {
         const int reps = std::max(1, opts.repetitions);
         mean_ms[aip ? 1 : 0] /= reps;
         mean_mb[aip ? 1 : 0] /= reps;
-        record.elapsed_sec /= reps;
-        record.peak_state_mb /= reps;
-        record.rows_pruned /= reps;
-        record.bytes_shipped /= reps;
-        record.stall_seconds /= reps;
-        record.link_seconds /= reps;
+        DivideRunStats(reps, &record);
         const CellStats cell = Summarize(times);
         record.metric_mean = cell.mean;
         record.metric_ci95 = cell.ci95;

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <thread>
 
+#include "net/transport/sim_transport.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
 
@@ -88,12 +89,24 @@ Result<DistQueryStats> DistributedQuery::Run() {
   }
   if (sites.empty()) return Status::InvalidArgument("no sites");
 
-  const auto cancel_all = [this] {
+  // The endpoints of the sites this process runs.
+  std::vector<std::shared_ptr<Transport>> endpoints;
+  for (auto& site : sites) {
+    if (local_site >= 0 && site->id() != local_site) continue;
+    if (std::shared_ptr<Transport> e = site->endpoint()) endpoints.push_back(e);
+  }
+  const auto cancel_all = [&] {
     for (auto& site : sites) site->context().Cancel();
     for (auto& channel : channels) channel->Cancel();
     // A fatal error must also unblock senders stalled on transport flow
     // control (credits that will never be granted) and stop feeding peers.
-    if (transport != nullptr) transport->Shutdown();
+    for (const auto& e : endpoints) e->Shutdown();
+  };
+  // The failed site "reboots": the sim heals fired faults, TCP redials dead
+  // connections. A failed heal is not fatal: the replay fails again and
+  // re-enters recovery until the restart budget runs out.
+  const auto heal = [&] {
+    for (const auto& e : endpoints) (void)e->Heal();
   };
 
   std::mutex mu;
@@ -237,16 +250,13 @@ Result<DistQueryStats> DistributedQuery::Run() {
             }
             return true;
           });
-          // 2) Heal the failure (the site "reboots"). Over a real
-          // transport, give in-flight loopback frames a moment to land so
-          // the reopened queues start empty (a late old-epoch frame would
-          // be dropped anyway, but a finish marker counting against the
-          // fresh attempt must not slip in).
+          // 2) Heal the failure. Over TCP, give in-flight loopback frames a
+          // moment to land so the reopened queues start empty (a late
+          // old-epoch frame would be dropped anyway, but a finish marker
+          // counting against the fresh attempt must not slip in).
+          heal();
           if (transport != nullptr) {
-            (void)transport->Heal();
             std::this_thread::sleep_for(std::chrono::milliseconds(100));
-          } else if (fault_injector != nullptr) {
-            fault_injector->HealFired();
           }
           // 3) Rearm the fragment: rebuilt on another site when the
           // adaptive supervisor says so (the checkpointer re-binds to the
@@ -328,22 +338,15 @@ Result<DistQueryStats> DistributedQuery::Run() {
           }
           continue;
         }
-        // Recovery sequence. 1) Heal every fault that has fired — the
-        // restart *is* the failed site coming back. 2) Rearm the fragment —
-        // in place (reset operators, advance the sender's epoch), or, when
-        // the adaptive supervisor says so, rebuilt on another site (the
+        // Recovery sequence. 1) Heal — the restart *is* the failed site
+        // coming back. 2) Rearm the fragment — in place (reset operators,
+        // advance the sender's epoch), or, when the adaptive supervisor
+        // says so, rebuilt on another site (the
         // replacement adopts the old sender's stream at the next epoch, so
         // consumers dedup exactly as for an in-place replay). 3) Re-ship
         // Bloom summaries that never reached a producer during the outage,
         // so pruning survives recovery. 4) Replay from the scan.
-        if (transport != nullptr) {
-          // Redial dead connections (TCP) / heal fired faults (sim). A
-          // failed heal is not fatal here: the replay will fail again and
-          // re-enter this path until the restart budget runs out.
-          (void)transport->Heal();
-        } else if (fault_injector != nullptr) {
-          fault_injector->HealFired();
-        }
+        heal();
         bool migrated = false;
         if (supervisor != nullptr &&
             supervisor->ShouldMigrate(run.fragment, run.attempts)) {
@@ -458,6 +461,25 @@ Result<DistQueryStats> DistributedQuery::Run() {
     }
   }
   return stats;
+}
+
+Status ConnectSimEndpoints(DistributedQuery& q) {
+  auto cluster = std::make_shared<SimCluster>(q.mesh);
+  std::vector<std::shared_ptr<Transport>> endpoints;
+  for (auto& site : q.sites) {
+    endpoints.push_back(std::make_shared<SimTransport>(cluster, site->id()));
+    site->SetEndpoint(endpoints.back());
+  }
+  for (size_t i = 0; i < q.channels.size(); ++i) {
+    const int consumer = q.channels[i]->consumer_site();
+    if (consumer < 0 || consumer >= static_cast<int>(endpoints.size())) {
+      return Status::InvalidArgument("channel " + std::to_string(i) +
+                                     " has no consumer site in the query");
+    }
+    PUSHSIP_RETURN_NOT_OK(endpoints[static_cast<size_t>(consumer)]->BindChannel(
+        static_cast<uint32_t>(i), q.channels[i]));
+  }
+  return Status::OK();
 }
 
 obs::QueryProfile CollectDistProfile(const DistributedQuery& query,

@@ -7,8 +7,9 @@
 // downed link or site, usually injected by a FaultInjector) is restarted
 // when it is *replayable* — exactly one TableScan source in window-batch
 // mode, a stateless operator chain, and an ExchangeSender terminal whose
-// frame seqs are bound to the scan's window index. The driver heals fired
-// faults (the site "reboots"), resets the fragment's operators, asks every
+// frame seqs are bound to the scan's window index. The driver heals every
+// site endpoint it runs (the site "reboots": the sim heals fired faults,
+// TCP redials dead connections), resets the fragment's operators, asks every
 // AIP manager to re-ship Bloom summaries that failed to reach a producer
 // during the outage, and replays the fragment from its scan. Streams are
 // deterministic, so the replay re-produces every frame under its original
@@ -237,8 +238,8 @@ struct DistributedQuery {
   std::shared_ptr<SiteMesh> mesh;
   std::vector<std::shared_ptr<ExchangeChannel>> channels;
   Sink* root_sink = nullptr;
-  /// The mesh's failure oracle, when chaos is enabled; the supervisor heals
-  /// its fired faults before each restart (the failed site's "reboot").
+  /// The mesh's failure oracle, when chaos is enabled (its fired faults are
+  /// healed through the sites' sim endpoints); Run() reports its count.
   std::shared_ptr<FaultInjector> fault_injector;
   /// Replays allowed per fragment before its failure is declared fatal.
   int max_fragment_restarts = 3;
@@ -254,10 +255,12 @@ struct DistributedQuery {
   /// The adaptive runtime, when installed (adaptive::InstallAdaptiveRuntime);
   /// null = PR 3 behaviour (in-place restarts only, no preemption).
   std::shared_ptr<AdaptiveSupervisor> adaptive;
-  /// This process's transport endpoint, when the query runs over one (the
-  /// sim or TCP backend behind the Transport interface). Run() then calls
-  /// transport->Heal() in the recovery sequence and folds
-  /// transport->TotalUsage() into bytes_shipped/link_seconds.
+  /// The TCP transport this process's sites were moved onto
+  /// (WireInProcessTcp, or a site process's endpoint); null while they run
+  /// on their sim endpoints (SiteEngine::endpoint). When set, Run() gives
+  /// in-flight loopback frames a moment to land after a stateful recovery's
+  /// heal and reports bytes_shipped/link_seconds from its TotalUsage()
+  /// instead of the contexts' own link billing.
   std::shared_ptr<Transport> transport;
   /// Multi-process execution: when >= 0, Run() launches only the fragments
   /// hosted on this site (the full topology is still assembled everywhere
@@ -286,6 +289,13 @@ struct DistributedQuery {
   /// returned.
   Result<DistQueryStats> Run();
 };
+
+/// Gives every site of `q` a SimTransport endpoint over q.mesh (one
+/// SimCluster per query, so channel ids are the query's own) and binds
+/// each of q.channels, under its index, at its consumer site's endpoint.
+/// Call after the channels (with their consumer sites) exist and before any
+/// sender opens its edges.
+Status ConnectSimEndpoints(DistributedQuery& q);
 
 /// Snapshots every site's operators into one profile (fragment x site x
 /// operator forest; see obs/profile.h). Call after Run(); in multi-process

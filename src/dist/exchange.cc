@@ -57,9 +57,16 @@ void ExchangeSender::ResetStreams() {
     std::lock_guard<std::mutex> lock(s->mu);
     s->encoder.Reset();
   }
-  for (const ExchangeDestination& dest : destinations_) {
-    if (dest.remote != nullptr) dest.remote->Rewind();
+  for (const ExchangeDestination& dest : destinations_) dest.edge->Rewind();
+}
+
+Status ExchangeSender::OpenEdges(Transport& endpoint) {
+  for (ExchangeDestination& dest : destinations_) {
+    PUSHSIP_ASSIGN_OR_RETURN(
+        dest.edge, endpoint.OpenChannel(dest.channel_id,
+                                        dest.channel->consumer_site()));
   }
+  return Status::OK();
 }
 
 void ExchangeSender::ResetForReplay() {
@@ -122,35 +129,12 @@ Status ExchangeSender::Send(size_t dest_index, const Batch& batch,
 
 Status ExchangeSender::TransmitFrame(size_t dest_index, std::string bytes,
                                      size_t rows) {
-  const ExchangeDestination& dest = destinations_[dest_index];
   const size_t wire_bytes = bytes.size();
-  if (dest.remote != nullptr) {
-    // Out-of-process consumer: the transport edge carries the frame
-    // (billing + flow control happen inside SendFrame). kUnavailable on a
-    // dead connection is the same restart signal a downed SimLink raises.
-    PUSHSIP_RETURN_NOT_OK(
-        dest.remote->SendFrame(std::move(bytes), ctx_, nullptr));
-  } else {
-    // The link is charged before enqueueing — this producer thread owes
-    // the transfer time, not the receiver — and a downed link fails the
-    // transmission before the frame reaches the queue, so enqueued means
-    // delivered. Counters move only after the transmission succeeded:
-    // frames killed by an injected fault were never sent.
-    if (dest.link != nullptr) {
-      PUSHSIP_RETURN_NOT_OK(dest.link->Transmit(wire_bytes, ctx_));
-    }
-    double stalled = 0;
-    const bool sent = dest.channel->SendBatch(std::move(bytes), &stalled);
-    stall_micros_.fetch_add(static_cast<int64_t>(stalled * 1e6));
-    if (stalled > 0 && obs::Trace::enabled()) {
-      // The stall already elapsed inside SendBatch; backdate the span.
-      const int64_t end_us = obs::Trace::NowMicros();
-      obs::TraceCompleteSpan("exchange_credit_stall",
-                             end_us - static_cast<int64_t>(stalled * 1e6),
-                             end_us, "\"op\":\"" + name() + "\"");
-    }
-    if (!sent) return Status::Cancelled("exchange channel cancelled");
-  }
+  // Counters move only after the edge took the frame: frames killed by an
+  // injected fault or a dead connection (kUnavailable, the restart signal)
+  // were never sent.
+  PUSHSIP_RETURN_NOT_OK(destinations_[dest_index].edge->SendFrame(
+      std::move(bytes), ctx_, nullptr));
   bytes_sent_.fetch_add(static_cast<int64_t>(wire_bytes));
   batches_sent_.fetch_add(1);
   rows_sent_[dest_index].fetch_add(static_cast<int64_t>(rows));
@@ -218,12 +202,7 @@ Status ExchangeSender::DoPush(int, Batch&& batch) {
 
 Status ExchangeSender::DoFinish(int) {
   for (size_t i = 0; i < destinations_.size(); ++i) {
-    const ExchangeDestination& dest = destinations_[i];
-    if (dest.remote != nullptr) {
-      PUSHSIP_RETURN_NOT_OK(dest.remote->SendFinish(sender_slots_[i]));
-    } else {
-      dest.channel->SendFinish(sender_slots_[i]);
-    }
+    PUSHSIP_RETURN_NOT_OK(destinations_[i].edge->SendFinish(sender_slots_[i]));
   }
   return Status::OK();
 }

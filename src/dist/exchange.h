@@ -1,9 +1,11 @@
 // Exchange operators: the cut points of a fragmented plan. An
-// ExchangeSender terminates a fragment, serializes every batch, moves the
-// bytes across the transport (a SimLink or a real TCP connection), and
-// enqueues them on the consumer's channel; the paired ExchangeReceiver is
-// a source operator of the consuming fragment that deserializes and
-// re-emits the stream on its own site's thread.
+// ExchangeSender terminates a fragment, serializes every batch, and hands
+// each frame to the ChannelSender its site's transport endpoint opened
+// toward the consumer (a SimLink transmit plus enqueue, a real TCP
+// connection, or a same-site loopback), which delivers it to the
+// consumer's channel; the paired ExchangeReceiver is a source operator of
+// the consuming fragment that deserializes and re-emits the stream on its
+// own site's thread.
 //
 // Modes (Carnot/Exchange-style):
 //   * kForward    — one channel, the whole stream (site-boundary cut)
@@ -42,7 +44,6 @@
 
 #include "exec/scan.h"
 #include "exec/source.h"
-#include "net/sim_link.h"
 #include "net/transport/channel.h"
 #include "net/transport/transport.h"
 #include "net/wire_format.h"
@@ -60,17 +61,13 @@ enum class ExchangeMode {
 
 const char* ExchangeModeName(ExchangeMode mode);
 
-/// One outgoing edge of an ExchangeSender. In-process (simulated) edges
-/// carry `channel` (the consumer's queue, enqueued directly after charging
-/// `link`); edges whose consumer lives in another process carry `remote`
-/// (a transport ChannelSender) instead, and the local channel/link are
-/// bypassed entirely.
+/// One outgoing edge of an ExchangeSender: the consumer's channel (which
+/// hands out the sender's slot), its cluster-wide id, and the edge toward
+/// it. OpenEdges opens the edge on the sending site's endpoint.
 struct ExchangeDestination {
   std::shared_ptr<ExchangeChannel> channel;
-  std::shared_ptr<SimLink> link;
-  /// Transport edge toward an out-of-process consumer; when set it
-  /// supersedes channel+link for this destination.
-  std::shared_ptr<ChannelSender> remote = nullptr;
+  uint32_t channel_id = 0;
+  std::shared_ptr<ChannelSender> edge = nullptr;
 };
 
 /// \brief Terminal operator of a producing fragment.
@@ -89,11 +86,11 @@ class ExchangeSender : public Operator {
   void BindSeqSource(const TableScan* scan) { seq_source_ = scan; }
   const TableScan* seq_source() const { return seq_source_; }
 
-  /// Reroutes destination `i` over the transport (multi-process wiring:
-  /// the consumer runs in another process). Call before the query runs.
-  void SetRemote(size_t dest_index, std::shared_ptr<ChannelSender> remote) {
-    destinations_[dest_index].remote = std::move(remote);
-  }
+  /// Opens every destination's edge on `endpoint`, the sending site's
+  /// transport, toward the channel's recorded consumer site. The assembly
+  /// opens them on the site's sim endpoint; WireTransport reopens them when
+  /// it moves the site onto another. Call before the query runs.
+  Status OpenEdges(Transport& endpoint);
 
   /// Advances the epoch and rewinds the arrival seq counters; part of the
   /// fragment-restart reset.
@@ -121,12 +118,12 @@ class ExchangeSender : public Operator {
     return destinations_;
   }
 
-  /// Cumulative seconds this sender spent blocked on backpressure: local
-  /// queue-capacity waits plus the transport senders' credit stalls.
+  /// Cumulative seconds this sender spent blocked on backpressure: its
+  /// edges' queue-capacity waits and credit stalls.
   double stall_seconds() const override {
-    double total = static_cast<double>(stall_micros_.load()) / 1e6;
+    double total = 0;
     for (const ExchangeDestination& dest : destinations_) {
-      if (dest.remote != nullptr) total += dest.remote->stall_seconds();
+      total += dest.edge->stall_seconds();
     }
     return total;
   }
@@ -154,11 +151,11 @@ class ExchangeSender : public Operator {
   /// the batch is encoded here under the destination stream's lock.
   Status Send(size_t dest_index, const Batch& batch,
               const std::string* body = nullptr);
-  /// Bills the link, enqueues (or transports) the bytes, and bumps the
-  /// send-side counters.
+  /// Sends the bytes over the destination's edge (which bills its link)
+  /// and bumps the send-side counters.
   Status TransmitFrame(size_t dest_index, std::string bytes, size_t rows);
   /// Epoch transitions: drops every stream's dictionary state and rewinds
-  /// the transport edges (the new epoch's frames replay the stream).
+  /// the edges (the new epoch's frames replay the stream).
   void ResetStreams();
 
   ExchangeMode mode_;
@@ -180,7 +177,6 @@ class ExchangeSender : public Operator {
   std::atomic<uint32_t> epoch_{0};
   std::atomic<int64_t> bytes_sent_{0};
   std::atomic<int64_t> batches_sent_{0};
-  std::atomic<int64_t> stall_micros_{0};
 };
 
 /// Liveness/teardown knobs of an ExchangeReceiver.

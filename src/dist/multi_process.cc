@@ -18,7 +18,6 @@
 #include <unordered_map>
 
 #include "obs/trace.h"
-#include "sip/aip_set.h"
 #include "storage/tpch_generator.h"
 #include "util/serde.h"
 
@@ -27,11 +26,10 @@ namespace pushsip {
 Status WireTransport(DistributedQuery& q,
                      const std::shared_ptr<Transport>& transport) {
   const int local = transport->local_site();
-  std::unordered_map<const ExchangeChannel*, uint32_t> channel_id;
-  for (size_t i = 0; i < q.channels.size(); ++i) {
-    channel_id[q.channels[i].get()] = static_cast<uint32_t>(i);
+  if (local < 0 || local >= static_cast<int>(q.sites.size())) {
+    return Status::InvalidArgument("the endpoint's site is not in the query");
   }
-  // Channels this site consumes receive remote frames via the transport.
+  // Channels this site consumes receive their frames via the endpoint.
   for (size_t i = 0; i < q.channels.size(); ++i) {
     const auto& channel = q.channels[i];
     if (channel->consumer_site() < 0) {
@@ -43,28 +41,13 @@ Status WireTransport(DistributedQuery& q,
           transport->BindChannel(static_cast<uint32_t>(i), channel));
     }
   }
-  // Local senders whose destination channel is consumed elsewhere get a
-  // transport edge; site-local destinations keep the direct queue.
-  for (const auto& site : q.sites) {
-    if (site->id() != local) continue;
-    for (const auto& fragment : site->fragments()) {
-      for (const auto& op : fragment->operators()) {
-        auto* sender = dynamic_cast<ExchangeSender*>(op.get());
-        if (sender == nullptr) continue;
-        const auto& dests = sender->destinations();
-        for (size_t d = 0; d < dests.size(); ++d) {
-          const auto it = channel_id.find(dests[d].channel.get());
-          if (it == channel_id.end()) {
-            return Status::Internal(
-                "sender destination points at an unregistered channel");
-          }
-          const int consumer = q.channels[it->second]->consumer_site();
-          if (consumer == local) continue;
-          PUSHSIP_ASSIGN_OR_RETURN(
-              std::shared_ptr<ChannelSender> remote,
-              transport->OpenChannel(it->second, consumer));
-          sender->SetRemote(d, std::move(remote));
-        }
+  SiteEngine& site = *q.sites[static_cast<size_t>(local)];
+  site.SetEndpoint(transport);
+  // Every edge of the site's senders leaves through the new endpoint.
+  for (const auto& fragment : site.fragments()) {
+    for (const auto& op : fragment->operators()) {
+      if (auto* sender = dynamic_cast<ExchangeSender*>(op.get())) {
+        PUSHSIP_RETURN_NOT_OK(sender->OpenEdges(*transport));
       }
     }
   }
@@ -74,11 +57,11 @@ Status WireTransport(DistributedQuery& q,
 namespace {
 
 /// The composite endpoint WireInProcessTcp returns: every site's
-/// TcpTransport lives in this process, and the supervisor-facing calls
-/// (Heal on recovery, TotalUsage for stats, Shutdown on teardown) fan out
-/// across all of them. local_site() is -1 — the single-supervisor mode —
-/// and the per-edge calls are invalid: wiring already happened on the
-/// per-site endpoints.
+/// TcpTransport lives in this process, and the whole-cluster calls (Heal,
+/// TotalUsage for stats, Shutdown on teardown) fan out across all of them.
+/// local_site() is -1 — the single-supervisor mode — and the per-site
+/// calls are invalid: edges, bindings and filters go through the per-site
+/// endpoints.
 class InProcessTcpSet : public Transport {
  public:
   explicit InProcessTcpSet(
@@ -107,17 +90,9 @@ class InProcessTcpSet : public Transport {
     return Status::InvalidArgument("open channels on the site endpoints");
   }
   void SetFilterHandler(FilterHandler) override {}
-
-  Result<double> ShipFilter(int to_site, const std::string& label,
-                            AttrId attr, const BloomFilter& filter) override {
-    if (to_site < 0 || to_site >= num_sites()) {
-      return Status::InvalidArgument("no such site");
-    }
-    // Any endpoint other than the destination carries the shipment; the
-    // destination's own handler delivers it.
-    const int from = (to_site + 1) % num_sites();
-    return endpoints_[static_cast<size_t>(from)]->ShipFilter(to_site, label,
-                                                             attr, filter);
+  Result<double> ShipFilter(int, const std::string&, AttrId,
+                            const BloomFilter&, ExecContext*) override {
+    return Status::InvalidArgument("ship filters from the site endpoints");
   }
 
   Status Heal() override {
@@ -169,12 +144,6 @@ Result<std::shared_ptr<Transport>> WireInProcessTcp(DistributedQuery& q,
     }
     endpoints[s]->SetPeers(std::move(others));
     PUSHSIP_RETURN_NOT_OK(WireTransport(q, endpoints[s]));
-    SiteEngine* engine = q.sites[static_cast<size_t>(s)].get();
-    endpoints[s]->SetFilterHandler(
-        [engine](const std::string& label, AttrId attr, BloomFilter filter) {
-          engine->AttachRemoteFilter(
-              attr, std::make_shared<AipSet>(std::move(filter)), label);
-        });
   }
   auto set = std::make_shared<InProcessTcpSet>(std::move(endpoints));
   PUSHSIP_RETURN_NOT_OK(set->Start());
@@ -199,28 +168,12 @@ Result<SiteReport> RunScaleOutSite(const SiteProcessOptions& options,
   so.batch_size = options.batch_size;
   so.deterministic_merge = options.deterministic_merge;
   so.exchange_idle_timeout_sec = options.exchange_idle_timeout_sec;
-  so.transport = transport;
   PUSHSIP_ASSIGN_OR_RETURN(std::unique_ptr<DistributedQuery> query,
                            BuildScaleOutQuery(options.query, catalog, so));
   query->transport = transport;
   query->local_site = options.site;
   query->root_site = 0;
   PUSHSIP_RETURN_NOT_OK(WireTransport(*query, transport));
-
-  SiteEngine* local_engine = nullptr;
-  for (const auto& site : query->sites) {
-    if (site->id() == options.site) local_engine = site.get();
-  }
-  if (local_engine == nullptr) {
-    return Status::Internal("local site missing from the assembled query");
-  }
-  transport->SetFilterHandler(
-      [local_engine](const std::string& label, AttrId attr,
-                     BloomFilter filter) {
-        local_engine->AttachRemoteFilter(
-            attr, std::make_shared<AipSet>(std::move(filter)), label);
-      });
-
   PUSHSIP_RETURN_NOT_OK(transport->Start());
   SiteReport out;
   PUSHSIP_ASSIGN_OR_RETURN(out.stats, query->Run());

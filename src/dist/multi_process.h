@@ -4,11 +4,11 @@
 // Model. Every process rebuilds the FULL query topology from the same
 // (query, scale factor, seed) — deterministic assembly makes channel ids
 // (a channel's index in DistributedQuery::channels) and sender slots agree
-// across processes — then WireTransport reroutes exactly the exchange
-// edges that cross a process boundary: channels this site consumes are
-// bound on the transport, local senders feeding remote consumers get a
-// transport ChannelSender, and everything site-local keeps the direct
-// in-process queue. Only the local site's fragments run.
+// across processes — then WireTransport moves the local site off its sim
+// endpoint onto the TCP one: channels the site consumes are bound there,
+// its senders' edges are reopened there (a same-site edge is the
+// endpoint's loopback, the rest cross sockets), and its AIP filters ship
+// from there. Only the local site's fragments run.
 //
 // Coordinator. RunMultiProcess forks one `pushsip_site` child per site
 // (ports pre-assigned on loopback). Each child prints one `REPORT <hex>`
@@ -28,26 +28,25 @@
 
 namespace pushsip {
 
-/// Reroutes the cross-process exchange edges of `q` over `transport`:
-/// binds every channel consumed at transport->local_site() and gives every
-/// local sender destination whose consumer lives elsewhere a transport
-/// ChannelSender. Requires the channels' consumer sites to be recorded
-/// (the PlanFragmenter does) and must run before transport->Start().
+/// Moves site transport->local_site() of `q` onto `transport`: binds every
+/// channel that site consumes, makes the endpoint the site's own (its
+/// filter handler delivers to the site, and the site's filter shippers
+/// ship from it), and reopens every edge of the site's senders on it.
+/// Requires the channels' consumer sites to be recorded (the
+/// PlanFragmenter does) and must run before transport->Start().
 Status WireTransport(DistributedQuery& q,
                      const std::shared_ptr<Transport>& transport);
 
 /// Single-process TCP execution: creates one TcpTransport endpoint per
-/// site of `q` inside this process (loopback, ephemeral ports), reroutes
-/// every cross-site exchange edge over them, installs per-site filter
-/// handlers, starts everything, and sets `q.transport` to the returned
-/// composite endpoint (local_site = -1, so one supervisor runs all
-/// fragments; Heal/Shutdown fan out, TotalUsage sums the endpoints).
+/// site of `q` inside this process (loopback, ephemeral ports), moves
+/// every site onto its endpoint (WireTransport), starts everything, and
+/// sets `q.transport` to the returned composite endpoint (local_site = -1,
+/// so one supervisor runs all fragments; Heal/Shutdown fan out, TotalUsage
+/// sums the endpoints).
 ///
 /// This is the TCP mode stateful fragment recovery operates under: the
-/// checkpoints live with the single supervisor while exchange payloads
-/// cross real sockets with credit flow control. AIP filters still ship
-/// via the sim-mesh shippers the assembly installed (direct in-process
-/// attach) unless the query was built with ScaleOutOptions::transport.
+/// checkpoints live with the single supervisor while exchange payloads and
+/// AIP filters cross real sockets, the payloads under credit flow control.
 Result<std::shared_ptr<Transport>> WireInProcessTcp(
     DistributedQuery& q, uint32_t credit_window = 64);
 

@@ -116,6 +116,7 @@ struct Cut {
   std::vector<int> producer_sites;
   /// Indexed by consuming site; null where the stream is not consumed.
   std::vector<std::shared_ptr<ExchangeChannel>> channels;
+  std::vector<uint32_t> channel_ids;  ///< index in the query's channels
   bool built = false;
   Schema schema;
   double est_rows = 0;
@@ -359,24 +360,9 @@ Result<PlanBuilder::NodeId> FragmentBuilder::Receive(NodeId x, int home,
   ro.ordered_merge = l_.options.deterministic_merge;
   auto receiver = std::make_unique<ExchangeReceiver>(
       pb->context(), "xrecv_" + n.stage, cut.schema, channel, ro);
-  // Filters built here ship back to the producing sites. Rebuilds run
-  // single-process (the recovery refusal rule), so they use the sim mesh.
-  RemoteFilterShipFn shipper;
-  if (assembly_ != nullptr && l_.options.transport != nullptr) {
-    std::vector<std::pair<int, SiteEngine*>> producers;
-    for (const int p : cut.producer_sites) {
-      producers.emplace_back(p, q.sites[static_cast<size_t>(p)].get());
-    }
-    shipper = MakeTransportFilterShipper(std::move(producers),
-                                         l_.options.transport);
-  } else {
-    std::vector<std::pair<SiteEngine*, std::shared_ptr<SimLink>>> producers;
-    for (const int p : cut.producer_sites) {
-      producers.emplace_back(q.sites[static_cast<size_t>(p)].get(),
-                             q.mesh->link(host.id(), p));
-    }
-    shipper = MakeFilterShipper(std::move(producers), &host.context());
-  }
+  // Filters built here ship back to the producing sites from the host's
+  // endpoint, whichever it is when they ship.
+  RemoteFilterShipFn shipper = MakeFilterShipper(&host, cut.producer_sites);
   const bool partitioned = n.mode == ExchangeMode::kHashPartition;
   PUSHSIP_ASSIGN_OR_RETURN(
       const PlanBuilder::NodeId src,
@@ -421,11 +407,12 @@ Result<Built> FragmentBuilder::BuildProducer(NodeId x, int home,
   std::vector<ExchangeDestination> dests;
   for (const int to : l_.Sites(l_.placement(x))) {
     dests.push_back({cut.channels[static_cast<size_t>(to)],
-                     l_.query->mesh->link(host.id(), to)});
+                     cut.channel_ids[static_cast<size_t>(to)]});
   }
   auto sender = std::make_unique<ExchangeSender>(
       &host.context(), "xsend_" + n.stage, schema, n.mode,
       std::move(hash_cols), std::move(dests));
+  PUSHSIP_RETURN_NOT_OK(sender->OpenEdges(*host.endpoint()));
   built.fragment.sender = sender.get();
   PUSHSIP_RETURN_NOT_OK(pb.FinishWith(built.out, std::move(sender)));
   if (EnableFragmentReplay(pb)) built.fragment.scan = pb.source_scans()[0];
@@ -594,14 +581,22 @@ Result<std::unique_ptr<DistributedQuery>> PlanFragmenter::Fragment(
     Cut& cut = l.cuts[static_cast<size_t>(x)];
     cut.producer_sites = l.Sites(l.placement(l.inputs(x)[0]));
     cut.channels.resize(catalogs_.size());
+    cut.channel_ids.resize(catalogs_.size());
     for (const int to : l.Sites(l.placement(x))) {
       auto channel =
           std::make_shared<ExchangeChannel>(options.channel_capacity);
       channel->set_num_senders(static_cast<int>(cut.producer_sites.size()));
       channel->set_consumer_site(to);
       cut.channels[static_cast<size_t>(to)] = channel;
+      cut.channel_ids[static_cast<size_t>(to)] =
+          static_cast<uint32_t>(query->channels.size());
       query->channels.push_back(std::move(channel));
     }
+  }
+  // Every site sends over its sim endpoint; a query without cuts has no
+  // edges and gets none.
+  if (!query->channels.empty()) {
+    PUSHSIP_RETURN_NOT_OK(ConnectSimEndpoints(*query));
   }
 
   // Fragments follow the order their cuts were declared in; a cut's

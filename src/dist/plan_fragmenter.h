@@ -16,10 +16,12 @@
 // site, terminated by an ExchangeSender `xsend_<stage>`; its consumers read
 // an ExchangeReceiver `xrecv_<stage>` whose estimates come from the
 // producers' (rows summed; a hash partition divides rows and the key's NDV
-// by the site count). Receivers ship AIP filters back to the producing
-// sites, over the transport when one is set and over the sim mesh
-// otherwise. Fragments are built in the order their exchanges were
-// declared, producers before consumers.
+// by the site count). Every site of a query with cuts gets a SimTransport
+// endpoint over the mesh, and each sender's edges are opened on its site's
+// endpoint; receivers ship AIP filters back to the producing sites from
+// their own site's endpoint (WireTransport later moves sites onto TCP).
+// Fragments are built in the order their exchanges were declared,
+// producers before consumers.
 //
 // Registries. A fragment whose joins read receivers gets a cost-based AIP
 // Manager (when `aip` is set). A producer fragment is replayable when it is
@@ -64,19 +66,13 @@ struct ScaleOutOptions {
   bool weak_part_filter = false;
   size_t channel_capacity = 64;
   /// Failure oracle armed on every mesh link (chaos tests, --kill-site).
-  /// The multi-site driver heals fired faults when it restarts a fragment.
+  /// The driver heals its fired faults through the sites' sim endpoints
+  /// when it restarts a fragment.
   std::shared_ptr<FaultInjector> fault_injector;
   /// Receiver heartbeat: give up after this long without exchange traffic.
   double exchange_idle_timeout_sec = 30.0;
   /// Replays allowed per fragment before a failure becomes fatal.
   int max_fragment_restarts = 3;
-  /// Multi-process execution: this process's transport endpoint. When set,
-  /// the build still assembles the full topology (channel ids and sender
-  /// slots must agree across processes) but AIP filter shipping goes over
-  /// the transport, and the caller is expected to wire the exchange edges
-  /// (dist/multi_process.h) and set DistributedQuery::local_site before
-  /// running. Null = classic single-process simulation.
-  std::shared_ptr<Transport> transport;
   /// Give every receiver ReceiverOptions::ordered_merge: buffer the stream
   /// and emit it sorted by (sender, seq) at end-of-stream, making the
   /// final answer bit-identical across backends and schedulers. Used by

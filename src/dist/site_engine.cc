@@ -3,8 +3,8 @@
 #include <map>
 #include <mutex>
 
-#include "net/wire_format.h"
 #include "obs/trace.h"
+#include "sip/aip_set.h"
 
 namespace pushsip {
 
@@ -115,6 +115,21 @@ int SiteEngine::AttachRemoteFilter(AttrId attr,
   return attached;
 }
 
+void SiteEngine::SetEndpoint(std::shared_ptr<Transport> endpoint) {
+  endpoint->SetFilterHandler(
+      [this](const std::string& label, AttrId attr, BloomFilter filter) {
+        return AttachRemoteFilter(
+            attr, std::make_shared<AipSet>(std::move(filter)), label);
+      });
+  std::lock_guard<std::mutex> lock(endpoint_mu_);
+  endpoint_ = std::move(endpoint);
+}
+
+std::shared_ptr<Transport> SiteEngine::endpoint() const {
+  std::lock_guard<std::mutex> lock(endpoint_mu_);
+  return endpoint_;
+}
+
 int64_t SiteEngine::remote_filter_pruned() const {
   std::lock_guard<std::mutex> lock(filter_mu_);
   int64_t pruned = 0;
@@ -122,105 +137,53 @@ int64_t SiteEngine::remote_filter_pruned() const {
   return pruned;
 }
 
-RemoteFilterShipFn MakeFilterShipper(
-    std::vector<std::pair<SiteEngine*, std::shared_ptr<SimLink>>> producers,
-    ExecContext* bill_to) {
+RemoteFilterShipFn MakeFilterShipper(SiteEngine* consumer,
+                                     std::vector<int> producer_sites) {
   // Per-label delivery memo, shared across invocations of this shipper: a
-  // re-ship after a link failure retries only the producers the label
-  // never reached, so healthy links are not transmitted over (or billed)
-  // twice, and the accumulated link seconds are reported exactly once —
-  // when the delivery finally completes.
+  // re-ship after a failure retries only the producers the label never
+  // reached, so healthy links are not transmitted over (or billed) twice,
+  // and the accumulated link seconds are reported exactly once — when the
+  // delivery finally completes.
   struct ShipState {
     std::mutex mu;
     std::map<std::string, std::pair<std::vector<bool>, double>> by_label;
   };
   auto state = std::make_shared<ShipState>();
-  return [producers, state, bill_to](AttrId attr, const BloomFilter& filter,
-                                     const std::string& label)
+  return [consumer, producer_sites, state](AttrId attr,
+                                           const BloomFilter& filter,
+                                           const std::string& label)
              -> Result<double> {
     obs::TraceSpan ship_span("aip_ship", "\"label\":\"" + label + "\"");
-    const std::string bytes = SerializeFilterMessage(attr, filter);
+    const std::shared_ptr<Transport> endpoint = consumer->endpoint();
     std::lock_guard<std::mutex> lock(state->mu);
     auto& [delivered, seconds] = state->by_label[label];
-    delivered.resize(producers.size(), false);
-    int attached = 0;
-    Status link_failure = Status::OK();
-    for (size_t i = 0; i < producers.size(); ++i) {
-      const auto& [site, link] = producers[i];
+    delivered.resize(producer_sites.size(), false);
+    bool attached = false;
+    Status failure = Status::OK();
+    for (size_t i = 0; i < producer_sites.size(); ++i) {
       if (delivered[i]) {
-        ++attached;  // reached on an earlier attempt
+        attached = true;  // reached on an earlier attempt
         continue;
       }
-      if (link != nullptr) {
-        const Status sent = link->Transmit(bytes.size(), bill_to);
-        if (!sent.ok()) {
-          // Downed link: this producer keeps streaming unfiltered. Report
-          // the failure so the AIP manager queues a re-ship for after the
-          // recovery, but keep delivering to the reachable producers.
-          if (link_failure.ok()) link_failure = sent;
-          continue;
-        }
-        seconds += link->TransferSeconds(bytes.size());
+      const Result<double> shipped =
+          endpoint->ShipFilter(producer_sites[i], label, attr, filter,
+                               &consumer->context());
+      if (shipped.ok()) {
+        seconds += *shipped;
+        attached = true;
+      } else if (shipped.status().code() != StatusCode::kNotFound) {
+        // Unreachable producer: it keeps streaming unfiltered. Report the
+        // failure so the AIP manager queues a re-ship for after the
+        // recovery, but keep delivering to the reachable producers.
+        if (failure.ok()) failure = shipped.status();
+        continue;
       }
-      // The far end decodes its own copy of the message — the full wire
-      // round-trip, exactly as a socket-delivered filter would arrive.
-      PUSHSIP_ASSIGN_OR_RETURN(FilterMessage msg,
-                               DeserializeFilterMessage(bytes));
-      auto set = std::make_shared<AipSet>(std::move(msg.filter));
-      attached += site->AttachRemoteFilter(msg.attr, std::move(set), label);
       delivered[i] = true;
     }
-    if (!link_failure.ok()) return link_failure;
-    if (attached == 0) {
+    if (!failure.ok()) return failure;
+    if (!attached) {
       return Status::NotFound("no remote scan carries the filtered attr");
     }
-    return seconds;
-  };
-}
-
-RemoteFilterShipFn MakeTransportFilterShipper(
-    std::vector<std::pair<int, SiteEngine*>> producers,
-    std::shared_ptr<Transport> transport) {
-  struct ShipState {
-    std::mutex mu;
-    std::map<std::string, std::pair<std::vector<bool>, double>> by_label;
-  };
-  auto state = std::make_shared<ShipState>();
-  return [producers, state, transport](AttrId attr, const BloomFilter& filter,
-                                       const std::string& label)
-             -> Result<double> {
-    obs::TraceSpan ship_span("aip_ship", "\"label\":\"" + label + "\"");
-    std::lock_guard<std::mutex> lock(state->mu);
-    auto& [delivered, seconds] = state->by_label[label];
-    delivered.resize(producers.size(), false);
-    Status ship_failure = Status::OK();
-    for (size_t i = 0; i < producers.size(); ++i) {
-      const auto& [site, engine] = producers[i];
-      if (delivered[i]) continue;
-      if (site == transport->local_site()) {
-        // Local producer: same serialize/deserialize round-trip a socket
-        // delivery would perform, then a direct attach.
-        const std::string bytes = SerializeFilterMessage(attr, filter);
-        PUSHSIP_ASSIGN_OR_RETURN(FilterMessage msg,
-                                 DeserializeFilterMessage(bytes));
-        auto set = std::make_shared<AipSet>(std::move(msg.filter));
-        engine->AttachRemoteFilter(msg.attr, std::move(set), label);
-        delivered[i] = true;
-        continue;
-      }
-      Result<double> shipped =
-          transport->ShipFilter(site, label, attr, filter);
-      if (!shipped.ok()) {
-        // Unreachable site: it keeps streaming unfiltered for now. Report
-        // the failure so the AIP manager queues a re-ship after recovery,
-        // but keep delivering to the reachable producers.
-        if (ship_failure.ok()) ship_failure = shipped.status();
-        continue;
-      }
-      seconds += *shipped;
-      delivered[i] = true;
-    }
-    if (!ship_failure.ok()) return ship_failure;
     return seconds;
   };
 }

@@ -1,7 +1,7 @@
-// SiteEngine: one simulated Tukwila node. A site owns a partition of the
-// catalog (its local tables / shards), an ExecContext shared by the plan
-// fragments placed on it, and the attach point for AIP filters shipped to
-// it from other sites.
+// SiteEngine: one Tukwila node. A site owns a partition of the catalog
+// (its local tables / shards), an ExecContext shared by the plan fragments
+// placed on it, its transport endpoint (the one way its frames and AIP
+// filters leave it), and the attach point for AIP filters shipped to it.
 #ifndef PUSHSIP_DIST_SITE_ENGINE_H_
 #define PUSHSIP_DIST_SITE_ENGINE_H_
 
@@ -69,6 +69,14 @@ class SiteEngine {
   int AttachRemoteFilter(AttrId attr, std::shared_ptr<const AipSet> set,
                          const std::string& label);
 
+  /// Moves this site onto `endpoint` (a sim endpoint at assembly, a TCP
+  /// one when WireTransport moves it): filters shipped to the site arrive
+  /// through the endpoint's handler, and every edge and filter shipment
+  /// the site opens from now on leaves through it.
+  void SetEndpoint(std::shared_ptr<Transport> endpoint);
+  /// Null for a site of a query without cuts.
+  std::shared_ptr<Transport> endpoint() const;
+
   /// Tuples pruned at this site's scans by remotely shipped filters.
   int64_t remote_filter_pruned() const;
 
@@ -85,6 +93,8 @@ class SiteEngine {
   std::string name_;
   std::shared_ptr<Catalog> catalog_;
   ExecContext ctx_;
+  mutable std::mutex endpoint_mu_;
+  std::shared_ptr<Transport> endpoint_;
   /// Guards fragments_ against the one mid-query mutation (PublishFragment
   /// during a migration) racing concurrent AttachRemoteFilter iterations.
   mutable std::mutex fragments_mu_;
@@ -100,28 +110,17 @@ class SiteEngine {
   std::atomic<int64_t> filters_reattached_{0};
 };
 
-/// Builds the RemoteFilterShipFn for a port whose stream is produced at
-/// `producers` (one entry per producing site): serializes the Bloom
-/// summary once, transmits it over each producer's link, deserializes at
-/// the far end, and attaches it to the producer's matching scans. Returns
-/// the simulated seconds the shipments occupied the links. `bill_to`, when
-/// non-null, receives per-query billing of the shipped bytes (for links
-/// shared across concurrent sessions).
-RemoteFilterShipFn MakeFilterShipper(
-    std::vector<std::pair<SiteEngine*, std::shared_ptr<SimLink>>> producers,
-    ExecContext* bill_to = nullptr);
-
-/// Transport-backed variant for multi-process queries: each producer is a
-/// (site id, engine) pair where `engine` is non-null only for the local
-/// site. Local producers get the filter attached directly (after a full
-/// serialize/deserialize round-trip, for symmetry); remote producers
-/// receive it via Transport::ShipFilter, delivered by the far side's
-/// filter handler. The same per-label memo semantics as MakeFilterShipper:
-/// a re-ship after a connection failure retries only the producers the
-/// label never reached.
-RemoteFilterShipFn MakeTransportFilterShipper(
-    std::vector<std::pair<int, SiteEngine*>> producers,
-    std::shared_ptr<Transport> transport);
+/// Builds the RemoteFilterShipFn for a port of `consumer` whose stream is
+/// produced at `producer_sites`. Each call ships the Bloom summary from the
+/// consumer's endpoint as it is at that moment (Transport::ShipFilter,
+/// billed to the consumer's context) to every producer site, whose filter
+/// handler attaches it to the matching scans. Returns the link seconds the
+/// shipments occupied. A per-label memo makes re-ships idempotent: a
+/// re-ship after a failure retries only the producers the label never
+/// reached. kNotFound when every delivery reported that no scan carries
+/// the attr.
+RemoteFilterShipFn MakeFilterShipper(SiteEngine* consumer,
+                                     std::vector<int> producer_sites);
 
 }  // namespace pushsip
 

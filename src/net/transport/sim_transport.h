@@ -1,10 +1,15 @@
-// SimTransport: the simulator behind the Transport interface. One
-// SimCluster (the shared SiteMesh plus the cluster-wide channel/handler
-// registry) backs N SimTransport endpoints, one per site — everything
-// stays in-process and deterministic, FaultInjector schedules fire exactly
-// as they do on raw SimLinks, and flow control is the ExchangeChannel's
-// own frame/byte caps. The conformance suite runs the same battery over
-// this backend and the TCP one.
+// SimTransport: the simulator behind the Transport interface, and the
+// default data plane of every distributed query (the PlanFragmenter gives
+// each site of a query one endpoint over the query's mesh). One SimCluster
+// (the SiteMesh plus the query's channel/handler registry) backs N
+// SimTransport endpoints, one per site — everything stays in-process and
+// deterministic, FaultInjector schedules fire on the mesh's SimLinks, and
+// flow control is the ExchangeChannel's own frame/byte caps. Edges are
+// DirectChannelSenders over the mesh link (none for a loopback), resolved
+// to their channel once, when opened. Filter delivery is synchronous, so
+// ShipFilter reports kNotFound when no scan at the destination carries
+// the attr. The conformance suite runs the same battery over this backend
+// and the TCP one.
 #ifndef PUSHSIP_NET_TRANSPORT_SIM_TRANSPORT_H_
 #define PUSHSIP_NET_TRANSPORT_SIM_TRANSPORT_H_
 
@@ -43,7 +48,10 @@ class SimTransport : public Transport {
  public:
   SimTransport(std::shared_ptr<SimCluster> cluster, int site)
       : cluster_(std::move(cluster)), site_(site) {}
-  ~SimTransport() override { Shutdown(); }
+  /// Leaves the bound channels alone: they belong to the query, which
+  /// cancels them on teardown, and a site moved onto another endpoint
+  /// (WireTransport) keeps consuming them after this one is dropped.
+  ~SimTransport() override = default;
 
   const char* backend() const override { return "sim"; }
   int local_site() const override { return site_; }
@@ -58,7 +66,8 @@ class SimTransport : public Transport {
                                                      int to_site) override;
   void SetFilterHandler(FilterHandler handler) override;
   Result<double> ShipFilter(int to_site, const std::string& label,
-                            AttrId attr, const BloomFilter& filter) override;
+                            AttrId attr, const BloomFilter& filter,
+                            ExecContext* bill_to) override;
   Status Heal() override;
   LinkUsage TotalUsage() const override;
 

@@ -729,11 +729,20 @@ class TcpChannelSender : public ChannelSender {
 
 Result<std::shared_ptr<ChannelSender>> TcpTransport::OpenChannel(
     uint32_t channel_id, int to_site) {
-  if (to_site == options_.local_site) {
-    return Status::InvalidArgument("local exchange edges bypass the transport");
-  }
   if (to_site < 0 || to_site >= options_.num_sites) {
     return Status::InvalidArgument("no such site");
+  }
+  if (to_site == options_.local_site) {
+    // Loopback: a same-site edge enqueues straight into the bound channel.
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = bindings_.find(channel_id);
+    if (it == bindings_.end()) {
+      return Status::NotFound("loopback channel " +
+                              std::to_string(channel_id) + " is not bound");
+    }
+    return std::shared_ptr<ChannelSender>(
+        std::make_shared<DirectChannelSender>(it->second, nullptr,
+                                              channel_id, to_site));
   }
   return std::shared_ptr<ChannelSender>(
       std::make_shared<TcpChannelSender>(this, channel_id, to_site));
@@ -745,22 +754,35 @@ void TcpTransport::SetFilterHandler(FilterHandler handler) {
 }
 
 Result<double> TcpTransport::ShipFilter(int to_site, const std::string& label,
-                                        AttrId attr,
-                                        const BloomFilter& filter) {
-  if (to_site < 0 || to_site >= options_.num_sites ||
-      to_site == options_.local_site) {
+                                        AttrId attr, const BloomFilter& filter,
+                                        ExecContext* bill_to) {
+  if (to_site < 0 || to_site >= options_.num_sites) {
     return Status::InvalidArgument("bad filter destination");
+  }
+  TransportMsg msg;
+  msg.kind = TransportMsgKind::kFilter;
+  msg.payload = EncodeFilterShipment(label, attr, filter);
+  if (to_site == options_.local_site) {
+    // Loopback: the local handler, synchronously; no socket, no billing.
+    FilterHandler handler;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      handler = filter_handler_;
+    }
+    PUSHSIP_RETURN_NOT_OK(DeliverFilterShipment(msg.payload, handler));
+    return 0.0;
   }
   ConnPtr conn = OutboundFor(to_site);
   if (conn == nullptr || !conn->up.load()) {
     return Status::Unavailable("no live connection to site " +
                                std::to_string(to_site));
   }
-  TransportMsg msg;
-  msg.kind = TransportMsgKind::kFilter;
-  msg.payload = EncodeFilterShipment(label, attr, filter);
+  const std::string frame = EncodeTransportMsg(msg);
   double secs = 0;
-  PUSHSIP_RETURN_NOT_OK(WriteFrame(conn, EncodeTransportMsg(msg), &secs));
+  PUSHSIP_RETURN_NOT_OK(WriteFrame(conn, frame, &secs));
+  if (bill_to != nullptr) {
+    bill_to->RecordLinkTraffic(static_cast<int64_t>(frame.size()), secs);
+  }
   return secs;
 }
 

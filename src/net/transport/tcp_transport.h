@@ -5,6 +5,9 @@
 // frames flow forward on it and j's credit grants flow back on the same
 // socket. A full mesh of N sites therefore holds N·(N-1) connections,
 // each multiplexing every exchange channel between its pair.
+// An edge or filter toward the local site is a loopback that never
+// touches a socket (a DirectChannelSender into the bound channel, or the
+// local filter handler).
 //
 // Event model. One epoll EventLoop per endpoint owns the listen socket and
 // all established connections' read sides. Writes happen on the sending
@@ -108,7 +111,8 @@ class TcpTransport : public Transport {
                                                      int to_site) override;
   void SetFilterHandler(FilterHandler handler) override;
   Result<double> ShipFilter(int to_site, const std::string& label,
-                            AttrId attr, const BloomFilter& filter) override;
+                            AttrId attr, const BloomFilter& filter,
+                            ExecContext* bill_to) override;
   Status Heal() override;
   LinkUsage TotalUsage() const override;
 

@@ -17,6 +17,7 @@
 #include "net/fault_injector.h"
 #include "optimizer/cardinality.h"
 #include "tests/testing/catalog_factory.h"
+#include "tests/testing/sim_plane.h"
 #include "tests/testing/test_rng.h"
 
 namespace pushsip {
@@ -163,14 +164,15 @@ TEST(AdaptiveTest, AdoptedStreamIsDeduplicatedExactly) {
   // "Site A" dies after 3 delivered windows.
   auto injector = std::make_shared<FaultInjector>();
   injector->DropAfter(/*from=*/0, /*to=*/1, /*after=*/3, /*failures=*/1);
-  auto link_a = std::make_shared<SimLink>(1e12, 0);
-  link_a->SetFaultInjector(injector, 0, 1);
+  // Site A is 0, site B is 2, the consumer is 1.
+  testing::SimPlane plane(3);
+  plane.mesh()->InstallFaultInjector(injector);
 
   ScanOptions options;
   options.window_batches = true;
   TableScan scan_a(&site_a, "scan", table, schema, options);
   ExchangeSender sender_a(&site_a, "xsend", schema, ExchangeMode::kForward,
-                          {}, {{channel, link_a}});
+                          {}, {plane.Edge(0, 1, channel)});
   scan_a.SetOutput(&sender_a);
   sender_a.BindSeqSource(&scan_a);
 
@@ -184,10 +186,9 @@ TEST(AdaptiveTest, AdoptedStreamIsDeduplicatedExactly) {
   EXPECT_EQ(failed.code(), StatusCode::kUnavailable);
 
   // "Migration": the rebuilt fragment on site B adopts A's stream.
-  auto link_b = std::make_shared<SimLink>(1e12, 0);
   TableScan scan_b(&site_b, "scan", table, schema, options);
   ExchangeSender sender_b(&site_b, "xsend", schema, ExchangeMode::kForward,
-                          {}, {{channel, link_b}});
+                          {}, {plane.Edge(2, 1, channel)});
   scan_b.SetOutput(&sender_b);
   sender_b.BindSeqSource(&scan_b);
   sender_b.AdoptStream(sender_a);

@@ -14,6 +14,7 @@
 #include "dist/scale_out.h"
 #include "net/fault_injector.h"
 #include "tests/testing/catalog_factory.h"
+#include "tests/testing/sim_plane.h"
 #include "tests/testing/test_rng.h"
 
 namespace pushsip {
@@ -240,21 +241,24 @@ TEST(ChaosTest, TeardownUnblocksReceiverWhenSenderNeverStarted) {
 // re-ship), and a healed retry attaches exactly once per label.
 TEST(ChaosTest, FilterShipperReportsDownedLinkAndReshipsIdempotently) {
   auto catalog = TinyTpchCatalog();
-  SiteEngine site(0, "site0", catalog);
+  SiteEngine site(0, "site0", catalog);       // the producer
+  SiteEngine consumer(1, "site1", catalog);   // ships from its endpoint
   const TablePtr lineitem = *catalog->GetTable("lineitem");
   const Schema schema = MakeInstanceSchema(*lineitem, "l", 1);
   PlanBuilder& pb = site.NewFragment();
   ASSERT_TRUE(pb.ScanShard("lineitem", schema).ok());
 
   auto injector = std::make_shared<FaultInjector>();
-  auto link = std::make_shared<SimLink>(1e9, 0.0);
-  link->SetFaultInjector(injector, /*from=*/1, /*to=*/0);
+  testing::SimPlane plane(2, 1e9, 0.0);
+  plane.mesh()->InstallFaultInjector(injector);
   injector->SiteDown(/*site=*/0, /*after=*/0);
+  site.SetEndpoint(plane.endpoint(0));
+  consumer.SetEndpoint(plane.endpoint(1));
 
   BloomFilter bloom(1024, 0.05, 1);
   bloom.Insert(42);
   const AttrId attr = schema.field(1).attr;  // l.l_partkey
-  RemoteFilterShipFn ship = MakeFilterShipper({{&site, link}});
+  RemoteFilterShipFn ship = MakeFilterShipper(&consumer, {0});
 
   const Result<double> down = ship(attr, bloom, "chaos:test-filter");
   ASSERT_FALSE(down.ok());

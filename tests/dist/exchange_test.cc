@@ -13,6 +13,7 @@
 #include "net/wire_format.h"
 #include "storage/table.h"
 #include "tests/testing/batch_builder.h"
+#include "tests/testing/sim_plane.h"
 #include "util/serde.h"
 #include "util/stopwatch.h"
 
@@ -34,10 +35,11 @@ TEST(ExchangeTest, ForwardMovesTheWholeStream) {
   ExecContext send_ctx, recv_ctx;
   auto channel = std::make_shared<ExchangeChannel>();
   channel->set_num_senders(1);
-  auto link = std::make_shared<SimLink>(1e12, 0);
+  testing::SimPlane plane(2);
 
   ExchangeSender sender(&send_ctx, "xsend", TwoIntSchema(),
-                        ExchangeMode::kForward, {}, {{channel, link}});
+                        ExchangeMode::kForward, {},
+                        {plane.Edge(0, 1, channel)});
   ExchangeReceiver receiver(&recv_ctx, "xrecv", TwoIntSchema(), channel);
   Sink sink(&recv_ctx, "sink", TwoIntSchema());
   receiver.SetOutput(&sink);
@@ -50,7 +52,8 @@ TEST(ExchangeTest, ForwardMovesTheWholeStream) {
 
   EXPECT_EQ(sink.num_rows(), 150);
   EXPECT_TRUE(sink.finished());
-  EXPECT_EQ(link->bytes_transferred(), sender.bytes_sent());
+  EXPECT_EQ(plane.mesh()->link(0, 1)->bytes_transferred(),
+            sender.bytes_sent());
   EXPECT_GT(sender.bytes_sent(), 0);
   EXPECT_EQ(receiver.batches_received(), 2);
 }
@@ -58,12 +61,13 @@ TEST(ExchangeTest, ForwardMovesTheWholeStream) {
 TEST(ExchangeTest, HashPartitionIsADisjointCover) {
   ExecContext send_ctx;
   ExecContext recv_ctx[2];
+  testing::SimPlane plane(1);
   std::vector<ExchangeDestination> dests;
   std::vector<std::shared_ptr<ExchangeChannel>> channels;
   for (int i = 0; i < 2; ++i) {
     channels.push_back(std::make_shared<ExchangeChannel>());
     channels.back()->set_num_senders(1);
-    dests.push_back({channels.back(), nullptr});
+    dests.push_back(plane.Edge(0, 0, channels.back()));
   }
   ExchangeSender sender(&send_ctx, "xsend", TwoIntSchema(),
                         ExchangeMode::kHashPartition, {0}, dests);
@@ -100,12 +104,13 @@ TEST(ExchangeTest, HashPartitionIsADisjointCover) {
 TEST(ExchangeTest, BroadcastReplicatesToEveryChannel) {
   ExecContext send_ctx;
   ExecContext recv_ctx[3];
+  testing::SimPlane plane(1);
   std::vector<ExchangeDestination> dests;
   std::vector<std::shared_ptr<ExchangeChannel>> channels;
   for (int i = 0; i < 3; ++i) {
     channels.push_back(std::make_shared<ExchangeChannel>());
     channels.back()->set_num_senders(1);
-    dests.push_back({channels.back(), nullptr});
+    dests.push_back(plane.Edge(0, 0, channels.back()));
   }
   ExchangeSender sender(&send_ctx, "xsend", TwoIntSchema(),
                         ExchangeMode::kBroadcast, {}, dests);
@@ -133,10 +138,11 @@ TEST(ExchangeTest, ReceiverWaitsForAllSenders) {
   ExecContext ctx1, ctx2, recv_ctx;
   auto channel = std::make_shared<ExchangeChannel>();
   channel->set_num_senders(2);
+  testing::SimPlane plane(1);
   ExchangeSender s1(&ctx1, "xsend1", TwoIntSchema(), ExchangeMode::kForward,
-                    {}, {{channel, nullptr}});
+                    {}, {plane.Edge(0, 0, channel)});
   ExchangeSender s2(&ctx2, "xsend2", TwoIntSchema(), ExchangeMode::kForward,
-                    {}, {{channel, nullptr}});
+                    {}, {plane.Edge(0, 0, channel)});
   ExchangeReceiver receiver(&recv_ctx, "xrecv", TwoIntSchema(), channel);
   Sink sink(&recv_ctx, "sink", TwoIntSchema());
   receiver.SetOutput(&sink);
@@ -158,10 +164,11 @@ TEST(ExchangeTest, ReplayedSenderFinishesItsStreamOnce) {
   ExecContext ctx1, ctx2;
   auto channel = std::make_shared<ExchangeChannel>();
   channel->set_num_senders(2);
+  testing::SimPlane plane(1);
   ExchangeSender done(&ctx1, "xsend_done", TwoIntSchema(),
-                      ExchangeMode::kForward, {}, {{channel, nullptr}});
+                      ExchangeMode::kForward, {}, {plane.Edge(0, 0, channel)});
   ExchangeSender busy(&ctx2, "xsend_busy", TwoIntSchema(),
-                      ExchangeMode::kForward, {}, {{channel, nullptr}});
+                      ExchangeMode::kForward, {}, {plane.Edge(0, 0, channel)});
   ASSERT_TRUE(done.Finish(0).ok());
   done.ResetForReplay();
   ASSERT_TRUE(done.Finish(0).ok());
@@ -178,8 +185,9 @@ TEST(ExchangeTest, ReceiverStallIsTheTimeItWaited) {
   ExecContext send_ctx, recv_ctx;
   auto channel = std::make_shared<ExchangeChannel>();
   channel->set_num_senders(1);
+  testing::SimPlane plane(1);
   ExchangeSender sender(&send_ctx, "xsend", TwoIntSchema(),
-                        ExchangeMode::kForward, {}, {{channel, nullptr}});
+                        ExchangeMode::kForward, {}, {plane.Edge(0, 0, channel)});
   ReceiverOptions options;
   options.poll_ms = 1000;  // the frame arrives before the first poll ends
   ExchangeReceiver receiver(&recv_ctx, "xrecv", TwoIntSchema(), channel,
@@ -209,8 +217,9 @@ TEST(ExchangeTest, CancelUnblocksABlockedSender) {
   ExecContext ctx;
   auto channel = std::make_shared<ExchangeChannel>(/*capacity=*/1);
   channel->set_num_senders(1);
+  testing::SimPlane plane(1);
   ExchangeSender sender(&ctx, "xsend", TwoIntSchema(),
-                        ExchangeMode::kForward, {}, {{channel, nullptr}});
+                        ExchangeMode::kForward, {}, {plane.Edge(0, 0, channel)});
   ASSERT_TRUE(sender.Push(0, MakeBatch(0, 1)).ok());  // fills the queue
 
   std::thread blocked([&] {
@@ -244,14 +253,14 @@ TEST(ExchangeTest, ReplayAfterResetIsDeduplicatedExactly) {
 
   auto injector = std::make_shared<FaultInjector>();
   injector->DropAfter(/*from=*/0, /*to=*/1, /*after=*/3, /*failures=*/1);
-  auto link = std::make_shared<SimLink>(1e12, 0);
-  link->SetFaultInjector(injector, 0, 1);
+  testing::SimPlane plane(2);
+  plane.mesh()->InstallFaultInjector(injector);
 
   ScanOptions options;
   options.window_batches = true;
   TableScan scan(&send_ctx, "scan", table, schema, options);
   ExchangeSender sender(&send_ctx, "xsend", schema, ExchangeMode::kForward,
-                        {}, {{channel, link}});
+                        {}, {plane.Edge(0, 1, channel)});
   scan.SetOutput(&sender);
   sender.BindSeqSource(&scan);
 
@@ -311,14 +320,14 @@ TEST(ExchangeTest, DoubleReplayAfterTwoResetsIsDeduplicatedExactly) {
   // 0-2 are dups. Attempt 3 runs clean: 0-4 dups, 5-6 new.
   injector->DropAfter(/*from=*/0, /*to=*/1, /*after=*/3, /*failures=*/1);
   injector->DropAfter(/*from=*/0, /*to=*/1, /*after=*/8, /*failures=*/1);
-  auto link = std::make_shared<SimLink>(1e12, 0);
-  link->SetFaultInjector(injector, 0, 1);
+  testing::SimPlane plane(2);
+  plane.mesh()->InstallFaultInjector(injector);
 
   ScanOptions options;
   options.window_batches = true;
   TableScan scan(&send_ctx, "scan", table, schema, options);
   ExchangeSender sender(&send_ctx, "xsend", schema, ExchangeMode::kForward,
-                        {}, {{channel, link}});
+                        {}, {plane.Edge(0, 1, channel)});
   scan.SetOutput(&sender);
   sender.BindSeqSource(&scan);
 

@@ -158,34 +158,39 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
   const Schema x_schema = MakeInstanceSchema(*x, "x", 0);
   const Schema y_schema = MakeInstanceSchema(*y, "y", 1);
 
+  // Channel ids are indexes in q.channels: ch_final is 0, site i's X and
+  // Y partitions are 1 + 2i and 2 + 2i.
   std::vector<std::shared_ptr<ExchangeChannel>> ch_x, ch_y;
   auto ch_final = std::make_shared<ExchangeChannel>();
   ch_final->set_num_senders(kSites);
+  ch_final->set_consumer_site(0);
   q.channels.push_back(ch_final);
   for (int i = 0; i < kSites; ++i) {
     ch_x.push_back(std::make_shared<ExchangeChannel>());
     ch_y.push_back(std::make_shared<ExchangeChannel>());
     ch_x.back()->set_num_senders(kSites);
     ch_y.back()->set_num_senders(kSites);
+    ch_x.back()->set_consumer_site(i);
+    ch_y.back()->set_consumer_site(i);
     q.channels.push_back(ch_x.back());
     q.channels.push_back(ch_y.back());
   }
-  const auto fan_out =
-      [&](int from, const std::vector<std::shared_ptr<ExchangeChannel>>& ch) {
-        std::vector<ExchangeDestination> dests;
-        for (int to = 0; to < kSites; ++to) {
-          dests.push_back(
-              {ch[static_cast<size_t>(to)], q.mesh->link(from, to)});
-        }
-        return dests;
-      };
-  const auto ship_everywhere = [&](int at) {
-    std::vector<std::pair<SiteEngine*, std::shared_ptr<SimLink>>> producers;
+  ASSERT_TRUE(ConnectSimEndpoints(q).ok());
+  const auto fan_out = [&](uint32_t first_id,
+                           const std::vector<std::shared_ptr<ExchangeChannel>>&
+                               ch) {
+    std::vector<ExchangeDestination> dests;
     for (int to = 0; to < kSites; ++to) {
-      producers.emplace_back(q.sites[static_cast<size_t>(to)].get(),
-                             q.mesh->link(at, to));
+      dests.push_back({ch[static_cast<size_t>(to)],
+                       first_id + 2 * static_cast<uint32_t>(to)});
     }
-    return MakeFilterShipper(std::move(producers));
+    return dests;
+  };
+  std::vector<int> all_sites;
+  for (int to = 0; to < kSites; ++to) all_sites.push_back(to);
+  const auto ship_everywhere = [&](int at) {
+    return MakeFilterShipper(q.sites[static_cast<size_t>(at)].get(),
+                             all_sites);
   };
 
   Schema join_out;
@@ -197,7 +202,8 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
       ASSERT_TRUE(sid.ok());
       auto sender = std::make_unique<ExchangeSender>(
           &site.context(), "xsend_x", x_schema, ExchangeMode::kHashPartition,
-          std::vector<int>{0}, fan_out(i, ch_x));
+          std::vector<int>{0}, fan_out(1, ch_x));
+      ASSERT_TRUE(sender->OpenEdges(*site.endpoint()).ok());
       ASSERT_TRUE(pb.FinishWith(*sid, std::move(sender)).ok());
     }
     {  // Y map: paced, so X's state completes while Y still streams.
@@ -209,7 +215,8 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
       ASSERT_TRUE(sid.ok());
       auto sender = std::make_unique<ExchangeSender>(
           &site.context(), "xsend_y", y_schema, ExchangeMode::kHashPartition,
-          std::vector<int>{0}, fan_out(i, ch_y));
+          std::vector<int>{0}, fan_out(2, ch_y));
+      ASSERT_TRUE(sender->OpenEdges(*site.endpoint()).ok());
       ASSERT_TRUE(pb.FinishWith(*sid, std::move(sender)).ok());
     }
     {  // Compute: X ⋈ Y over this site's key range.
@@ -235,7 +242,8 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
       auto sender = std::make_unique<ExchangeSender>(
           &site.context(), "xsend_out", join_out, ExchangeMode::kForward,
           std::vector<int>{},
-          std::vector<ExchangeDestination>{{ch_final, q.mesh->link(i, 0)}});
+          std::vector<ExchangeDestination>{{ch_final, 0}});
+      ASSERT_TRUE(sender->OpenEdges(*site.endpoint()).ok());
       ASSERT_TRUE(pb.FinishWith(*j, std::move(sender)).ok());
       // Eager AIP: near-zero fixed cost so any plausible set is built.
       AipOptions aip;

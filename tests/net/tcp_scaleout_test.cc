@@ -141,6 +141,30 @@ TEST(TcpScaleOutTest, FourSitesMatchSimBitForBit) {
       << "tcp answer diverged from the in-process simulation ("
       << tcp.rows_wire.size() << " vs " << sim_wire.size()
       << " serialized bytes)";
+
+  // One more input: the same query in one process over loopback TCP. Its
+  // cost-based AIP filters leave through the sites' TCP endpoints, so the
+  // simulated mesh carries nothing at all.
+  TpchConfig gen;
+  gen.scale_factor = kScaleFactor;
+  gen.seed = kSeed;
+  ScaleOutOptions so;
+  so.num_sites = kSites;
+  so.aip = true;
+  so.weak_part_filter = true;
+  so.deterministic_merge = true;
+  auto query =
+      BuildScaleOutQuery(ScaleOutQuery::kQ17, MakeTpchCatalog(gen), so);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_TRUE(WireInProcessTcp(**query).ok());
+  auto stats = (*query)->Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->aip_filters, 0);
+  EXPECT_EQ((*query)->mesh->TotalUsage().bytes, 0);
+  std::vector<Tuple> rows = (*query)->root_sink->TakeRows();
+  std::sort(rows.begin(), rows.end(),
+            [](const Tuple& a, const Tuple& b) { return a.Compare(b) < 0; });
+  EXPECT_EQ(SerializeBatch(Batch::FromRows(rows)), sim_wire);
 }
 
 TEST(TcpScaleOutTest, MidQueryConnectionKillRecoversBitIdentical) {

@@ -1,6 +1,7 @@
 // Transport conformance: one parameterized battery asserting the contract
 // both backends must honor — connect, per-sender ordered delivery,
 // concurrent senders, half-close (finish) semantics, AIP filter shipment,
+// same-site loopback edges and filters, per-context billing,
 // flow-control boundedness under a slow consumer, replay deduplication
 // through a real ExchangeReceiver (on TCP, across an actual connection
 // kill + reconnect), and streams refusing to continue on a replacement
@@ -96,9 +97,81 @@ TEST_P(TransportConformanceTest, ReportsBackendAndTopology) {
 }
 
 TEST_P(TransportConformanceTest, RejectsLocalAndOutOfRangeEdges) {
-  EXPECT_FALSE(transports_[1]->OpenChannel(1, 1).ok());    // local edge
+  // A local edge is a loopback into the bound channel: none is bound here.
+  EXPECT_FALSE(transports_[1]->OpenChannel(1, 1).ok());
   EXPECT_FALSE(transports_[1]->OpenChannel(1, -1).ok());   // no such site
   EXPECT_FALSE(transports_[1]->OpenChannel(1, kSites).ok());
+}
+
+TEST_P(TransportConformanceTest, LocalEdgeIsALoopback) {
+  // A same-site edge and a same-site filter never touch a link or socket:
+  // the frame lands in the bound channel, the filter in the local handler.
+  const int64_t before = transports_[1]->TotalUsage().bytes;
+  auto channel = std::make_shared<ExchangeChannel>();
+  channel->set_num_senders(1);
+  channel->set_consumer_site(1);
+  ASSERT_TRUE(transports_[1]->BindChannel(5, channel).ok());
+  auto sender = transports_[1]->OpenChannel(5, 1);
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+  ExecContext ctx;
+  ASSERT_TRUE((*sender)->SendFrame("loopback", &ctx, nullptr).ok());
+  ASSERT_TRUE((*sender)->SendFinish(/*slot=*/0).ok());
+  std::string bytes;
+  ASSERT_EQ(channel->Receive(&bytes, std::chrono::milliseconds(1000)),
+            ExchangeChannel::RecvStatus::kMessage);
+  EXPECT_EQ(bytes, "loopback");
+  EXPECT_EQ(channel->Receive(&bytes, std::chrono::milliseconds(1000)),
+            ExchangeChannel::RecvStatus::kEndOfStream);
+
+  int delivered = 0;
+  transports_[1]->SetFilterHandler(
+      [&](const std::string&, AttrId, BloomFilter) { return ++delivered; });
+  BloomFilter filter(1024);
+  filter.Insert(7);
+  auto seconds = transports_[1]->ShipFilter(1, "aip:local", AttrId{2},
+                                            filter, &ctx);
+  ASSERT_TRUE(seconds.ok()) << seconds.status().ToString();
+  EXPECT_EQ(*seconds, 0.0);
+  EXPECT_EQ(delivered, 1);  // synchronously
+  EXPECT_EQ(ctx.OwnLinkUsage().bytes, 0);
+  EXPECT_EQ(transports_[1]->TotalUsage().bytes, before);
+}
+
+TEST_P(TransportConformanceTest, SendFrameAndShipFilterBillTheirContext) {
+  // Per-query accounting behind the interface: whatever a sender reports,
+  // the context it was handed is billed exactly that.
+  auto channel = std::make_shared<ExchangeChannel>();
+  channel->set_num_senders(1);
+  channel->set_consumer_site(0);
+  ASSERT_TRUE(transports_[0]->BindChannel(17, channel).ok());
+  auto sender = transports_[1]->OpenChannel(17, 0);
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+  ExecContext frames;
+  ASSERT_TRUE(
+      (*sender)->SendFrame(std::string(100, 'x'), &frames, nullptr).ok());
+  EXPECT_GT(frames.OwnLinkUsage().bytes, 0);
+  EXPECT_EQ(frames.OwnLinkUsage().bytes, (*sender)->bytes_sent());
+
+  std::atomic<bool> delivered{false};
+  transports_[1]->SetFilterHandler(
+      [&](const std::string&, AttrId, BloomFilter) {
+        delivered.store(true);
+        return 1;
+      });
+  BloomFilter filter(1024);
+  filter.Insert(9);
+  ExecContext filters;
+  const int64_t before = transports_[2]->TotalUsage().bytes;
+  auto seconds = transports_[2]->ShipFilter(1, "aip:billed", AttrId{3},
+                                            filter, &filters);
+  ASSERT_TRUE(seconds.ok()) << seconds.status().ToString();
+  EXPECT_GT(filters.OwnLinkUsage().bytes, 0);
+  EXPECT_EQ(filters.OwnLinkUsage().bytes,
+            transports_[2]->TotalUsage().bytes - before);
+  for (int i = 0; i < 500 && !delivered.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(delivered.load());
 }
 
 TEST_P(TransportConformanceTest, DeliversOneSenderInOrder) {
@@ -245,12 +318,13 @@ TEST_P(TransportConformanceTest, ShipsFiltersToTheHandler) {
         got_attr = attr;
         got_filter = std::move(filter);
         delivered.store(true);
+        return 1;
       });
 
   BloomFilter filter(1024);
   for (uint64_t key : {1u, 22u, 333u}) filter.Insert(key);
   auto seconds = transports_[0]->ShipFilter(2, "aip:part.p_partkey",
-                                            AttrId{5}, filter);
+                                            AttrId{5}, filter, nullptr);
   ASSERT_TRUE(seconds.ok()) << seconds.status().ToString();
 
   // TCP delivery is asynchronous (the peer's loop thread); poll briefly.
@@ -263,8 +337,13 @@ TEST_P(TransportConformanceTest, ShipsFiltersToTheHandler) {
   for (uint64_t key : {1u, 22u, 333u}) {
     EXPECT_TRUE(got_filter.MightContain(key));
   }
-  // Shipping toward the local site is a caller bug on either backend.
-  EXPECT_FALSE(transports_[0]->ShipFilter(0, "x", AttrId{1}, filter).ok());
+  // Toward the local site the shipment is a loopback into site 0's own
+  // handler, and site 0 has none.
+  EXPECT_EQ(
+      transports_[0]->ShipFilter(0, "x", AttrId{1}, filter, nullptr)
+          .status()
+          .code(),
+      StatusCode::kNotFound);
 }
 
 TEST_P(TransportConformanceTest, SlowConsumerStaysBoundedAndStallsSender) {
